@@ -36,6 +36,7 @@ from .iht import (
     IhtConfig,
     IhtState,
     IterationRecord,
+    StoppingBoundError,
     empirical_sigma,
     initial_threshold,
     run_iht,

@@ -28,6 +28,7 @@ __all__ = [
     "IhtConfig",
     "IterationRecord",
     "IhtState",
+    "StoppingBoundError",
     "empirical_sigma",
     "upsilon_r",
     "threshold_step",
@@ -74,6 +75,11 @@ class IhtConfig:
             raise ValueError("max_iters must be at least 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
+
+
+class StoppingBoundError(ArithmeticError):
+    """A fixed-upsilon schedule ran past its closed-form iteration cap, which
+    means the threshold arithmetic is broken."""
 
 
 @dataclass(frozen=True)
@@ -180,12 +186,28 @@ def iht_step(state: IhtState, batch: DesignBatch, y, config: IhtConfig = IhtConf
     iteration r is the residual scale before that iteration updated the
     estimate). In data-driven mode the threshold recursion is clamped so the
     sequence never increases.
+
+    Costs two forward passes over the design (the residual at the incoming
+    estimate and the one recorded after thresholding) and one adjoint pass.
+    ``run_iht`` carries the recorded residual into the next iteration, so
+    each of its iterations costs one forward and one adjoint pass.
     """
     values = _obs_values(y)
-    n, d = batch.n, batch.dim
-    if values.shape[0] != n:
-        raise ValueError("observation length does not match design batch")
+    _check_length(values, batch)
     resid = values - apply_design(batch, state.estimate)
+    return _step(state, batch, values, config, resid)[0]
+
+
+def _check_length(values: np.ndarray, batch: DesignBatch):
+    if values.shape[0] != batch.n:
+        raise ValueError("observation length does not match design batch")
+
+
+def _step(state: IhtState, batch: DesignBatch, values: np.ndarray, config: IhtConfig,
+          resid: np.ndarray) -> tuple[IhtState, np.ndarray]:
+    """``iht_step`` given resid = values - X(state.estimate); also returns
+    the residual at the new estimate."""
+    n, d = batch.n, batch.dim
     sigma = float(np.linalg.norm(resid) / np.sqrt(n))
     if config.upsilon is not None:
         ups = config.upsilon
@@ -215,8 +237,9 @@ def iht_step(state: IhtState, batch: DesignBatch, y, config: IhtConfig = IhtConf
         residual_l2=float(np.linalg.norm(resid_after)),
         clamped=clamped,
     )
-    return replace(state, estimate=estimate, threshold=t_new,
-                   iteration=state.iteration + 1, trace=state.trace + (record,))
+    state = replace(state, estimate=estimate, threshold=t_new,
+                    iteration=state.iteration + 1, trace=state.trace + (record,))
+    return state, resid_after
 
 
 def _default_max_iters(n: int) -> int:
@@ -232,17 +255,24 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
     that exhausts max_iters without meeting the stopping rule is returned with
     converged=False rather than raising.
 
+    Each iteration makes one forward and one adjoint pass over the design:
+    the residual recorded after thresholding is the next iteration's input,
+    and the first iteration starts from y itself because X(0) = 0. The trace
+    and estimate are bit-identical to chaining ``iht_step``.
+
     When a RipEstimate at rank 2K is supplied, the contraction validity
     condition rho >= 4 sqrt(K) c(2K) is checked and recorded on the state.
     """
     values = _obs_values(y)
+    _check_length(values, batch)
     n = batch.n
     max_iters = config.max_iters if config.max_iters is not None else _default_max_iters(n)
     dtype = np.complex128 if np.issubdtype(batch.matrices.dtype, np.complexfloating) else np.float64
     state = IhtState.initial(batch.dim, t0=config.t0, dtype=dtype)
     converged = False
+    resid = values
     for _ in range(max_iters):
-        state = iht_step(state, batch, values, config)
+        state, resid = _step(state, batch, values, config, resid)
         rec = state.trace[-1]
         if stopping_check(rec.threshold, rec.upsilon, config.rho, config.e):
             converged = True
@@ -266,7 +296,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
             and state.iteration > bound):
         # fixed-upsilon schedules come with an exact iteration cap; tripping it
         # means the schedule arithmetic is broken
-        raise AssertionError(
+        raise StoppingBoundError(
             f"stopping bound violated: r={state.iteration} > {bound:.3f}")
     return state.estimate, state
 

@@ -38,12 +38,33 @@ def debias(batch: DesignBatch, y, theta_hat: np.ndarray) -> np.ndarray:
     return theta_hat + adjoint_apply(batch, resid)
 
 
+# Size of the |X^i|^2 temporary that entry_scale_matrix holds at a time.
+_BLOCK_BYTES = 1 << 20
+
+
 def entry_scale_matrix(batch: DesignBatch) -> np.ndarray:
     """Entrywise design energies Sigma_{m,m'} = sqrt(mean_i |X^i_{m,m'}|^2).
 
     For standard Gaussian designs every entry concentrates at 1.
+
+    The squared moduli are summed over blocks of rows of about 1 MiB, so the
+    call allocates O(block) on top of the design instead of a copy of it.
+    Each block's reduction starts from the running sum, which keeps numpy's
+    sequential row order: the result is bitwise equal to
+    ``np.sqrt(np.mean(np.abs(X) ** 2, axis=0))``.
     """
-    return np.sqrt(np.mean(np.abs(batch.matrices) ** 2, axis=0))
+    x = batch.matrices
+    rows = max(1, _BLOCK_BYTES // (batch.dim * batch.dim * x.real.itemsize))
+    buf = np.empty((min(rows, batch.n),) + x.shape[1:], dtype=x.real.dtype)
+    total = None
+    for start in range(0, batch.n, rows):
+        chunk = x[start:start + rows]
+        block = np.abs(chunk, out=buf[:chunk.shape[0]])
+        np.square(block, out=block)
+        if total is not None:
+            block[0] += total
+        total = np.add.reduce(block, axis=0)
+    return np.sqrt(total / batch.n)
 
 
 def ci_half_width(batch: DesignBatch, sigma: float, level: float = 0.95,

@@ -99,16 +99,15 @@ def svd(a) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge for shape {a.shape}") from exc
     v = vh.conj().T.copy()
-    for j in range(s.size):
-        if s[j] == 0.0:
-            continue
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        mag = abs(col[i])
-        if mag > 0.0:
-            phase = np.conj(col[i] / mag)
-            u[:, j] = col * phase
-            v[:, j] = v[:, j] * phase
+    cols = np.flatnonzero(s != 0.0)
+    pivot = u[np.argmax(np.abs(u[:, cols]), axis=0), cols]
+    # hypot, like abs() of a complex scalar; numpy's vectorised complex abs
+    # rounds differently and would change the phases in the last bit
+    mag = np.hypot(pivot.real, pivot.imag)
+    keep = mag > 0.0
+    phase = np.conj(pivot[keep] / mag[keep])
+    u[:, cols[keep]] *= phase
+    v[:, cols[keep]] *= phase
     nzero = int(np.count_nonzero(s == 0.0))
     if nzero:
         kept_u = [u[:, j] for j in range(s.size) if s[j] != 0.0]

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from lowrank_iht import iht
 from lowrank_iht.cli import main
 from lowrank_iht.experiments import read_csv
 from lowrank_iht.sparse import AssumptionViolationError
@@ -106,3 +107,16 @@ def test_numerical_failure_exits_3(tmp_path, monkeypatch):
 def test_no_subcommand_is_a_usage_error():
     proc = _run()
     assert proc.returncode == 2
+
+
+def test_violated_stopping_bound_exits_3(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(iht, "schedule_iteration_bound", lambda t0, ups, rho: 0.0)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "mode": "matrix_sim", "replicates": 1, "seed": 1,
+        "d_values": [6], "k_values": [1], "n_values": [40],
+        "iht": {"upsilon": 0.05, "t0": 2.0},
+    }))
+    code = main(["simulate-matrix", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 3
+    assert "stopping bound violated" in capsys.readouterr().err

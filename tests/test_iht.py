@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import lowrank_iht
+from lowrank_iht import iht
 from lowrank_iht.iht import (
     IhtConfig,
     IhtState,
+    StoppingBoundError,
     empirical_sigma,
     iht_step,
     initial_threshold,
@@ -16,6 +19,7 @@ from lowrank_iht.iht import (
     upsilon_r,
     write_trace_csv,
 )
+from lowrank_iht.quantum import gen_density_matrix, simulate_dataset
 from lowrank_iht.trace_model import (
     DesignBatch,
     apply_design,
@@ -290,3 +294,71 @@ def test_estimate_never_gains_rank_above_kept_spectrum():
     # residual norm recorded at the new estimate
     resid = obs.values - apply_design(batch, est)
     assert state.trace[-1].residual_l2 == pytest.approx(np.linalg.norm(resid), rel=1e-10)
+
+
+def _gaussian_instance():
+    d, n = 10, 700
+    theta = gen_low_rank_theta(d, 2, 41)
+    batch = gen_gaussian_design(n, d, 42)
+    return batch, simulate_observations(batch, theta, 0.5, 43)
+
+
+def _pauli_instance():
+    theta = gen_density_matrix(8, 1, 44)
+    return simulate_dataset(theta, 12, 200, 45).to_trace_regression()
+
+
+def _count_forward_calls(monkeypatch):
+    calls = []
+    forward = iht.apply_design
+
+    def counting(batch, a):
+        calls.append(1)
+        return forward(batch, a)
+
+    monkeypatch.setattr(iht, "apply_design", counting)
+    return calls
+
+
+def test_run_iht_makes_one_forward_pass_per_iteration(monkeypatch):
+    batch, obs = _gaussian_instance()
+    calls = _count_forward_calls(monkeypatch)
+    _, state = run_iht(batch, obs)
+    assert state.iteration > 1
+    assert len(calls) == state.iteration
+
+
+@pytest.mark.parametrize("instance", [_gaussian_instance, _pauli_instance],
+                         ids=["gaussian", "pauli"])
+def test_run_iht_is_bitwise_equal_to_chained_iht_step(instance):
+    batch, obs = instance()
+    config = IhtConfig()
+    estimate, state = run_iht(batch, obs, config)
+    chained = IhtState.initial(batch.dim, dtype=estimate.dtype)
+    for _ in range(state.iteration):
+        chained = iht_step(chained, batch, obs, config)
+    assert estimate.tobytes() == chained.estimate.tobytes()
+    # repr prints each float exactly, so equal reprs mean bitwise-equal records
+    assert repr(state.trace) == repr(chained.trace)
+
+
+def test_iht_step_computes_its_own_residual(monkeypatch):
+    batch, obs = _gaussian_instance()
+    calls = _count_forward_calls(monkeypatch)
+    iht_step(IhtState.initial(batch.dim), batch, obs)
+    assert len(calls) == 2
+
+
+def test_run_iht_rejects_mismatched_observation_length():
+    batch, obs = _gaussian_instance()
+    with pytest.raises(ValueError, match="observation length"):
+        run_iht(batch, obs.values[:-1])
+
+
+def test_violated_stopping_bound_raises_a_typed_arithmetic_error(monkeypatch):
+    batch, obs = _gaussian_instance()
+    monkeypatch.setattr(iht, "schedule_iteration_bound", lambda t0, ups, rho: 0.0)
+    with pytest.raises(StoppingBoundError, match="stopping bound violated"):
+        run_iht(batch, obs, IhtConfig(upsilon=0.05, t0=5.0))
+    assert issubclass(StoppingBoundError, ArithmeticError)
+    assert lowrank_iht.StoppingBoundError is StoppingBoundError

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from lowrank_iht import inference
 from lowrank_iht.inference import (
     EntrywiseResult,
     ci_half_width,
@@ -78,6 +80,32 @@ def test_entry_scale_matches_mean_square_loop():
         for b in range(3):
             acc = sum(abs(mats[i, a, b]) ** 2 for i in range(12)) / 12
             assert scale[a, b] == pytest.approx(math.sqrt(acc), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [3, 4, 11])
+def test_blocked_entry_scale_is_bitwise_equal_to_the_one_pass_mean(monkeypatch, kind, n):
+    # 4 rows per block: n below, equal to, and not a multiple of the block
+    monkeypatch.setattr(inference, "_BLOCK_BYTES", 4 * 3 * 3 * 8)
+    rng = np.random.default_rng(n)
+    mats = rng.standard_normal((n, 3, 3))
+    if kind == "complex":
+        mats = mats + 1j * rng.standard_normal((n, 3, 3))
+    batch = DesignBatch(mats)
+    want = np.sqrt(np.mean(np.abs(batch.matrices) ** 2, axis=0))
+    assert entry_scale_matrix(batch).tobytes() == want.tobytes()
+
+
+def test_entry_scale_allocates_far_less_than_the_design():
+    batch = DesignBatch(np.random.default_rng(8).standard_normal((2048, 32, 32)))
+    assert batch.matrices.nbytes >= 16 * 2**20
+    tracemalloc.start()
+    try:
+        entry_scale_matrix(batch)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * batch.matrices.nbytes
 
 
 def _normal_quantile_oracle(p):

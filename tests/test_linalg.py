@@ -54,6 +54,40 @@ def test_svd_canonical_phase_is_stable():
     np.testing.assert_allclose(f1.singular_values, f2.singular_values, atol=1e-10)
 
 
+def _phase_loop_reference(a):
+    # the per-column canonicalisation svd() vectorises, kept as the oracle
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    v = vh.conj().T.copy()
+    for j in range(s.size):
+        if s[j] == 0.0:
+            continue
+        col = u[:, j]
+        i = int(np.argmax(np.abs(col)))
+        mag = abs(col[i])
+        if mag > 0.0:
+            phase = np.conj(col[i] / mag)
+            u[:, j] = col * phase
+            v[:, j] = v[:, j] * phase
+    return u, v
+
+
+@pytest.mark.parametrize("kind", ["real", "complex", "hermitian", "wide"])
+def test_svd_phases_are_bitwise_equal_to_the_column_loop(kind):
+    rng = np.random.default_rng(11)
+    for d in (2, 5, 16, 32):
+        shape = (d, d + 3) if kind == "wide" else (d, d)
+        for _ in range(10):
+            a = rng.standard_normal(shape)
+            if kind != "real":
+                a = a + 1j * rng.standard_normal(shape)
+            if kind == "hermitian":
+                a = a + a.conj().T
+            f = svd(a)
+            u, v = _phase_loop_reference(a)
+            assert f.left.tobytes() == u.tobytes()
+            assert f.right.tobytes() == v.tobytes()
+
+
 def test_svd_zero_matrix_gets_canonical_basis():
     f = svd(np.zeros((3, 3)))
     np.testing.assert_allclose(f.singular_values, 0.0)
