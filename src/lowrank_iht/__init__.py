@@ -38,7 +38,6 @@ from .iht import (
     IterationRecord,
     StoppingBoundError,
     empirical_sigma,
-    initial_threshold,
     run_iht,
     schedule_iteration_bound,
     stopping_check,
@@ -48,7 +47,6 @@ from .iht import (
 )
 from .inference import (
     EntrywiseResult,
-    ci_half_width,
     confidence_intervals,
     debias,
     decomposition_terms,
@@ -89,9 +87,6 @@ from .experiments import (
     ExperimentConfig,
     compute_metrics,
     run_experiment,
-    run_matrix_experiment,
-    run_quantum_experiment,
-    run_sparse_experiment,
 )
 
 __version__ = "0.1.0"

@@ -1,7 +1,9 @@
 """Command-line front end for the experiment drivers.
 
-Exit codes: 0 success, 2 bad configuration or flags, 3 numerical failure
-inside a run, 4 I/O problems around the output directory.
+Exit codes: 0 success, 2 bad configuration or flags (including a config
+file that is missing, unreadable, not JSON, or not a JSON object, under every
+subcommand), 3 numerical failure inside a run, 4 I/O problems around the
+output directory.
 """
 
 from __future__ import annotations
@@ -67,15 +69,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_config(path) -> dict:
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError("config root must be a JSON object")
+    return data
+
+
 def _load_config(args, mode: str) -> ExperimentConfig:
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config: {exc}") from exc
-        except ValueError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+        data = _read_config(args.config)
         if data.get("mode", mode) != mode:
             raise ConfigError(
                 f"config mode {data.get('mode')!r} does not match subcommand {mode!r}")
@@ -99,8 +108,7 @@ def main(argv=None) -> int:
         if args.command == "report":
             out_dir = args.out
             if out_dir is None and args.config is not None:
-                with open(args.config) as fh:
-                    out_dir = json.load(fh).get("output_dir")
+                out_dir = _read_config(args.config).get("output_dir")
             if not out_dir:
                 raise ConfigError("report needs --out or a config with output_dir")
             path = reaggregate(os.path.join(out_dir, "metrics.csv"),

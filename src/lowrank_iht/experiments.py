@@ -1,12 +1,15 @@
 """Seeded Monte-Carlo experiment grids with CSV reports.
 
-Three pipelines (dense matrix simulation, qubit tomography, sparse vectors)
-share one driver skeleton: enumerate grid cells, run seeded replicates
-(optionally across processes), compute error metrics, and emit
+One runner, ``run_experiment``, serves the three pipelines (dense matrix
+simulation, qubit tomography, sparse vectors). A per-mode table names the
+replicate function, the cell columns and the metric columns; the runner
+enumerates the grid cells, runs seeded replicates (optionally across
+processes), each returning one plain row dict, and emits
 
-    metrics.csv    one row per (cell, replicate)
-    aggregate.csv  mean and 2.5% / 97.5% quantiles per (cell, metric)
-    timings.csv    wall-clock per replicate
+    metrics.csv      one row per (cell, replicate)
+    aggregate.csv    mean and 2.5% / 97.5% quantiles per (cell, metric)
+    timings.csv      wall-clock per replicate
+    coordinates.csv  sparse mode only: one row per (replicate, coordinate)
 
 metrics.csv and aggregate.csv are byte-deterministic for a given config and
 seed; wall clock lives in its own file so the deterministic outputs can be
@@ -18,12 +21,12 @@ workers can run in any order without changing a single byte.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -50,11 +53,7 @@ from .trace_model import (
 __all__ = [
     "ConfigError",
     "ExperimentConfig",
-    "MetricRow",
     "compute_metrics",
-    "run_matrix_experiment",
-    "run_quantum_experiment",
-    "run_sparse_experiment",
     "run_experiment",
     "reaggregate",
     "read_csv",
@@ -178,30 +177,6 @@ class ExperimentConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
-    @classmethod
-    def from_json(cls, path) -> "ExperimentConfig":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-
-@dataclass(frozen=True)
-class MetricRow:
-    replicate: int
-    cell: dict
-    frobenius_sq: float
-    operator: float
-    entrywise_inf: float
-    schatten1: float
-    rank_hat: int
-    r_hat: int
-    runtime_ms: float
-    coverage: float | None = None
-    mean_ci_length: float | None = None
-
 
 def compute_metrics(theta_hat, theta):
     """(squared Frobenius, operator, entrywise sup, nuclear) of the difference."""
@@ -225,7 +200,7 @@ def _rep_seed(config: ExperimentConfig, cell_idx: int, rep_idx: int) -> np.rando
 
 
 def _matrix_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
-                      rep_idx: int) -> MetricRow:
+                      rep_idx: int) -> dict:
     theta_seed, design_seed, noise_seed = _rep_seed(config, cell_idx, rep_idx).spawn(3)
     d, k, n = cell["d"], cell["k"], cell["n"]
     start = time.perf_counter()
@@ -239,18 +214,15 @@ def _matrix_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
     result = confidence_intervals(batch, obs, estimate, level=config.level,
                                   two_sided_correct=config.two_sided_correct,
                                   state=state)
-    fro, op, ent, s1 = compute_metrics(estimate, theta)
-    runtime_ms = (time.perf_counter() - start) * 1e3
-    return MetricRow(
-        replicate=rep_idx, cell=cell, frobenius_sq=fro, operator=op,
-        entrywise_inf=ent, schatten1=s1, rank_hat=state.rank,
-        r_hat=state.iteration, runtime_ms=runtime_ms,
-        coverage=result.coverage_rate(theta),
-        mean_ci_length=float(np.mean(2.0 * result.half_width)))
+    return {
+        **_estimate_metrics(cell, rep_idx, estimate, theta, state, start),
+        "coverage": result.coverage_rate(theta),
+        "mean_ci_length": float(np.mean(2.0 * result.half_width)),
+    }
 
 
 def _quantum_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
-                       rep_idx: int) -> MetricRow:
+                       rep_idx: int) -> dict:
     theta_seed, data_seed = _rep_seed(config, cell_idx, rep_idx).spawn(2)
     m, k = cell["m"], cell["k"]
     d = 2 ** m
@@ -261,16 +233,26 @@ def _quantum_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
     dataset = simulate_dataset(theta, n_settings, repetitions, data_seed)
     batch, obs = dataset.to_trace_regression()
     estimate, state = run_iht(batch, obs, config.iht)
+    return _estimate_metrics(cell, rep_idx, estimate, theta, state, start)
+
+
+def _estimate_metrics(cell, rep_idx, estimate, theta, state, start) -> dict:
     fro, op, ent, s1 = compute_metrics(estimate, theta)
-    runtime_ms = (time.perf_counter() - start) * 1e3
-    return MetricRow(
-        replicate=rep_idx, cell=cell, frobenius_sq=fro, operator=op,
-        entrywise_inf=ent, schatten1=s1, rank_hat=state.rank,
-        r_hat=state.iteration, runtime_ms=runtime_ms)
+    return {
+        **cell,
+        "replicate": rep_idx,
+        "frobenius_sq": fro,
+        "operator": op,
+        "entrywise_inf": ent,
+        "schatten1": s1,
+        "rank_hat": state.rank,
+        "r_hat": state.iteration,
+        "runtime_ms": (time.perf_counter() - start) * 1e3,
+    }
 
 
 def _sparse_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
-                      rep_idx: int):
+                      rep_idx: int) -> dict:
     inst_seed, = _rep_seed(config, cell_idx, rep_idx).spawn(1)
     p, k, n = cell["p"], cell["k"], cell["n"]
     start = time.perf_counter()
@@ -287,7 +269,7 @@ def _sparse_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
     diff = theta_hat - truth
     covered = intervals.covers(truth)
     runtime_ms = (time.perf_counter() - start) * 1e3
-    row = {
+    return {
         **cell,
         "replicate": rep_idx,
         "l2_sq": float(diff @ diff),
@@ -297,42 +279,56 @@ def _sparse_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
         "iterations": len(trace),
         "coverage": float(np.mean(covered)),
         "mean_ci_length": float(np.mean(2.0 * intervals.half_width)),
+        "runtime_ms": runtime_ms,
+        "coordinates": [
+            {**cell, "replicate": rep_idx, "j": j,
+             "theta_hat": float(intervals.estimate[j]),
+             "ci_lower": float(intervals.lower[j]),
+             "ci_upper": float(intervals.upper[j]),
+             "in_support": int(j in support_true)}
+            for j in range(p)
+        ],
     }
-    coords = [
-        {**cell, "replicate": rep_idx, "j": j,
-         "theta_hat": float(intervals.estimate[j]),
-         "ci_lower": float(intervals.lower[j]),
-         "ci_upper": float(intervals.upper[j]),
-         "in_support": int(j in support_true)}
-        for j in range(p)
-    ]
-    return row, coords, runtime_ms
 
 
-_REPLICATE_FN = {
-    "matrix_sim": _matrix_replicate,
-    "quantum": _quantum_replicate,
-    "sparse": _sparse_replicate,
+class _Mode(NamedTuple):
+    """How one mode fills metrics.csv: rows from ``replicate``, with the cell
+    columns before ``replicate`` and the metric columns after it. A sparse
+    row also carries its ``coordinates`` rows for coordinates.csv."""
+
+    replicate: Callable[..., dict]
+    cell_cols: tuple
+    metric_cols: tuple
+
+
+_MATRIX_METRICS = ("frobenius_sq", "operator", "entrywise_inf", "schatten1",
+                   "rank_hat", "r_hat", "coverage", "mean_ci_length")
+
+_MODE_TABLE = {
+    "matrix_sim": _Mode(_matrix_replicate, ("d", "k", "n"), _MATRIX_METRICS),
+    "quantum": _Mode(_quantum_replicate, ("m", "k", "alpha", "t_factor"), _MATRIX_METRICS),
+    "sparse": _Mode(_sparse_replicate, ("p", "k", "n"),
+                    ("l2_sq", "linf", "support_size", "support_included",
+                     "iterations", "coverage", "mean_ci_length")),
 }
+
+_COORD_COLS = ("j", "theta_hat", "ci_lower", "ci_upper", "in_support")
 
 
 def _task(args):
     config, cell, cell_idx, rep_idx = args
-    return cell_idx, rep_idx, _REPLICATE_FN[config.mode](config, cell, cell_idx, rep_idx)
+    return _MODE_TABLE[config.mode].replicate(config, cell, cell_idx, rep_idx)
 
 
-def _run_all(config: ExperimentConfig):
-    """All (cell, replicate) results, ordered by (cell index, replicate)."""
+def _run_all(config: ExperimentConfig) -> list[dict]:
+    """All replicate rows, ordered by (cell index, replicate)."""
     tasks = [(config, cell, ci, ri)
              for ci, cell in enumerate(config.cells())
              for ri in range(config.replicates)]
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_task, tasks))
-    else:
-        results = [_task(t) for t in tasks]
-    results.sort(key=lambda item: (item[0], item[1]))
-    return results
+            return list(pool.map(_task, tasks))
+    return [_task(t) for t in tasks]
 
 
 def _fmt(value) -> str:
@@ -382,17 +378,15 @@ def read_csv(path):
     return columns, rows
 
 
-def _aggregate(rows, cell_cols, metric_cols):
-    """Long-format aggregate rows: one per (cell, metric) with mean and the
-    2.5% / 97.5% empirical quantiles."""
-    out = []
-    seen = []
+def _write_aggregate(path, rows, cell_cols, metric_cols):
+    """Long-format aggregate.csv: one row per (cell, metric) with mean and the
+    2.5% / 97.5% empirical quantiles. Cells come in order of first
+    appearance, each cell's values in row order."""
+    groups = {}
     for row in rows:
-        key = tuple(row[c] for c in cell_cols)
-        if key not in seen:
-            seen.append(key)
-    for key in seen:
-        group = [r for r in rows if tuple(r[c] for c in cell_cols) == key]
+        groups.setdefault(tuple(row[c] for c in cell_cols), []).append(row)
+    out = []
+    for key, group in groups.items():
         for metric in metric_cols:
             vals = np.array([r[metric] for r in group if r.get(metric) is not None],
                             dtype=np.float64)
@@ -405,13 +399,7 @@ def _aggregate(rows, cell_cols, metric_cols):
                 "q025": float(np.quantile(vals, 0.025)),
                 "q975": float(np.quantile(vals, 0.975)),
             })
-    return out
-
-
-_MATRIX_METRICS = ("frobenius_sq", "operator", "entrywise_inf", "schatten1",
-                   "rank_hat", "r_hat", "coverage", "mean_ci_length")
-_SPARSE_METRICS = ("l2_sq", "linf", "support_size", "support_included",
-                   "iterations", "coverage", "mean_ci_length")
+    _write_csv(path, [*cell_cols, "metric", "mean", "q025", "q975"], out)
 
 
 def _ensure_outdir(path):
@@ -422,89 +410,24 @@ def _ensure_outdir(path):
     os.remove(probe)
 
 
-def _metric_row_dict(row: MetricRow) -> dict:
-    return {
-        **row.cell,
-        "replicate": row.replicate,
-        "frobenius_sq": row.frobenius_sq,
-        "operator": row.operator,
-        "entrywise_inf": row.entrywise_inf,
-        "schatten1": row.schatten1,
-        "rank_hat": row.rank_hat,
-        "r_hat": row.r_hat,
-        "coverage": row.coverage,
-        "mean_ci_length": row.mean_ci_length,
-    }
-
-
-def _emit(config, cell_cols, metric_cols, metric_rows, timing_rows, extra=None):
-    out = config.output_dir
-    paths = {
-        "metrics": os.path.join(out, "metrics.csv"),
-        "aggregate": os.path.join(out, "aggregate.csv"),
-        "timings": os.path.join(out, "timings.csv"),
-    }
-    _write_csv(paths["metrics"], [*cell_cols, "replicate", *metric_cols], metric_rows)
-    agg = _aggregate(metric_rows, list(cell_cols), list(metric_cols))
-    _write_csv(paths["aggregate"], [*cell_cols, "metric", "mean", "q025", "q975"], agg)
-    _write_csv(paths["timings"], [*cell_cols, "replicate", "runtime_ms"], timing_rows)
-    if extra:
-        paths.update(extra)
-    return paths
-
-
-def run_matrix_experiment(config: ExperimentConfig) -> dict:
-    if config.mode != "matrix_sim":
-        raise ConfigError(f"expected matrix_sim mode, got {config.mode!r}")
-    _ensure_outdir(config.output_dir)
-    results = _run_all(config)
-    cell_cols = ("d", "k", "n")
-    metric_rows = [_metric_row_dict(row) for _, _, row in results]
-    timing_rows = [{**row.cell, "replicate": row.replicate, "runtime_ms": row.runtime_ms}
-                   for _, _, row in results]
-    return _emit(config, cell_cols, _MATRIX_METRICS, metric_rows, timing_rows)
-
-
-def run_quantum_experiment(config: ExperimentConfig) -> dict:
-    if config.mode != "quantum":
-        raise ConfigError(f"expected quantum mode, got {config.mode!r}")
-    _ensure_outdir(config.output_dir)
-    results = _run_all(config)
-    cell_cols = ("m", "k", "alpha", "t_factor")
-    metric_rows = [_metric_row_dict(row) for _, _, row in results]
-    timing_rows = [{**row.cell, "replicate": row.replicate, "runtime_ms": row.runtime_ms}
-                   for _, _, row in results]
-    return _emit(config, cell_cols, _MATRIX_METRICS, metric_rows, timing_rows)
-
-
-def run_sparse_experiment(config: ExperimentConfig) -> dict:
-    if config.mode != "sparse":
-        raise ConfigError(f"expected sparse mode, got {config.mode!r}")
-    _ensure_outdir(config.output_dir)
-    results = _run_all(config)
-    cell_cols = ("p", "k", "n")
-    metric_rows = []
-    timing_rows = []
-    coord_rows = []
-    for _, _, (row, coords, runtime_ms) in results:
-        metric_rows.append(row)
-        coord_rows.extend(coords)
-        timing_rows.append({k: row[k] for k in (*cell_cols, "replicate")}
-                           | {"runtime_ms": runtime_ms})
-    coords_path = os.path.join(config.output_dir, "coordinates.csv")
-    _write_csv(coords_path, [*cell_cols, "replicate", "j", "theta_hat",
-                             "ci_lower", "ci_upper", "in_support"], coord_rows)
-    return _emit(config, cell_cols, _SPARSE_METRICS, metric_rows, timing_rows,
-                 extra={"coordinates": coords_path})
-
-
 def run_experiment(config: ExperimentConfig) -> dict:
-    runner = {
-        "matrix_sim": run_matrix_experiment,
-        "quantum": run_quantum_experiment,
-        "sparse": run_sparse_experiment,
-    }[config.mode]
-    return runner(config)
+    """Run every (cell, replicate) of the config's grid and write the CSVs;
+    returns their paths keyed by file stem."""
+    mode = _MODE_TABLE[config.mode]
+    cell_cols = mode.cell_cols
+    _ensure_outdir(config.output_dir)
+    rows = _run_all(config)
+    coord_rows = [c for row in rows for c in row.pop("coordinates", ())]
+    paths = {name: os.path.join(config.output_dir, f"{name}.csv")
+             for name in ("metrics", "aggregate", "timings")}
+    _write_csv(paths["metrics"], [*cell_cols, "replicate", *mode.metric_cols], rows)
+    _write_aggregate(paths["aggregate"], rows, cell_cols, mode.metric_cols)
+    _write_csv(paths["timings"], [*cell_cols, "replicate", "runtime_ms"], rows)
+    if coord_rows:
+        paths["coordinates"] = os.path.join(config.output_dir, "coordinates.csv")
+        _write_csv(paths["coordinates"], [*cell_cols, "replicate", *_COORD_COLS],
+                   coord_rows)
+    return paths
 
 
 def reaggregate(metrics_path, out_path) -> str:
@@ -515,6 +438,5 @@ def reaggregate(metrics_path, out_path) -> str:
     split = columns.index("replicate")
     cell_cols = columns[:split]
     metric_cols = columns[split + 1:]
-    agg = _aggregate(rows, cell_cols, metric_cols)
-    _write_csv(out_path, [*cell_cols, "metric", "mean", "q025", "q975"], agg)
+    _write_aggregate(out_path, rows, cell_cols, metric_cols)
     return out_path

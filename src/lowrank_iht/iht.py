@@ -16,13 +16,13 @@ recursion takes over from the second iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
 
-from .linalg import svd
-from .trace_model import DesignBatch, Observations, RipEstimate, adjoint_apply, apply_design, _obs_values
+from .linalg import hard_threshold_singular
+from .trace_model import DesignBatch, RipEstimate, adjoint_apply, apply_design, _obs_values
 
 __all__ = [
     "IhtConfig",
@@ -32,7 +32,6 @@ __all__ = [
     "empirical_sigma",
     "upsilon_r",
     "threshold_step",
-    "initial_threshold",
     "stopping_check",
     "schedule_iteration_bound",
     "iht_step",
@@ -153,15 +152,6 @@ def threshold_step(t_prev: float, rho: float, upsilon: float) -> float:
     return rho * t_prev + upsilon
 
 
-def initial_threshold(batch: DesignBatch, y, config: IhtConfig = IhtConfig()) -> float:
-    """First threshold. Fixed T_0 if configured, otherwise the data-driven
-    sigma_1 + upsilon_1 computed at the zero estimate."""
-    if config.t0 is not None:
-        return config.t0
-    sigma1 = empirical_sigma(batch, y, np.zeros((batch.dim, batch.dim)))
-    return sigma1 + upsilon_r(sigma1, batch.dim, batch.n, config.upsilon_quantile)
-
-
 def stopping_check(t_r: float, upsilon: float, rho: float = 0.5, e: float = 0.1) -> bool:
     """Stop once T_r <= (1 + e) * upsilon / (1 - rho)."""
     return t_r <= (1.0 + e) * upsilon / (1.0 - rho)
@@ -223,17 +213,15 @@ def _step(state: IhtState, batch: DesignBatch, values: np.ndarray, config: IhtCo
             t_new = state.threshold
             clamped = True
     backproj = adjoint_apply(batch, resid)
-    factors = svd(state.estimate + backproj)
-    kept = np.where(factors.singular_values >= t_new, factors.singular_values, 0.0)
-    estimate = (factors.left * kept) @ factors.right.conj().T
-    rank = int(np.count_nonzero(kept))
+    factors = hard_threshold_singular(state.estimate + backproj, t_new)
+    estimate = factors.reconstruct()
     resid_after = values - apply_design(batch, estimate)
     record = IterationRecord(
         iteration=state.iteration + 1,
         threshold=t_new,
         sigma=sigma,
         upsilon=ups,
-        rank=rank,
+        rank=factors.rank(),
         residual_l2=float(np.linalg.norm(resid_after)),
         clamped=clamped,
     )
@@ -243,7 +231,7 @@ def _step(state: IhtState, batch: DesignBatch, values: np.ndarray, config: IhtCo
 
 
 def _default_max_iters(n: int) -> int:
-    return max(1, math.ceil(10.0 * math.log(n))) if n > 1 else 1
+    return max(1, math.ceil(10.0 * math.log(n)))
 
 
 def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
@@ -283,7 +271,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
         t_seed = state.trace[0].threshold if config.t0 is None else config.t0
     else:
         t_seed = state.trace[0].threshold
-    bound = schedule_iteration_bound(t_seed, ups_floor, config.rho) if ups_floor > 0 else math.inf
+    bound = schedule_iteration_bound(t_seed, ups_floor, config.rho)
     rho_ok = None
     if rip is not None:
         k_half = rip.k / 2.0

@@ -18,13 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .iht import IhtConfig, IhtState, empirical_sigma, run_iht
+from .iht import IhtState, empirical_sigma
 from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
 
 __all__ = [
     "debias",
     "entry_scale_matrix",
-    "ci_half_width",
     "EntrywiseResult",
     "confidence_intervals",
     "decomposition_terms",
@@ -65,23 +64,6 @@ def entry_scale_matrix(batch: DesignBatch) -> np.ndarray:
             block[0] += total
         total = np.add.reduce(block, axis=0)
     return np.sqrt(total / batch.n)
-
-
-def ci_half_width(batch: DesignBatch, sigma: float, level: float = 0.95,
-                  two_sided_correct: bool = False) -> np.ndarray:
-    """Entrywise half-widths sigma * Sigma_{m,m'} * q / sqrt(n).
-
-    The default quantile is q = z_level, which for a two-sided interval at
-    level 0.95 actually delivers nominal 90% coverage; pass
-    two_sided_correct=True for q = z_{(1+level)/2} if the stated level should
-    be the two-sided one.
-    """
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    if not 0 < level < 1:
-        raise ValueError("level must lie in (0, 1)")
-    q = float(ndtri((1.0 + level) / 2.0)) if two_sided_correct else float(ndtri(level))
-    return sigma * entry_scale_matrix(batch) * q / np.sqrt(batch.n)
 
 
 @dataclass(frozen=True)
@@ -125,15 +107,25 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
                          sigma: float | None = None, level: float = 0.95,
                          two_sided_correct: bool = False,
                          state: IhtState | None = None) -> EntrywiseResult:
-    """Debias theta_hat and attach entrywise intervals.
+    """Debias theta_hat and attach entrywise intervals with half-widths
+    sigma * Sigma_{m,m'} * q / sqrt(n).
 
     sigma defaults to the last recorded iteration sigma when a state is
     given (the scale the stopping rule actually certified), else to the
     residual scale at theta_hat.
+
+    The default quantile is q = z_level, which for a two-sided interval at
+    level 0.95 actually delivers nominal 90% coverage; pass
+    two_sided_correct=True for q = z_{(1+level)/2} if the stated level should
+    be the two-sided one.
     """
+    if not 0 < level < 1:
+        raise ValueError("level must lie in (0, 1)")
     if sigma is None:
         sigma = state.final_sigma if state is not None and state.trace \
             else empirical_sigma(batch, y, theta_hat)
+    if sigma < 0:
+        raise ValueError("sigma must be nonnegative")
     q = float(ndtri((1.0 + level) / 2.0)) if two_sided_correct else float(ndtri(level))
     half = sigma * entry_scale_matrix(batch) * q / np.sqrt(batch.n)
     return EntrywiseResult(estimate=debias(batch, y, theta_hat), half_width=half,

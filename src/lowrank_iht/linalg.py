@@ -140,17 +140,18 @@ def hard_threshold_entries(u, threshold: float):
     return np.where(np.abs(u) >= threshold, u, np.zeros((), dtype=u.dtype))
 
 
-def hard_threshold_singular(a, threshold: float) -> np.ndarray:
+def hard_threshold_singular(a, threshold: float) -> SvdFactors:
     """Spectral hard thresholding: keep singular values >= ``threshold``.
 
-    The result has rank equal to the count of singular values at or above the
-    threshold.
+    Returns the canonical factors of ``a`` with the dropped singular values
+    set to zero; ``.reconstruct()`` is the thresholded matrix and ``.rank()``
+    the count of singular values at or above the threshold.
     """
     if threshold < 0:
         raise ValueError("threshold must be nonnegative")
     f = svd(a)
     kept = np.where(f.singular_values >= threshold, f.singular_values, 0.0)
-    return (f.left * kept) @ f.right.conj().T
+    return SvdFactors(left=f.left, singular_values=kept, right=f.right)
 
 
 def schatten_norm(a, p) -> float:

@@ -336,16 +336,6 @@ class TomographyDataset:
     def n(self) -> int:
         return self.y.shape[0]
 
-    @property
-    def rows(self):
-        return list(zip(self.y.tolist(), self.designs))
-
-    def row_mask(self, row: int) -> int:
-        return row % (2 ** self.m)
-
-    def row_setting(self, row: int) -> int:
-        return row // (2 ** self.m)
-
     def to_trace_regression(self) -> tuple[DesignBatch, Observations]:
         """Repackage for the estimator, scaled so 1/n is the right weight.
 

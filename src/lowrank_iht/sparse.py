@@ -38,7 +38,6 @@ __all__ = [
     "sparse_confidence_intervals",
     "sparse_decomposition_terms",
     "gen_sparse_instance",
-    "coordinates_csv",
 ]
 
 
@@ -411,14 +410,3 @@ def gen_sparse_instance(n: int, p: int, k: int, noise_std: float, seed) -> Spars
     eps = rng.standard_normal(n) * noise_std
     return SparseInstance(x=x, y=x @ theta + eps, theta_truth=theta,
                           realized_noise=eps)
-
-
-def coordinates_csv(path, intervals: SparseIntervals, support=None):
-    """Coordinate-level CSV: j, theta_hat, ci_lower, ci_upper, in_support."""
-    sup = set() if support is None else {int(j) for j in np.atleast_1d(support)}
-    lower, upper = intervals.lower, intervals.upper
-    with open(path, "w", newline="\n") as fh:
-        fh.write("j,theta_hat,ci_lower,ci_upper,in_support\n")
-        for j in range(intervals.estimate.shape[0]):
-            fh.write(f"{j},{float(intervals.estimate[j])!r},{float(lower[j])!r},"
-                     f"{float(upper[j])!r},{int(j in sup)}\n")

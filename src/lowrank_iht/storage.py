@@ -1,5 +1,4 @@
-"""Serialization: a flat binary container for design/observation instances,
-plus CSV forms for small instances.
+"""Serialization: a flat binary container for design/observation instances.
 
 Container layout (little-endian):
     magic  b"TRCM"
@@ -24,10 +23,6 @@ __all__ = [
     "TRCM_VERSION",
     "save_instance",
     "load_instance",
-    "design_to_csv",
-    "design_from_csv",
-    "observations_to_csv",
-    "observations_from_csv",
 ]
 
 TRCM_MAGIC = b"TRCM"
@@ -81,44 +76,3 @@ def load_instance(path):
                                offset=_HEADER.size + design_bytes)
         obs = Observations(values=values.copy())
     return batch, obs
-
-
-def design_to_csv(path, batch: DesignBatch):
-    """Entry-per-row CSV (i, row, col, re, im) for small batches."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("i,row,col,re,im\n")
-        for i in range(batch.n):
-            m = batch.matrices[i]
-            for r in range(batch.dim):
-                for c in range(batch.dim):
-                    z = complex(m[r, c])
-                    fh.write(f"{i},{r},{c},{z.real!r},{z.imag!r}\n")
-
-
-def design_from_csv(path) -> DesignBatch:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 5:
-        raise ValueError("expected columns i,row,col,re,im")
-    n = int(data[:, 0].max()) + 1
-    d = int(data[:, 1].max()) + 1
-    mats = np.zeros((n, d, d), dtype=np.complex128)
-    mats[data[:, 0].astype(int), data[:, 1].astype(int), data[:, 2].astype(int)] = (
-        data[:, 3] + 1j * data[:, 4])
-    if np.all(mats.imag == 0.0):
-        return DesignBatch(mats.real.copy())
-    return DesignBatch(mats)
-
-
-def observations_to_csv(path, observations: Observations):
-    with open(path, "w", newline="\n") as fh:
-        fh.write("i,value\n")
-        for i, v in enumerate(observations.values):
-            fh.write(f"{i},{float(v)!r}\n")
-
-
-def observations_from_csv(path) -> Observations:
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[1] != 2:
-        raise ValueError("expected columns i,value")
-    order = np.argsort(data[:, 0])
-    return Observations(values=data[order, 1])

@@ -13,7 +13,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from lowrank_iht.experiments import ExperimentConfig, read_csv, run_quantum_experiment
+from lowrank_iht.experiments import ExperimentConfig, read_csv, run_experiment
 from lowrank_iht.iht import (
     IhtConfig,
     empirical_sigma,
@@ -224,7 +224,7 @@ def test_criterion_8_quantum_recovery_trend(tmp_path):
                               replicates=20, seed=808, m_values=(4,),
                               k_values=(1,), alpha_values=(2.0, 5.0),
                               t_factors=(10.0,))
-    paths = run_quantum_experiment(config)
+    paths = run_experiment(config)
     _, rows = read_csv(paths["metrics"])
     by_alpha = {2.0: [], 5.0: []}
     finite_ok = True

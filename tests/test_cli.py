@@ -57,6 +57,19 @@ def test_missing_config_file_exits_2(tmp_path):
     assert "config error" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["report", "simulate-matrix"])
+@pytest.mark.parametrize("content", [None, "{not json", "[1, 2]", '"out"', "\xff\xfe"],
+                         ids=["missing", "malformed", "list-root", "string-root",
+                              "not-utf8"])
+def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, command, content):
+    config = tmp_path / "c.json"
+    if content is not None:
+        config.write_bytes(content.encode("latin-1"))
+    code = main([command, "--config", str(config)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"mode": "matrix_sim", "d_values": [4],

@@ -8,10 +8,16 @@ from lowrank_iht.experiments import (
     read_csv,
     reaggregate,
     run_experiment,
-    run_matrix_experiment,
-    run_sparse_experiment,
 )
 from lowrank_iht.experiments import _rep_seed
+from lowrank_iht.sparse import (
+    build_decorrelator,
+    desparsify,
+    gen_sparse_instance,
+    sparse_confidence_intervals,
+    sparse_iht_run,
+    sparse_sigma,
+)
 
 
 def test_compute_metrics_hand_example():
@@ -120,8 +126,8 @@ def test_rep_seeds_are_distinct_streams():
 def test_run_twice_is_byte_identical(tmp_path):
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
-    run_matrix_experiment(_matrix_config(out_a))
-    run_matrix_experiment(_matrix_config(out_b))
+    run_experiment(_matrix_config(out_a))
+    run_experiment(_matrix_config(out_b))
     for name in ("metrics.csv", "aggregate.csv"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
     # timings are wall-clock and live apart precisely so the above can hold
@@ -131,8 +137,8 @@ def test_run_twice_is_byte_identical(tmp_path):
 def test_workers_do_not_change_outputs(tmp_path):
     out_serial = tmp_path / "serial"
     out_pool = tmp_path / "pool"
-    run_matrix_experiment(_matrix_config(out_serial, workers=1))
-    run_matrix_experiment(_matrix_config(out_pool, workers=2))
+    run_experiment(_matrix_config(out_serial, workers=1))
+    run_experiment(_matrix_config(out_pool, workers=2))
     assert (out_serial / "metrics.csv").read_bytes() == \
         (out_pool / "metrics.csv").read_bytes()
     assert (out_serial / "aggregate.csv").read_bytes() == \
@@ -141,7 +147,7 @@ def test_workers_do_not_change_outputs(tmp_path):
 
 def test_schema_line_and_parsed_types(tmp_path):
     config = _matrix_config(tmp_path)
-    paths = run_matrix_experiment(config)
+    paths = run_experiment(config)
     first = open(paths["metrics"]).readline().rstrip("\n")
     assert first == "# schema=1"
     columns, rows = read_csv(paths["metrics"])
@@ -174,7 +180,7 @@ def test_noiseless_basis_run_is_exact(tmp_path):
         "d_values": [6], "k_values": [1],
         "iht": {"upsilon": 1e-9, "t0": 10.0},
     })
-    paths = run_matrix_experiment(config)
+    paths = run_experiment(config)
     _, rows = read_csv(paths["metrics"])
     assert len(rows) == 3
     for row in rows:
@@ -186,7 +192,7 @@ def test_sparse_experiment_outputs(tmp_path):
     config = ExperimentConfig(mode="sparse", output_dir=str(tmp_path),
                               replicates=2, seed=5, p_values=(30,),
                               k_values=(2,), n_values=(200,))
-    paths = run_sparse_experiment(config)
+    paths = run_experiment(config)
     columns, rows = read_csv(paths["metrics"])
     assert columns[:4] == ["p", "k", "n", "replicate"]
     assert len(rows) == 2
@@ -194,16 +200,31 @@ def test_sparse_experiment_outputs(tmp_path):
         assert row["support_included"] in (0, 1)
         assert 0.0 <= row["coverage"] <= 1.0
         assert row["l2_sq"] >= 0.0
-    _, coords = read_csv(paths["coordinates"])
+    columns, coords = read_csv(paths["coordinates"])
+    assert columns == ["p", "k", "n", "replicate", "j", "theta_hat", "ci_lower",
+                       "ci_upper", "in_support"]
     assert len(coords) == 2 * 30
     assert sum(c["in_support"] for c in coords) == 2 * 2
     for c in coords[:5]:
         assert c["ci_lower"] <= c["theta_hat"] <= c["ci_upper"]
+    # replicate 1's rows are its intervals, written exactly, in coordinate order
+    inst = gen_sparse_instance(200, 30, 2, config.noise_std,
+                               _rep_seed(config, 0, 1).spawn(1)[0])
+    dec = build_decorrelator(inst.x)
+    theta_r, _ = sparse_iht_run(inst, dec, config.sparse_estimator)
+    res = sparse_confidence_intervals(desparsify(theta_r, inst, dec), inst, dec,
+                                      sparse_sigma(inst, theta_r), config.level)
+    rep1 = [c for c in coords if c["replicate"] == 1]
+    assert [c["j"] for c in rep1] == list(range(30))
+    assert [c["theta_hat"] for c in rep1] == res.estimate.tolist()
+    assert [c["ci_lower"] for c in rep1] == res.lower.tolist()
+    assert [c["ci_upper"] for c in rep1] == res.upper.tolist()
+    assert [c["in_support"] for c in rep1] == (inst.theta_truth != 0).astype(int).tolist()
 
 
 def test_reaggregate_reproduces_aggregate(tmp_path):
     config = _matrix_config(tmp_path / "run", replicates=3)
-    paths = run_matrix_experiment(config)
+    paths = run_experiment(config)
     rebuilt = tmp_path / "rebuilt.csv"
     reaggregate(paths["metrics"], rebuilt)
     assert rebuilt.read_bytes() == (tmp_path / "run" / "aggregate.csv").read_bytes()
@@ -231,9 +252,43 @@ def test_reaggregate_quantile_oracle(tmp_path):
         reaggregate(bad, out)
 
 
-def test_runner_mode_mismatch():
-    sparse_config = ExperimentConfig(mode="sparse", output_dir="o",
-                                     p_values=(10,), k_values=(1,),
-                                     n_values=(50,))
-    with pytest.raises(ConfigError):
-        run_matrix_experiment(sparse_config)
+def test_reaggregate_interleaved_cells(tmp_path):
+    # cells A (d=3) and B (d=2) alternate row by row; cells come out in order
+    # of first appearance, and each cell's values are reduced in file order:
+    # B's foo sums to 1 only as ((1e16 - 1e16) + 1), while sorted or reversed
+    # order loses the 1 to rounding against 1e16
+    src = tmp_path / "metrics.csv"
+    src.write_text("# schema=1\nd,replicate,foo,bar\n"
+                   "3,0,1.0,\n2,0,1e16,5\n3,1,2.0,\n2,1,-1e16,7\n"
+                   "3,2,4.0,\n2,2,1.0,6\n")
+    out = tmp_path / "agg.csv"
+    reaggregate(src, out)
+    columns, rows = read_csv(out)
+    assert columns == ["d", "metric", "mean", "q025", "q975"]
+    assert [(r["d"], r["metric"]) for r in rows] == [(3, "foo"), (2, "foo"), (2, "bar")]
+    a_foo, b_foo, b_bar = rows
+    assert a_foo["mean"] == pytest.approx(7.0 / 3.0, rel=1e-12)
+    assert a_foo["q025"] == pytest.approx(1.05, rel=1e-12)
+    assert a_foo["q975"] == pytest.approx(3.9, rel=1e-12)
+    assert b_foo["mean"] == 1.0 / 3.0
+    assert b_bar["mean"] == pytest.approx(6.0, rel=1e-12)
+    assert b_bar["q025"] == pytest.approx(5.05, rel=1e-12)
+    assert b_bar["q975"] == pytest.approx(6.95, rel=1e-12)
+
+
+def test_runner_mode_mismatch(tmp_path):
+    # the one runner follows the config's mode: a sparse config gets the
+    # sparse columns and coordinates, a matrix config neither
+    sparse_config = ExperimentConfig(mode="sparse", output_dir=str(tmp_path / "s"),
+                                     replicates=1, p_values=(10,), k_values=(1,),
+                                     n_values=(200,))
+    paths = run_experiment(sparse_config)
+    columns, _ = read_csv(paths["metrics"])
+    assert columns == ["p", "k", "n", "replicate", "l2_sq", "linf", "support_size",
+                       "support_included", "iterations", "coverage", "mean_ci_length"]
+    assert sorted(paths) == ["aggregate", "coordinates", "metrics", "timings"]
+    paths = run_experiment(_matrix_config(tmp_path / "m", replicates=1))
+    columns, _ = read_csv(paths["metrics"])
+    assert "l2_sq" not in columns and "frobenius_sq" in columns
+    assert sorted(paths) == ["aggregate", "metrics", "timings"]
+    assert not (tmp_path / "m" / "coordinates.csv").exists()

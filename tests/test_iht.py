@@ -11,7 +11,6 @@ from lowrank_iht.iht import (
     StoppingBoundError,
     empirical_sigma,
     iht_step,
-    initial_threshold,
     run_iht,
     schedule_iteration_bound,
     stopping_check,
@@ -145,11 +144,9 @@ def test_data_driven_first_threshold_is_sigma_plus_upsilon():
     theta = gen_low_rank_theta(d, 1, 9)
     batch = gen_gaussian_design(n, d, 10)
     obs = simulate_observations(batch, theta, 1.0, 11)
-    config = IhtConfig()
-    t1 = initial_threshold(batch, obs, config)
     sigma1 = empirical_sigma(batch, obs, np.zeros((d, d)))
-    assert t1 == pytest.approx(sigma1 + upsilon_r(sigma1, d, n, 0.9), rel=1e-12)
-    _, state = run_iht(batch, obs, config)
+    t1 = sigma1 + upsilon_r(sigma1, d, n, 0.9)
+    _, state = run_iht(batch, obs, IhtConfig())
     assert state.trace[0].threshold == pytest.approx(t1, rel=1e-12)
     assert state.trace[0].sigma == pytest.approx(sigma1, rel=1e-12)
 

@@ -7,7 +7,6 @@ import pytest
 from lowrank_iht import inference
 from lowrank_iht.inference import (
     EntrywiseResult,
-    ci_half_width,
     confidence_intervals,
     debias,
     decomposition_terms,
@@ -135,17 +134,31 @@ def test_quantile_conventions():
 def test_half_width_formula():
     batch = gen_basis_design(4)
     n = batch.n
-    hw = ci_half_width(batch, 2.0)
+    y, theta_hat = np.zeros(n), np.zeros((4, 4))
+
+    def half_width(sigma, **kwargs):
+        return confidence_intervals(batch, y, theta_hat, sigma=sigma, **kwargs).half_width
+
     expected = 2.0 * 1.6448536269514722 / math.sqrt(n)
-    assert np.allclose(hw, np.full((4, 4), expected), atol=1e-13)
-    hw2 = ci_half_width(batch, 2.0, two_sided_correct=True)
+    assert np.allclose(half_width(2.0), np.full((4, 4), expected), atol=1e-13)
     expected2 = 2.0 * 1.959963984540054 / math.sqrt(n)
-    assert np.allclose(hw2, np.full((4, 4), expected2), atol=1e-13)
-    assert np.all(ci_half_width(batch, 0.0) == 0.0)
+    assert np.allclose(half_width(2.0, two_sided_correct=True),
+                       np.full((4, 4), expected2), atol=1e-13)
+    assert np.all(half_width(0.0) == 0.0)
     with pytest.raises(ValueError):
-        ci_half_width(batch, -1.0)
+        half_width(-1.0)
     with pytest.raises(ValueError):
-        ci_half_width(batch, 1.0, level=1.0)
+        half_width(1.0, level=1.0)
+
+
+@pytest.mark.parametrize("sigma, level", [(1.0, 1.0), (1.0, 0.0), (1.0, 1.5),
+                                          (-1.0, 0.95)])
+def test_confidence_intervals_rejects_bad_sigma_and_level(sigma, level):
+    # level 1 or 0 would give infinite half-widths, a negative sigma negative ones
+    batch = gen_basis_design(3)
+    with pytest.raises(ValueError, match="must"):
+        confidence_intervals(batch, np.zeros(9), np.zeros((3, 3)), sigma=sigma,
+                             level=level)
 
 
 def test_result_bounds_and_covers():

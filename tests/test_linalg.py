@@ -125,12 +125,36 @@ def test_hard_threshold_entries_complex_uses_modulus():
 
 def test_hard_threshold_singular_keeps_large_spectrum():
     a = np.diag([3.0, 1.0])
-    np.testing.assert_allclose(hard_threshold_singular(a, 2.0), np.diag([3.0, 0.0]),
-                               atol=1e-12)
+    kept = hard_threshold_singular(a, 2.0)
+    np.testing.assert_allclose(kept.reconstruct(), np.diag([3.0, 0.0]), atol=1e-12)
+    assert kept.rank() == 1
     # closed threshold, sigma == T survives
-    np.testing.assert_allclose(hard_threshold_singular(a, 1.0), a, atol=1e-12)
-    np.testing.assert_allclose(hard_threshold_singular(a, 5.0), np.zeros((2, 2)),
+    np.testing.assert_allclose(hard_threshold_singular(a, 1.0).reconstruct(), a,
                                atol=1e-12)
+    none = hard_threshold_singular(a, 5.0)
+    np.testing.assert_allclose(none.reconstruct(), np.zeros((2, 2)), atol=1e-12)
+    assert none.rank() == 0
+    with pytest.raises(ValueError):
+        hard_threshold_singular(a, -1.0)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_hard_threshold_singular_keeps_the_canonical_factors(kind):
+    # the estimator's thresholding step: the factors of svd with the dropped
+    # values zeroed, so its reconstruction is bitwise the masked product
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((6, 6))
+    if kind == "complex":
+        a = a + 1j * rng.standard_normal((6, 6))
+    full = svd(a)
+    t = float(full.singular_values[2])
+    kept = hard_threshold_singular(a, t)
+    np.testing.assert_array_equal(kept.left, full.left)
+    np.testing.assert_array_equal(kept.right, full.right)
+    np.testing.assert_array_equal(kept.singular_values,
+                                  np.where(full.singular_values >= t,
+                                           full.singular_values, 0.0))
+    assert kept.rank() == 3
 
 
 def test_schatten_norms_known_spectrum():

@@ -11,7 +11,6 @@ from lowrank_iht.sparse import (
     SparseConfig,
     SparseInstance,
     build_decorrelator,
-    coordinates_csv,
     desparsify,
     empirical_covariance,
     estimate_r_k,
@@ -338,22 +337,3 @@ def test_instance_and_config_validation():
         SparseConfig(k_cap=0)
     with pytest.raises(ValueError):
         build_decorrelator(np.ones((40, 4)), strategy="whitening")
-
-
-def test_coordinates_csv(tmp_path):
-    inst = gen_sparse_instance(300, 5, 2, 0.5, 73)
-    dec = build_decorrelator(inst.x)
-    est, _ = sparse_iht_run(inst, dec, SparseConfig(k_cap=2))
-    res = sparse_confidence_intervals(desparsify(est, inst, dec), inst, dec,
-                                      sigma_hat=sparse_sigma(inst, est))
-    path = tmp_path / "coords.csv"
-    coordinates_csv(path, res, support=np.nonzero(inst.theta_truth)[0])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "j,theta_hat,ci_lower,ci_upper,in_support"
-    assert len(lines) == 6
-    row0 = lines[1].split(",")
-    assert int(row0[0]) == 0
-    assert float(row0[1]) == res.estimate[0]
-    assert float(row0[2]) == res.lower[0]
-    flags = [int(line.split(",")[4]) for line in lines[1:]]
-    assert sum(flags) == 2

@@ -2,11 +2,7 @@ import numpy as np
 import pytest
 
 from lowrank_iht.storage import (
-    design_from_csv,
-    design_to_csv,
     load_instance,
-    observations_from_csv,
-    observations_to_csv,
     save_instance,
 )
 from lowrank_iht.trace_model import (
@@ -224,18 +220,3 @@ def test_binary_rejects_corrupt_files(tmp_path):
     truncated.write_bytes(good.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_instance(truncated)
-
-
-def test_csv_round_trips(tmp_path):
-    rng = np.random.default_rng(88)
-    mats = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
-    batch = DesignBatch(mats)
-    dpath = tmp_path / "design.csv"
-    design_to_csv(dpath, batch)
-    batch2 = design_from_csv(dpath)
-    np.testing.assert_array_equal(batch.matrices, batch2.matrices)
-    obs = Observations(values=rng.standard_normal(3))
-    opath = tmp_path / "obs.csv"
-    observations_to_csv(opath, obs)
-    obs2 = observations_from_csv(opath)
-    np.testing.assert_array_equal(obs.values, obs2.values)
