@@ -48,7 +48,7 @@ class IhtConfig:
     sigma_r * sqrt(d/n) * z_{upsilon_quantile}; a float fixes it. t0=None
     selects the data-driven first threshold sigma_1 + upsilon_1; a float is
     used as T_0 seeding the recursion at the first iteration. max_iters=None
-    resolves to ceil(10 * ln n) at run time. delta only feeds diagnostics.
+    resolves to ceil(10 * ln n) at run time.
     """
 
     rho: float = 0.5
@@ -57,7 +57,6 @@ class IhtConfig:
     t0: float | None = None
     e: float = 0.1
     max_iters: int | None = None
-    delta: float = 0.05
 
     def __post_init__(self):
         if not 0 < self.rho < 1:
@@ -72,8 +71,6 @@ class IhtConfig:
             raise ValueError("e must be nonnegative")
         if self.max_iters is not None and self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
 
 
 class StoppingBoundError(ArithmeticError):

@@ -5,6 +5,8 @@ Measuring m qubits in a Pauli basis per qubit yields a sign vector in
 parities of outcome vectors marginalized over every qubit subset turns N
 measurement settings into N * 2^m trace-regression rows whose design matrices
 are rescaled Pauli words, which is the form the low-rank estimator consumes.
+A dataset keeps only the settings and the observations; each design row is
+fixed by its setting and subset, so the dense rows are built when asked for.
 
 Conventions fixed here (they have to be fixed somewhere for byte-stable
 datasets): qubit 1 is the leftmost Kronecker factor; outcome tables are
@@ -37,8 +39,6 @@ __all__ = [
     "sample_outcomes",
     "parity",
     "marginalize",
-    "subset_masks",
-    "mask_qubits",
     "gen_random_settings",
     "gen_density_matrix",
     "build_rescaled_dataset",
@@ -251,16 +251,6 @@ def _as_mask(subset, m: int) -> int:
     return mask
 
 
-def mask_qubits(mask: int, m: int) -> tuple[int, ...]:
-    """Qubit indices selected by a subset mask (bit l-1 <-> qubit l)."""
-    return tuple(l for l in range(1, m + 1) if (mask >> (l - 1)) & 1)
-
-
-def subset_masks(m: int):
-    """All subset masks in binary counter order, the dataset row order."""
-    return range(2 ** m)
-
-
 def marginalize(setting: PauliSetting, outcome, subset):
     """Replace the qubits in the subset by identity / forced +1.
 
@@ -303,30 +293,25 @@ class TomographyDataset:
     Row (i, E) pairs y = c_E * mean parity of the E-marginalized outcomes of
     setting i with the design matrix c_E * (Pauli word of the setting with
     identities at E), where c_E = sqrt(d) * 3^(-|E|/2) * (3/4)^(m/2). Rows are
-    ordered by (setting index, subset mask).
+    ordered by (setting index, subset mask). Only the settings and y are
+    stored; ``designs`` builds the dense rows from them on each access.
     """
 
     m: int
     settings: tuple[PauliSetting, ...]
     repetitions: int
     y: np.ndarray
-    designs: np.ndarray
 
     def __post_init__(self):
+        settings = tuple(self.settings)
+        if not settings or any(s.m != self.m for s in settings):
+            raise ValueError(f"need at least one setting, each with m={self.m} qubits")
         y = np.asarray(self.y, dtype=np.float64)
-        designs = np.asarray(self.designs, dtype=np.complex128)
-        d = 2 ** self.m
-        expected = len(self.settings) * 2 ** self.m
-        if y.shape != (expected,) or designs.shape != (expected, d, d):
-            raise ValueError("row count must be settings x 2^m with d x d designs")
-        herm_gap = float(np.max(np.abs(designs - designs.conj().transpose(0, 2, 1))))
-        if herm_gap > 1e-12:
-            raise ValueError(f"design rows must be Hermitian (gap {herm_gap:.3e})")
+        if y.shape != (len(settings) * 2 ** self.m,):
+            raise ValueError("row count must be settings x 2^m")
         y.setflags(write=False)
-        designs.setflags(write=False)
         object.__setattr__(self, "y", y)
-        object.__setattr__(self, "designs", designs)
-        object.__setattr__(self, "settings", tuple(self.settings))
+        object.__setattr__(self, "settings", settings)
 
     @property
     def d(self) -> int:
@@ -335,6 +320,22 @@ class TomographyDataset:
     @property
     def n(self) -> int:
         return self.y.shape[0]
+
+    @property
+    def designs(self) -> np.ndarray:
+        """The (n, d, d) rows, freshly built: each word is a Kronecker product
+        taken one qubit at a time over all rows, qubit 1 leftmost, then the
+        rows are scaled by c_E."""
+        qubits = np.array([s.qubits for s in self.settings])
+        words = np.where(_subset_drops(self.m), 0, qubits[:, None, :]).reshape(self.n, self.m)
+        paulis = np.array(_PAULI)
+        rows = paulis[words[:, 0]]
+        for q in range(1, self.m):
+            side = 2 ** (q + 1)
+            rows = (rows[:, :, None, :, None]
+                    * paulis[words[:, q]][:, None, :, None, :]).reshape(self.n, side, side)
+        rows *= np.tile(_subset_scales(self.m), len(self.settings))[:, None, None]
+        return rows
 
     def to_trace_regression(self) -> tuple[DesignBatch, Observations]:
         """Repackage for the estimator, scaled so 1/n is the right weight.
@@ -346,9 +347,14 @@ class TomographyDataset:
         two conventions agree and restores the near-isometry.
         """
         boost = 2.0 ** (self.m / 2.0)
-        batch = DesignBatch(self.designs * boost)
-        obs = Observations(values=self.y * boost)
-        return batch, obs
+        rows = self.designs
+        rows *= boost
+        return DesignBatch(rows), Observations(values=self.y * boost)
+
+
+def _subset_drops(m: int) -> np.ndarray:
+    """(2^m, m) booleans: row E marks the qubits subset mask E drops."""
+    return ((np.arange(2 ** m)[:, None] >> np.arange(m)) & 1).astype(bool)
 
 
 def _subset_scales(m: int) -> np.ndarray:
@@ -367,33 +373,18 @@ def build_rescaled_dataset(settings, batches) -> TomographyDataset:
     if not settings:
         raise ValueError("need at least one setting")
     m = settings[0].m
-    reps = batches[0].repetitions
-    scales = _subset_scales(m)
-    pauli_words = {}
-    ys = []
-    designs = []
+    drops = _subset_drops(m)[:, None, :]
+    ybars = []
     for setting, batch in zip(settings, batches):
         if batch.setting != setting:
             raise ValueError("outcome batch does not belong to its setting")
         if setting.m != m:
             raise ValueError("all settings must share the same qubit count")
-        outcomes = batch.outcomes
-        for mask in subset_masks(m):
-            keep = [i for i in range(m) if not (mask >> i) & 1]
-            if keep:
-                parities = outcomes[:, keep].prod(axis=1)
-                ybar = float(parities.mean())
-            else:
-                ybar = 1.0
-            word = tuple(0 if (mask >> i) & 1 else s
-                         for i, s in enumerate(setting.qubits))
-            if word not in pauli_words:
-                pauli_words[word] = reduce(np.kron, [_PAULI[q] for q in word])
-            c = scales[mask]
-            ys.append(c * ybar)
-            designs.append(c * pauli_words[word])
-    return TomographyDataset(m=m, settings=settings, repetitions=reps,
-                             y=np.array(ys), designs=np.array(designs))
+        # (2^m, T) parities of every subset-marginalized outcome
+        ybars.append(np.where(drops, 1, batch.outcomes).prod(axis=2).mean(axis=1))
+    y = (np.array(ybars) * _subset_scales(m)).ravel()
+    return TomographyDataset(m=m, settings=settings,
+                             repetitions=batches[0].repetitions, y=y)
 
 
 def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> TomographyDataset:
@@ -446,7 +437,8 @@ def load_dataset(container_path, manifest_path) -> TomographyDataset:
             idx_s, label, _, _ = line.rstrip("\n").split(",")
             labels[int(idx_s)] = label
     settings = tuple(PauliSetting.from_label(labels[i]) for i in range(len(labels)))
-    m = settings[0].m
-    designs = batch.matrices.astype(np.complex128)
-    return TomographyDataset(m=m, settings=settings, repetitions=reps,
-                             y=obs.values, designs=designs)
+    dataset = TomographyDataset(m=settings[0].m if settings else 0, settings=settings,
+                                repetitions=reps, y=obs.values)
+    if not np.array_equal(batch.matrices, dataset.designs):
+        raise ValueError("container design rows are not the manifest settings' Pauli rows")
+    return dataset

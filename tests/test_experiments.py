@@ -101,6 +101,13 @@ def test_from_dict_nested_and_unknown_keys():
                                     "n_values": [10], "iht": {"rho": 2.0}})
 
 
+def test_iht_delta_is_an_unknown_argument():
+    with pytest.raises(ConfigError, match="delta"):
+        ExperimentConfig.from_dict({"mode": "matrix_sim", "output_dir": "o",
+                                    "d_values": [4], "k_values": [1],
+                                    "n_values": [10], "iht": {"delta": 0.05}})
+
+
 def test_basis_design_sets_n_to_d_squared():
     config = ExperimentConfig(mode="matrix_sim", output_dir="o", design="basis",
                               d_values=(4, 6), k_values=(1,))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -7,13 +8,14 @@ import pytest
 from lowrank_iht.quantum import (
     OutcomeBatch,
     PauliSetting,
+    TomographyDataset,
+    _subset_scales,
     build_rescaled_dataset,
     eigenprojector,
     gen_density_matrix,
     gen_random_settings,
     load_dataset,
     marginalize,
-    mask_qubits,
     outcome_distribution,
     outcome_table,
     parity,
@@ -22,9 +24,9 @@ from lowrank_iht.quantum import (
     save_dataset,
     setting_projector,
     simulate_dataset,
-    subset_masks,
 )
-from lowrank_iht.trace_model import apply_design, isometry_deviation
+from lowrank_iht.storage import load_instance, save_instance
+from lowrank_iht.trace_model import DesignBatch, apply_design, isometry_deviation
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -217,14 +219,6 @@ def test_parity_shapes():
     assert np.array_equal(parity(table), [1, -1, -1, 1])
 
 
-def test_subset_masks_and_mask_qubits():
-    assert list(subset_masks(2)) == [0, 1, 2, 3]
-    assert mask_qubits(0, 3) == ()
-    assert mask_qubits(1, 3) == (1,)
-    assert mask_qubits(2, 3) == (2,)
-    assert mask_qubits(5, 3) == (1, 3)
-
-
 def test_marginalize_endpoints():
     setting = PauliSetting((1, 2, 3))
     outcome = (-1, 1, -1)
@@ -319,6 +313,53 @@ def test_rescaled_rows_two_qubit_ybar_oracle():
         assert np.allclose(ds.designs[mask], scales[mask] * words[mask], atol=1e-12)
 
 
+def _per_mask_reference(settings, batches):
+    # the per-setting, per-mask loop the vectorised build replaced, kept as
+    # the bitwise reference for y and the design rows
+    m = settings[0].m
+    scales = _subset_scales(m)
+    ys, rows = [], []
+    for setting, batch in zip(settings, batches):
+        for mask in range(2 ** m):
+            keep = [i for i in range(m) if not (mask >> i) & 1]
+            ybar = float(batch.outcomes[:, keep].prod(axis=1).mean()) if keep else 1.0
+            word = [0 if (mask >> i) & 1 else s for i, s in enumerate(setting.qubits)]
+            ys.append(scales[mask] * ybar)
+            rows.append(scales[mask] * reduce(np.kron, [pauli_matrix(q) for q in word]))
+    return np.array(ys), np.array(rows)
+
+
+def test_rows_equal_the_per_mask_loop_bit_for_bit():
+    rng = np.random.default_rng(71)
+    for m in (1, 2, 3, 4):
+        theta = gen_density_matrix(2 ** m, 1, 72 + m)
+        settings = gen_random_settings(6, m, 80 + m)
+        settings = settings + settings[:2]
+        batches = [sample_outcomes(s, theta, int(rng.integers(1, 40)), 90 + i)
+                   for i, s in enumerate(settings)]
+        ds = build_rescaled_dataset(settings, batches)
+        y, rows = _per_mask_reference(settings, batches)
+        designs = ds.designs
+        batch, obs = ds.to_trace_regression()
+        boost = 2.0 ** (m / 2.0)
+        assert designs.shape == rows.shape and designs.dtype == rows.dtype
+        assert ds.y.tobytes() == y.tobytes()
+        assert designs.tobytes() == rows.tobytes()
+        assert batch.matrices.tobytes() == (rows * boost).tobytes()
+        assert obs.values.tobytes() == (y * boost).tobytes()
+
+
+def test_dataset_and_its_regression_hold_one_design():
+    theta = gen_density_matrix(16, 1, 0)
+    tracemalloc.start()
+    try:
+        batch, _ = simulate_dataset(theta, 64, 32, 9).to_trace_regression()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * batch.matrices.nbytes
+
+
 def test_exhaustive_settings_form_a_tight_frame():
     # with every X/Y/Z pair measured once, the rescaled-and-boosted design
     # reproduces Frobenius energy exactly, not just approximately
@@ -377,6 +418,39 @@ def test_save_load_round_trip(tmp_path):
     assert [s.label for s in loaded.settings] == [s.label for s in ds.settings]
     assert np.array_equal(loaded.y, ds.y)
     assert np.array_equal(loaded.designs, ds.designs)
+
+
+def _saved(tmp_path, ds):
+    container, manifest = tmp_path / "rows.bin", tmp_path / "manifest.csv"
+    save_dataset(ds, container, manifest)
+    return container, manifest
+
+
+def test_mixed_qubit_counts_are_rejected(tmp_path):
+    ds = simulate_dataset(gen_density_matrix(4, 1, 73), 2, 5, 74)
+    container, manifest = _saved(tmp_path, ds)
+    lines = manifest.read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines):
+        if line.startswith("1,"):
+            idx, _, mask, value = line.split(",")
+            lines[i] = ",".join((idx, "X", mask, value))
+    manifest.write_text("".join(lines))
+    with pytest.raises(ValueError):
+        load_dataset(container, manifest)
+    with pytest.raises(ValueError):
+        TomographyDataset(m=2, settings=(ds.settings[0], PauliSetting((1,))),
+                          repetitions=5, y=ds.y)
+
+
+def test_tampered_design_row_is_rejected(tmp_path):
+    ds = simulate_dataset(gen_density_matrix(4, 2, 75), 3, 5, 76)
+    container, manifest = _saved(tmp_path, ds)
+    batch, obs = load_instance(container)
+    flipped = batch.matrices.copy()
+    flipped[5] *= -1
+    save_instance(container, DesignBatch(flipped), obs)
+    with pytest.raises(ValueError):
+        load_dataset(container, manifest)
 
 
 def test_outcome_batch_validation():
