@@ -24,7 +24,6 @@ import itertools
 import os
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dc_fields
 from typing import Callable, NamedTuple
 
@@ -326,6 +325,8 @@ def _run_all(config: ExperimentConfig) -> list[dict]:
              for ci, cell in enumerate(config.cells())
              for ri in range(config.replicates)]
     if config.workers > 1:
+        # imported here: the pool machinery costs every import of the package
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             return list(pool.map(_task, tasks))
     return [_task(t) for t in tasks]

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._ndtri import ndtri
 from .linalg import hard_threshold_singular
 from .trace_model import DesignBatch, RipEstimate, adjoint_apply, apply_design, _obs_values
 
@@ -137,7 +137,7 @@ def upsilon_r(sigma: float, d: int, n: int, quantile: float = 0.90) -> float:
         raise ValueError("d and n must be positive")
     if not 0 < quantile < 1:
         raise ValueError("quantile must lie in (0, 1)")
-    return sigma * math.sqrt(d / n) * float(ndtri(quantile))
+    return sigma * math.sqrt(d / n) * ndtri(quantile)
 
 
 def threshold_step(t_prev: float, rho: float, upsilon: float) -> float:

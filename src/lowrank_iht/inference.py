@@ -16,8 +16,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._ndtri import ndtri
 from .iht import IhtState, empirical_sigma
 from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
 
@@ -126,7 +126,7 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
             else empirical_sigma(batch, y, theta_hat)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
-    q = float(ndtri((1.0 + level) / 2.0)) if two_sided_correct else float(ndtri(level))
+    q = ndtri((1.0 + level) / 2.0) if two_sided_correct else ndtri(level)
     half = sigma * entry_scale_matrix(batch) * q / np.sqrt(batch.n)
     return EntrywiseResult(estimate=debias(batch, y, theta_hat), half_width=half,
                            sigma=sigma, level=level, quantile=q)

@@ -436,6 +436,9 @@ def load_dataset(container_path, manifest_path) -> TomographyDataset:
         for line in fh:
             idx_s, label, _, _ = line.rstrip("\n").split(",")
             labels[int(idx_s)] = label
+    missing = [i for i in range(len(labels)) if i not in labels]
+    if missing:
+        raise ValueError(f"manifest has no row for setting_index {missing[0]}")
     settings = tuple(PauliSetting.from_label(labels[i]) for i in range(len(labels)))
     dataset = TomographyDataset(m=settings[0].m if settings else 0, settings=settings,
                                 repetitions=reps, y=obs.values)

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
+from ._ndtri import ndtri
 from ._rng import make_rng
 from .linalg import hard_threshold_entries
 
@@ -371,7 +371,7 @@ def sparse_confidence_intervals(theta_hat: np.ndarray, instance: SparseInstance,
         raise ValueError("sigma_hat must be nonnegative")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     vsv_diag = np.einsum("ij,jk,ik->i", dec.v, dec.sigma_hat, dec.v)
-    z = float(ndtri((1.0 + level) / 2.0))
+    z = ndtri((1.0 + level) / 2.0)
     half = sigma_hat * np.sqrt(vsv_diag / instance.n) * z
     return SparseIntervals(estimate=theta_hat, half_width=half,
                            sigma=sigma_hat, level=level)

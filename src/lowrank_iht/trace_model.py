@@ -52,9 +52,15 @@ class DesignBatch:
         if not (np.issubdtype(arr.dtype, np.floating)
                 or np.issubdtype(arr.dtype, np.complexfloating)):
             arr = arr.astype(np.float64)
-        if not np.all(np.isfinite(arr)):
+        arr = np.ascontiguousarray(arr)
+        # NaN and inf propagate through a sum, so a finite sum proves every
+        # entry finite without an (n, d, d) bool temporary; only a sum that
+        # overflowed (or met a non-finite entry) needs the entrywise test
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = np.add.reduce(arr, axis=None)
+        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
             raise ValueError("design entries must be finite")
-        object.__setattr__(self, "matrices", np.ascontiguousarray(arr))
+        object.__setattr__(self, "matrices", arr)
 
     @property
     def n(self) -> int:

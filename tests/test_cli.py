@@ -133,3 +133,12 @@ def test_violated_stopping_bound_exits_3(tmp_path, monkeypatch, capsys):
     code = main(["simulate-matrix", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "stopping bound violated" in capsys.readouterr().err
+
+
+def test_package_import_pulls_in_neither_scipy_nor_the_process_pool():
+    probe = ("import sys, lowrank_iht; "
+             "print(sorted(m for m in ('scipy', 'concurrent.futures.process') "
+             "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

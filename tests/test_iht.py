@@ -5,6 +5,7 @@ import pytest
 
 import lowrank_iht
 from lowrank_iht import iht
+from lowrank_iht._ndtri import ndtri
 from lowrank_iht.iht import (
     IhtConfig,
     IhtState,
@@ -68,6 +69,14 @@ def test_upsilon_uses_the_right_quantile():
         upsilon_r(-1.0, 4, 100)
     with pytest.raises(ValueError):
         upsilon_r(1.0, 4, 100, quantile=1.0)
+
+
+def test_ndtri_agrees_with_the_rational_oracle():
+    # both branches of the oracle: the tails below 0.02425 and the centre
+    points = np.concatenate([np.logspace(-12, -2, 201), np.linspace(0.01, 0.99, 981),
+                             1.0 - np.logspace(-12, -2, 201)])
+    for p in points:
+        assert ndtri(p) == pytest.approx(_normal_quantile_oracle(p), rel=1.2e-9, abs=1e-12)
 
 
 def test_empirical_sigma_matches_hand_loop():

@@ -442,6 +442,16 @@ def test_mixed_qubit_counts_are_rejected(tmp_path):
                           repetitions=5, y=ds.y)
 
 
+def test_manifest_with_a_skipped_setting_index_is_rejected(tmp_path):
+    ds = simulate_dataset(gen_density_matrix(4, 1, 77), 2, 5, 78)
+    container, manifest = _saved(tmp_path, ds)
+    lines = manifest.read_text().splitlines(keepends=True)
+    manifest.write_text("".join("2," + line[2:] if line.startswith("1,") else line
+                                for line in lines))
+    with pytest.raises(ValueError, match="setting_index 1"):
+        load_dataset(container, manifest)
+
+
 def test_tampered_design_row_is_rejected(tmp_path):
     ds = simulate_dataset(gen_density_matrix(4, 2, 75), 3, 5, 76)
     container, manifest = _saved(tmp_path, ds)

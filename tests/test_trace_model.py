@@ -1,3 +1,6 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
@@ -183,6 +186,44 @@ def test_design_batch_validation():
         DesignBatch(np.ones((2, 3, 4)))
     with pytest.raises(ValueError):
         DesignBatch(np.ones((3, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_design_batch_rejects_non_finite_entries(bad, dtype):
+    mats = np.ones((4, 3, 3), dtype=dtype)
+    mats[2, 1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        DesignBatch(mats)
+    if dtype is np.complex128:
+        mats = np.ones((4, 3, 3), dtype=dtype)
+        mats[3, 0, 2] = complex(1.0, bad)
+        with pytest.raises(ValueError, match="finite"):
+            DesignBatch(mats)
+
+
+def test_design_batch_accepts_finite_entries_whose_sum_overflows():
+    mats = np.full((3, 2, 2), 1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = DesignBatch(mats)
+    assert batch.matrices is mats
+    mats = mats.copy()
+    mats[2, 1, 1] = np.inf
+    with pytest.raises(ValueError, match="finite"):
+        DesignBatch(mats)
+
+
+def test_design_batch_checks_finiteness_without_a_design_sized_temporary():
+    mats = np.random.default_rng(3).standard_normal((1024, 32, 32))
+    tracemalloc.start()
+    try:
+        DesignBatch(mats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # an entrywise np.isfinite mask alone would be nbytes / 8
+    assert peak < 0.02 * mats.nbytes
 
 
 def test_binary_round_trip(tmp_path):
