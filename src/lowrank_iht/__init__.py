@@ -31,7 +31,6 @@ from .trace_model import (
     isometry_deviation,
     simulate_observations,
 )
-from .storage import load_instance, save_instance
 from .iht import (
     IhtConfig,
     IhtState,

@@ -21,6 +21,7 @@ workers can run in any order without changing a single byte.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import time
 import warnings
@@ -96,25 +97,28 @@ class ExperimentConfig:
             raise ConfigError("output_dir is required")
         for name in ("replicates", "workers"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ConfigError(f"{name} must be a positive integer")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
+                or not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must be an integer in [0, 2^64)")
-        if self.noise_std < 0:
-            raise ConfigError("noise_std must be nonnegative")
+        if not 0 <= self.noise_std < math.inf:
+            raise ConfigError("noise_std must be nonnegative and finite")
         if not 0 < self.level < 1:
             raise ConfigError("level must lie in (0, 1)")
         if self.design not in ("gaussian", "basis"):
             raise ConfigError(f"design must be gaussian or basis, got {self.design!r}")
         for name in ("d_values", "k_values", "n_values", "m_values", "p_values"):
+            if any(isinstance(v, bool) for v in getattr(self, name)):
+                raise ConfigError(f"{name} entries must be integers, not booleans")
             vals = tuple(int(v) for v in getattr(self, name))
             if any(v < 1 for v in vals):
                 raise ConfigError(f"{name} entries must be positive")
             object.__setattr__(self, name, vals)
         for name in ("alpha_values", "t_factors"):
             vals = tuple(float(v) for v in getattr(self, name))
-            if any(v <= 0 for v in vals):
-                raise ConfigError(f"{name} entries must be positive")
+            if not all(0 < v < math.inf for v in vals):
+                raise ConfigError(f"{name} entries must be positive and finite")
             object.__setattr__(self, name, vals)
         needed = {
             "matrix_sim": ("d_values", "k_values"),

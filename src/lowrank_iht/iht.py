@@ -61,16 +61,17 @@ class IhtConfig:
     def __post_init__(self):
         if not 0 < self.rho < 1:
             raise ValueError("rho must lie in (0, 1)")
-        if self.upsilon is not None and self.upsilon < 0:
-            raise ValueError("fixed upsilon must be nonnegative")
+        if self.upsilon is not None and not 0 <= self.upsilon < math.inf:
+            raise ValueError("fixed upsilon must be nonnegative and finite")
         if not 0.5 <= self.upsilon_quantile < 1:
             raise ValueError("upsilon_quantile must lie in [0.5, 1)")
-        if self.t0 is not None and self.t0 < 0:
-            raise ValueError("t0 must be nonnegative")
-        if self.e < 0:
-            raise ValueError("e must be nonnegative")
-        if self.max_iters is not None and self.max_iters < 1:
-            raise ValueError("max_iters must be at least 1")
+        if self.t0 is not None and not 0 <= self.t0 < math.inf:
+            raise ValueError("t0 must be nonnegative and finite")
+        if not 0 <= self.e < math.inf:
+            raise ValueError("e must be nonnegative and finite")
+        if self.max_iters is not None and (isinstance(self.max_iters, bool)
+                                           or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer of at least 1")
 
 
 class StoppingBoundError(ArithmeticError):

@@ -68,7 +68,8 @@ def entry_scale_matrix(batch: DesignBatch) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EntrywiseResult:
-    """Debiased point estimate with per-entry interval half-widths.
+    """Debiased point estimate with per-entry interval half-widths, for the
+    matrix estimator and for the sparse one's coordinates.
 
     For complex estimates the real and imaginary parts get separate intervals
     sharing the same half-width; covers() checks each part separately and

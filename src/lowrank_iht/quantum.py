@@ -7,6 +7,8 @@ measurement settings into N * 2^m trace-regression rows whose design matrices
 are rescaled Pauli words, which is the form the low-rank estimator consumes.
 A dataset keeps only the settings and the observations; each design row is
 fixed by its setting and subset, so the dense rows are built when asked for.
+On disk it is one CSV manifest of the same two things (``save_dataset``,
+``load_dataset``), which the loader checks column by column.
 
 Conventions fixed here (they have to be fixed somewhere for byte-stable
 datasets): qubit 1 is the leftmost Kronecker factor; outcome tables are
@@ -24,7 +26,6 @@ from functools import reduce
 import numpy as np
 
 from ._rng import make_rng
-from .storage import load_instance, save_instance
 from .trace_model import DesignBatch, Observations
 
 __all__ = [
@@ -406,42 +407,88 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     return build_rescaled_dataset(settings, batches)
 
 
-def save_dataset(dataset: TomographyDataset, container_path, manifest_path):
-    """Binary container with the raw rows plus a readable CSV manifest."""
-    save_instance(container_path, DesignBatch(dataset.designs),
-                  Observations(values=dataset.y))
-    with open(manifest_path, "w", newline="\n") as fh:
-        fh.write(f"# repetitions={dataset.repetitions}\n")
-        fh.write("setting_index,setting_string,subset_mask,y_value\n")
-        per = 2 ** dataset.m
-        for row in range(dataset.n):
-            idx = row // per
-            fh.write(f"{idx},{dataset.settings[idx].label},{row % per},"
-                     f"{dataset.y[row]!r}\n")
+_MANIFEST_COLUMNS = "setting_index,setting_string,subset_mask,y_value"
 
 
-def load_dataset(container_path, manifest_path) -> TomographyDataset:
-    batch, obs = load_instance(container_path)
-    if obs is None:
-        raise ValueError("container holds no observations")
-    labels = {}
-    reps = 1
-    with open(manifest_path) as fh:
-        header = fh.readline().strip()
-        if header.startswith("# repetitions="):
-            reps = int(header.split("=", 1)[1])
-            header = fh.readline().strip()
-        if header != "setting_index,setting_string,subset_mask,y_value":
-            raise ValueError(f"unexpected manifest header: {header!r}")
-        for line in fh:
-            idx_s, label, _, _ = line.rstrip("\n").split(",")
-            labels[int(idx_s)] = label
-    missing = [i for i in range(len(labels)) if i not in labels]
-    if missing:
-        raise ValueError(f"manifest has no row for setting_index {missing[0]}")
-    settings = tuple(PauliSetting.from_label(labels[i]) for i in range(len(labels)))
-    dataset = TomographyDataset(m=settings[0].m if settings else 0, settings=settings,
-                                repetitions=reps, y=obs.values)
-    if not np.array_equal(batch.matrices, dataset.designs):
-        raise ValueError("container design rows are not the manifest settings' Pauli rows")
-    return dataset
+def save_dataset(dataset: TomographyDataset, path):
+    """Write the dataset as its CSV manifest, the only form it takes on disk.
+
+    A ``# repetitions=T`` line and the column header come first, then one
+    line per row in (setting_index, subset_mask) order. No design row is
+    written, since each is fixed by its setting and mask. ``y_value`` is
+    ``repr(float(v))``, which reads back bit for bit.
+    """
+    per = dataset.d
+    with open(path, "w", newline="\n") as fh:
+        fh.write(f"# repetitions={dataset.repetitions}\n{_MANIFEST_COLUMNS}\n")
+        for row, value in enumerate(dataset.y.tolist()):
+            setting = row // per
+            fh.write(f"{setting},{dataset.settings[setting].label},{row % per},{value!r}\n")
+
+
+def load_dataset(path) -> TomographyDataset:
+    """Read a manifest written by :func:`save_dataset`, checking every column.
+
+    Rows must come in (setting_index, subset_mask) order: settings numbered
+    from 0, masks 0..2^m-1 under each, one label of m qubits per setting.
+    Each y_value must be a finite float literal equal to c_E * k / T for an
+    integer k with |k| <= T and k = T mod 2: c_E times a mean of T parities,
+    rounded as build_rescaled_dataset rounds it, so a hand-edited value is
+    caught too. This holds when every setting was measured T times, as in
+    simulate_dataset. Any violation raises ValueError naming the line.
+    """
+    with open(path) as fh:
+        lines = fh.read().splitlines()
+
+    def bad(lineno, message):
+        return ValueError(f"{path} line {lineno}: {message}")
+
+    head = lines[0] if lines else ""
+    reps = head.removeprefix("# repetitions=")
+    if reps == head or not reps.isdecimal() or int(reps) < 1:
+        raise bad(1, f"expected '# repetitions=T' with T >= 1, got {head!r}")
+    reps = int(reps)
+    if lines[1:2] != [_MANIFEST_COLUMNS]:
+        raise bad(2, f"expected the header {_MANIFEST_COLUMNS!r}")
+    settings, values = [], []
+    for row, line in enumerate(lines[2:]):
+        lineno = row + 3
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise bad(lineno, f"expected 4 fields, got {len(fields)}")
+        index, label, mask, value = fields
+        if row == 0:
+            m = len(label)
+        setting, subset = divmod(row, 2 ** m)
+        if (index, mask) != (str(setting), str(subset)):
+            raise bad(lineno, f"expected setting_index {setting} and subset_mask {subset}, "
+                              f"got {index!r} and {mask!r}")
+        if subset == 0:
+            try:
+                settings.append(PauliSetting.from_label(label))
+            except ValueError as exc:
+                raise bad(lineno, str(exc)) from None
+        if len(label) != m:
+            raise bad(lineno, f"label {label!r} has {len(label)} qubits, not {m}")
+        if label != settings[-1].label:
+            raise bad(lineno, f"setting_index {setting} has two labels, "
+                              f"{settings[-1].label!r} and {label!r}")
+        try:
+            values.append(float(value))
+        except ValueError:
+            raise bad(lineno, f"y_value {value!r} is not a float literal") from None
+    if not settings:
+        raise bad(3, "the manifest has no rows")
+    if len(values) % 2 ** m:
+        raise bad(len(lines), f"setting_index {len(settings) - 1} has "
+                              f"{len(values) % 2 ** m} of its {2 ** m} rows")
+    y = np.array(values)
+    scales = np.tile(_subset_scales(m), len(settings))
+    with np.errstate(all="ignore"):
+        k = np.rint(y / scales * reps)
+        off = (np.abs(k) > reps) | ((k - reps) % 2 != 0) | (k / reps * scales != y)
+    if off.any():
+        row = int(np.argmax(off))
+        raise bad(row + 3, f"y_value {values[row]!r} is not c_E * k / {reps} "
+                           f"with |k| <= {reps} and k = {reps} mod 2")
+    return TomographyDataset(m=m, settings=tuple(settings), repetitions=reps, y=y)

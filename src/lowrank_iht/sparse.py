@@ -18,6 +18,7 @@ import numpy as np
 
 from ._ndtri import ndtri
 from ._rng import make_rng
+from .inference import EntrywiseResult
 from .linalg import hard_threshold_entries
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "sparse_iht_run",
     "desparsify",
     "sparse_sigma",
-    "SparseIntervals",
     "sparse_confidence_intervals",
     "sparse_decomposition_terms",
     "gen_sparse_instance",
@@ -102,14 +102,14 @@ class SparseConfig:
     upsilon: float | None = None
 
     def __post_init__(self):
-        if self.t0 is not None and self.t0 < 0:
-            raise ValueError("t0 must be nonnegative")
-        if self.k_cap is not None and self.k_cap < 1:
-            raise ValueError("k_cap must be at least 1")
+        if self.t0 is not None and not 0 <= self.t0 < math.inf:
+            raise ValueError("t0 must be nonnegative and finite")
+        if self.k_cap is not None and (isinstance(self.k_cap, bool) or self.k_cap < 1):
+            raise ValueError("k_cap must be an integer of at least 1")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
-        if self.upsilon is not None and self.upsilon < 0:
-            raise ValueError("upsilon must be nonnegative")
+        if self.upsilon is not None and not 0 <= self.upsilon < math.inf:
+            raise ValueError("upsilon must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -339,31 +339,9 @@ def sparse_sigma(instance: SparseInstance, theta: np.ndarray) -> float:
     return float(np.linalg.norm(resid) / math.sqrt(instance.n))
 
 
-@dataclass(frozen=True)
-class SparseIntervals:
-    estimate: np.ndarray
-    half_width: np.ndarray
-    sigma: float
-    level: float
-
-    @property
-    def lower(self) -> np.ndarray:
-        return self.estimate - self.half_width
-
-    @property
-    def upper(self) -> np.ndarray:
-        return self.estimate + self.half_width
-
-    def covers(self, truth: np.ndarray) -> np.ndarray:
-        truth = np.asarray(truth, dtype=np.float64)
-        if truth.shape != self.estimate.shape:
-            raise ValueError("truth length mismatch")
-        return np.abs(self.estimate - truth) <= self.half_width
-
-
 def sparse_confidence_intervals(theta_hat: np.ndarray, instance: SparseInstance,
                                 dec: Decorrelator, sigma_hat: float,
-                                level: float = 0.95) -> SparseIntervals:
+                                level: float = 0.95) -> EntrywiseResult:
     """Coordinate j gets half-width sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}."""
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
@@ -373,8 +351,8 @@ def sparse_confidence_intervals(theta_hat: np.ndarray, instance: SparseInstance,
     vsv_diag = np.einsum("ij,jk,ik->i", dec.v, dec.sigma_hat, dec.v)
     z = ndtri((1.0 + level) / 2.0)
     half = sigma_hat * np.sqrt(vsv_diag / instance.n) * z
-    return SparseIntervals(estimate=theta_hat, half_width=half,
-                           sigma=sigma_hat, level=level)
+    return EntrywiseResult(estimate=theta_hat, half_width=half,
+                           sigma=sigma_hat, level=level, quantile=z)
 
 
 def sparse_decomposition_terms(theta_hat_r: np.ndarray, instance: SparseInstance,

@@ -83,7 +83,6 @@ class Observations:
     values: np.ndarray
     noise_std: float | None = None
     noise: np.ndarray | None = None
-    truth_ref: str | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.float64)
@@ -223,16 +222,14 @@ def gen_low_rank_theta(d: int, k: int, seed) -> np.ndarray:
     return factors.T @ factors
 
 
-def simulate_observations(batch: DesignBatch, theta, noise_std: float, seed,
-                          truth_ref: str | None = None) -> Observations:
+def simulate_observations(batch: DesignBatch, theta, noise_std: float, seed) -> Observations:
     """Draw Y = X(theta) + noise_std * eps with standard Gaussian eps,
     retaining the realized noise vector."""
     if noise_std < 0:
         raise ValueError("noise_std must be nonnegative")
     eps = noise_std * make_rng(seed).standard_normal(batch.n)
     values = apply_design(batch, theta) + eps
-    return Observations(values=values, noise_std=float(noise_std), noise=eps,
-                        truth_ref=truth_ref)
+    return Observations(values=values, noise_std=float(noise_std), noise=eps)
 
 
 def estimate_rip_constant(batch: DesignBatch, k: int, trials: int, seed,

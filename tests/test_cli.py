@@ -81,6 +81,40 @@ def test_unknown_config_key_exits_2(tmp_path):
     assert "unknown config keys" in proc.stderr
 
 
+_TINY = {
+    "simulate-matrix": {"replicates": 1, "d_values": [4], "k_values": [1],
+                        "n_values": [40]},
+    "simulate-quantum": {"replicates": 1, "m_values": [1], "k_values": [1],
+                         "alpha_values": [1], "t_factors": [2]},
+    "simulate-sparse": {"replicates": 1, "p_values": [10], "k_values": [1],
+                        "n_values": [60]},
+}
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("command, override", [
+    ("simulate-matrix", {"iht": {"upsilon": _NAN}}),
+    ("simulate-matrix", {"iht": {"e": _NAN}}),
+    ("simulate-matrix", {"iht": {"t0": _INF}}),
+    ("simulate-sparse", {"sparse_estimator": {"t0": _NAN}}),
+    ("simulate-sparse", {"sparse_estimator": {"upsilon": _INF}}),
+    ("simulate-matrix", {"noise_std": _NAN}),
+    ("simulate-matrix", {"noise_std": _INF}),
+    ("simulate-quantum", {"t_factors": [_INF]}),
+    ("simulate-matrix", {"replicates": True}),
+    ("simulate-matrix", {"seed": True}),
+    ("simulate-matrix", {"d_values": [True]}),
+    ("simulate-matrix", {"iht": {"max_iters": True}}),
+    ("simulate-sparse", {"sparse_estimator": {"k_cap": True}}),
+], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
+def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command, override):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**_TINY[command], **override}))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_mode_mismatch_exits_2(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"mode": "sparse", "p_values": [10],

@@ -25,7 +25,6 @@ from lowrank_iht.quantum import (
     setting_projector,
     simulate_dataset,
 )
-from lowrank_iht.storage import load_instance, save_instance
 from lowrank_iht.trace_model import DesignBatch, apply_design, isometry_deviation
 
 
@@ -405,30 +404,39 @@ def test_simulate_dataset_determinism():
 def test_save_load_round_trip(tmp_path):
     theta = gen_density_matrix(4, 2, 67)
     ds = simulate_dataset(theta, 5, 9, 68)
-    container = tmp_path / "rows.bin"
     manifest = tmp_path / "manifest.csv"
-    save_dataset(ds, container, manifest)
+    save_dataset(ds, manifest)
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
     text = manifest.read_text().splitlines()
     assert text[0] == "# repetitions=9"
     assert text[1] == "setting_index,setting_string,subset_mask,y_value"
     assert len(text) == 2 + ds.n
-    loaded = load_dataset(container, manifest)
-    assert loaded.m == ds.m
-    assert loaded.repetitions == ds.repetitions
-    assert [s.label for s in loaded.settings] == [s.label for s in ds.settings]
-    assert np.array_equal(loaded.y, ds.y)
-    assert np.array_equal(loaded.designs, ds.designs)
+    assert text[2] == f"0,{ds.settings[0].label},0,{float(ds.y[0])!r}"
+    # m = 1..4 with more settings than distinct bases, so settings repeat
+    cases = [(gen_density_matrix(2 ** m, 1, 80 + m), 3 ** m + 2, 7 + m, 90 + m)
+             for m in range(1, 5)]
+    cases.append((gen_density_matrix(32, 1, 85), 160, 320, 95))
+    for theta, n_settings, repetitions, seed in cases:
+        ds = simulate_dataset(theta, n_settings, repetitions, seed)
+        save_dataset(ds, manifest)
+        loaded = load_dataset(manifest)
+        assert loaded.m == ds.m
+        assert loaded.repetitions == ds.repetitions
+        assert [s.label for s in loaded.settings] == [s.label for s in ds.settings]
+        assert loaded.y.tobytes() == ds.y.tobytes()
+        assert loaded.designs.tobytes() == ds.designs.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
 
 def _saved(tmp_path, ds):
-    container, manifest = tmp_path / "rows.bin", tmp_path / "manifest.csv"
-    save_dataset(ds, container, manifest)
-    return container, manifest
+    manifest = tmp_path / "manifest.csv"
+    save_dataset(ds, manifest)
+    return manifest
 
 
 def test_mixed_qubit_counts_are_rejected(tmp_path):
     ds = simulate_dataset(gen_density_matrix(4, 1, 73), 2, 5, 74)
-    container, manifest = _saved(tmp_path, ds)
+    manifest = _saved(tmp_path, ds)
     lines = manifest.read_text().splitlines(keepends=True)
     for i, line in enumerate(lines):
         if line.startswith("1,"):
@@ -436,7 +444,7 @@ def test_mixed_qubit_counts_are_rejected(tmp_path):
             lines[i] = ",".join((idx, "X", mask, value))
     manifest.write_text("".join(lines))
     with pytest.raises(ValueError):
-        load_dataset(container, manifest)
+        load_dataset(manifest)
     with pytest.raises(ValueError):
         TomographyDataset(m=2, settings=(ds.settings[0], PauliSetting((1,))),
                           repetitions=5, y=ds.y)
@@ -444,23 +452,60 @@ def test_mixed_qubit_counts_are_rejected(tmp_path):
 
 def test_manifest_with_a_skipped_setting_index_is_rejected(tmp_path):
     ds = simulate_dataset(gen_density_matrix(4, 1, 77), 2, 5, 78)
-    container, manifest = _saved(tmp_path, ds)
+    manifest = _saved(tmp_path, ds)
     lines = manifest.read_text().splitlines(keepends=True)
     manifest.write_text("".join("2," + line[2:] if line.startswith("1,") else line
                                 for line in lines))
     with pytest.raises(ValueError, match="setting_index 1"):
-        load_dataset(container, manifest)
+        load_dataset(manifest)
 
 
-def test_tampered_design_row_is_rejected(tmp_path):
+def _np_float64_repr(rows):
+    rows[3][3] = f"np.float64({rows[3][3]})"
+
+
+def _nan_value(rows):
+    rows[3][3] = "nan"
+
+
+def _edited_value(rows):
+    rows[3][3] = repr(float(rows[3][3]) + 1e-9)
+
+
+def _swapped_masks(rows):
+    rows[5], rows[6] = rows[6], rows[5]
+
+
+def _two_labels(rows):
+    rows[6][1] = "ZZ" if rows[6][1] != "ZZ" else "XX"
+
+
+def _short(rows):
+    del rows[-1]
+
+
+# (edit of the data rows, the manifest line the error names)
+_MALFORMED = {
+    "np-float64-repr": (_np_float64_repr, "line 6:"),
+    "nan": (_nan_value, "line 6:"),
+    "edited-y": (_edited_value, "line 6:"),
+    "swapped-masks": (_swapped_masks, "line 8:"),
+    "two-labels": (_two_labels, "line 9:"),
+    "short": (_short, "line 13:"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED))
+def test_malformed_manifest_is_rejected(tmp_path, case):
     ds = simulate_dataset(gen_density_matrix(4, 2, 75), 3, 5, 76)
-    container, manifest = _saved(tmp_path, ds)
-    batch, obs = load_instance(container)
-    flipped = batch.matrices.copy()
-    flipped[5] *= -1
-    save_instance(container, DesignBatch(flipped), obs)
-    with pytest.raises(ValueError):
-        load_dataset(container, manifest)
+    manifest = _saved(tmp_path, ds)
+    text = manifest.read_text().splitlines()
+    edit, where = _MALFORMED[case]
+    rows = [row.split(",") for row in text[2:]]
+    edit(rows)
+    manifest.write_text("\n".join(text[:2] + [",".join(row) for row in rows]) + "\n")
+    with pytest.raises(ValueError, match=where):
+        load_dataset(manifest)
 
 
 def test_outcome_batch_validation():

@@ -4,10 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from lowrank_iht.storage import (
-    load_instance,
-    save_instance,
-)
 from lowrank_iht.trace_model import (
     DesignBatch,
     Observations,
@@ -224,40 +220,3 @@ def test_design_batch_checks_finiteness_without_a_design_sized_temporary():
         tracemalloc.stop()
     # an entrywise np.isfinite mask alone would be nbytes / 8
     assert peak < 0.02 * mats.nbytes
-
-
-def test_binary_round_trip(tmp_path):
-    rng = np.random.default_rng(77)
-    mats = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
-    batch = DesignBatch(mats)
-    obs = Observations(values=rng.standard_normal(5))
-    path = tmp_path / "inst.trcm"
-    save_instance(path, batch, obs)
-    batch2, obs2 = load_instance(path)
-    np.testing.assert_array_equal(batch.matrices, batch2.matrices)
-    np.testing.assert_array_equal(obs.values, obs2.values)
-
-
-def test_binary_round_trip_design_only_real(tmp_path):
-    batch = gen_gaussian_design(4, 3, 12)
-    path = tmp_path / "design.trcm"
-    save_instance(path, batch)
-    batch2, obs2 = load_instance(path)
-    assert obs2 is None
-    # all-zero imaginary parts load back as a real batch
-    assert not np.iscomplexobj(batch2.matrices)
-    np.testing.assert_array_equal(batch.matrices, batch2.matrices)
-
-
-def test_binary_rejects_corrupt_files(tmp_path):
-    path = tmp_path / "bad.trcm"
-    path.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(ValueError):
-        load_instance(path)
-    batch = gen_gaussian_design(3, 2, 1)
-    good = tmp_path / "good.trcm"
-    save_instance(good, batch)
-    truncated = tmp_path / "trunc.trcm"
-    truncated.write_bytes(good.read_bytes()[:-8])
-    with pytest.raises(ValueError):
-        load_instance(truncated)
