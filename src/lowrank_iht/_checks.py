@@ -1,0 +1,26 @@
+"""Validation of integer configuration fields."""
+
+from __future__ import annotations
+
+import operator
+
+__all__ = ["check_int"]
+
+
+def check_int(value, name: str, low: int = 1, high: int | None = None,
+              error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int in [low, high), raising ``error`` otherwise.
+
+    Anything that is not an integer is refused rather than truncated: floats,
+    strings and bools (which Python counts as ints) all raise.
+    """
+    if isinstance(value, bool):
+        raise error(f"{name} must be an integer, not a boolean")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+    if value < low or (high is not None and value >= high):
+        bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
+        raise error(f"{name} must be {bounds}, got {value}")
+    return value

@@ -30,6 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._checks import check_int
 from .iht import IhtConfig, run_iht
 from .inference import confidence_intervals
 from .linalg import entrywise_inf_norm, schatten_norm
@@ -96,12 +97,10 @@ class ExperimentConfig:
         if not self.output_dir:
             raise ConfigError("output_dir is required")
         for name in ("replicates", "workers"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
-                raise ConfigError(f"{name} must be a positive integer")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) \
-                or not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must be an integer in [0, 2^64)")
+            object.__setattr__(self, name, check_int(getattr(self, name), name,
+                                                     error=ConfigError))
+        object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, 2 ** 64,
+                                                   ConfigError))
         if not 0 <= self.noise_std < math.inf:
             raise ConfigError("noise_std must be nonnegative and finite")
         if not 0 < self.level < 1:
@@ -109,11 +108,8 @@ class ExperimentConfig:
         if self.design not in ("gaussian", "basis"):
             raise ConfigError(f"design must be gaussian or basis, got {self.design!r}")
         for name in ("d_values", "k_values", "n_values", "m_values", "p_values"):
-            if any(isinstance(v, bool) for v in getattr(self, name)):
-                raise ConfigError(f"{name} entries must be integers, not booleans")
-            vals = tuple(int(v) for v in getattr(self, name))
-            if any(v < 1 for v in vals):
-                raise ConfigError(f"{name} entries must be positive")
+            vals = tuple(check_int(v, f"{name} entries", error=ConfigError)
+                         for v in getattr(self, name))
             object.__setattr__(self, name, vals)
         for name in ("alpha_values", "t_factors"):
             vals = tuple(float(v) for v in getattr(self, name))

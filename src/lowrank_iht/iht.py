@@ -16,10 +16,11 @@ recursion takes over from the second iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_int
 from ._ndtri import ndtri
 from .linalg import hard_threshold_singular
 from .trace_model import DesignBatch, RipEstimate, adjoint_apply, apply_design, _obs_values
@@ -34,7 +35,6 @@ __all__ = [
     "threshold_step",
     "stopping_check",
     "schedule_iteration_bound",
-    "iht_step",
     "run_iht",
     "write_trace_csv",
 ]
@@ -69,9 +69,8 @@ class IhtConfig:
             raise ValueError("t0 must be nonnegative and finite")
         if not 0 <= self.e < math.inf:
             raise ValueError("e must be nonnegative and finite")
-        if self.max_iters is not None and (isinstance(self.max_iters, bool)
-                                           or self.max_iters < 1):
-            raise ValueError("max_iters must be an integer of at least 1")
+        if self.max_iters is not None:
+            check_int(self.max_iters, "max_iters")
 
 
 class StoppingBoundError(ArithmeticError):
@@ -92,34 +91,34 @@ class IterationRecord:
 
 @dataclass(frozen=True)
 class IhtState:
-    """Estimator state after some number of iterations.
+    """The result of a finished run.
 
-    ``threshold`` is None before the first iteration in data-driven T_0 mode.
-    ``trace`` records one entry per performed iteration; ``converged`` is None
-    while the run is still in progress.
+    ``trace`` records one entry per performed iteration and is never empty;
+    ``iteration``, ``threshold``, ``rank`` and ``final_sigma`` read its last
+    record.
     """
 
     estimate: np.ndarray
-    threshold: float | None
-    iteration: int
-    trace: tuple[IterationRecord, ...] = ()
-    converged: bool | None = None
-    iteration_bound: float | None = None
-    rho_condition_ok: bool | None = None
-
-    @classmethod
-    def initial(cls, d: int, t0: float | None = None, dtype=np.float64) -> "IhtState":
-        return cls(estimate=np.zeros((d, d), dtype=dtype), threshold=t0, iteration=0)
+    trace: tuple[IterationRecord, ...]
+    converged: bool
+    iteration_bound: float
+    rho_condition_ok: bool | None
 
     @property
-    def final_sigma(self) -> float:
-        if not self.trace:
-            raise ValueError("no iterations recorded yet")
-        return self.trace[-1].sigma
+    def iteration(self) -> int:
+        return self.trace[-1].iteration
+
+    @property
+    def threshold(self) -> float:
+        return self.trace[-1].threshold
 
     @property
     def rank(self) -> int:
-        return self.trace[-1].rank if self.trace else 0
+        return self.trace[-1].rank
+
+    @property
+    def final_sigma(self) -> float:
+        return self.trace[-1].sigma
 
 
 def empirical_sigma(batch: DesignBatch, y, theta_hat) -> float:
@@ -167,67 +166,6 @@ def schedule_iteration_bound(t0: float, upsilon: float, rho: float) -> float:
     return 1.0 + math.log(10.0 * (1.0 - rho) * t0 / upsilon) / math.log(1.0 / rho)
 
 
-def iht_step(state: IhtState, batch: DesignBatch, y, config: IhtConfig = IhtConfig()) -> IhtState:
-    """One backproject-and-threshold iteration, returning the new state.
-
-    sigma_r is measured at the incoming estimate (so the recorded sigma of
-    iteration r is the residual scale before that iteration updated the
-    estimate). In data-driven mode the threshold recursion is clamped so the
-    sequence never increases.
-
-    Costs two forward passes over the design (the residual at the incoming
-    estimate and the one recorded after thresholding) and one adjoint pass.
-    ``run_iht`` carries the recorded residual into the next iteration, so
-    each of its iterations costs one forward and one adjoint pass.
-    """
-    values = _obs_values(y)
-    _check_length(values, batch)
-    resid = values - apply_design(batch, state.estimate)
-    return _step(state, batch, values, config, resid)[0]
-
-
-def _check_length(values: np.ndarray, batch: DesignBatch):
-    if values.shape[0] != batch.n:
-        raise ValueError("observation length does not match design batch")
-
-
-def _step(state: IhtState, batch: DesignBatch, values: np.ndarray, config: IhtConfig,
-          resid: np.ndarray) -> tuple[IhtState, np.ndarray]:
-    """``iht_step`` given resid = values - X(state.estimate); also returns
-    the residual at the new estimate."""
-    n, d = batch.n, batch.dim
-    sigma = float(np.linalg.norm(resid) / np.sqrt(n))
-    if config.upsilon is not None:
-        ups = config.upsilon
-    else:
-        ups = upsilon_r(sigma, d, n, config.upsilon_quantile)
-    clamped = False
-    if state.threshold is None:
-        # data-driven start: first threshold is sigma_1 + upsilon_1
-        t_new = sigma + ups
-    else:
-        t_new = threshold_step(state.threshold, config.rho, ups)
-        if config.upsilon is None and t_new > state.threshold:
-            t_new = state.threshold
-            clamped = True
-    backproj = adjoint_apply(batch, resid)
-    factors = hard_threshold_singular(state.estimate + backproj, t_new)
-    estimate = factors.reconstruct()
-    resid_after = values - apply_design(batch, estimate)
-    record = IterationRecord(
-        iteration=state.iteration + 1,
-        threshold=t_new,
-        sigma=sigma,
-        upsilon=ups,
-        rank=factors.rank(),
-        residual_l2=float(np.linalg.norm(resid_after)),
-        clamped=clamped,
-    )
-    state = replace(state, estimate=estimate, threshold=t_new,
-                    iteration=state.iteration + 1, trace=state.trace + (record,))
-    return state, resid_after
-
-
 def _default_max_iters(n: int) -> int:
     return max(1, math.ceil(10.0 * math.log(n)))
 
@@ -236,6 +174,11 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
             rip: RipEstimate | None = None):
     """Run the full schedule; returns (estimate, state).
 
+    sigma_r is measured at the incoming estimate, so the recorded sigma of
+    iteration r is the residual scale before that iteration updated the
+    estimate. In data-driven mode the threshold recursion is clamped so the
+    sequence never increases.
+
     The stopping rule is evaluated on each iteration's own threshold, so the
     spectrum is always thresholded one final time before the run stops. A run
     that exhausts max_iters without meeting the stopping rule is returned with
@@ -243,48 +186,63 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
 
     Each iteration makes one forward and one adjoint pass over the design:
     the residual recorded after thresholding is the next iteration's input,
-    and the first iteration starts from y itself because X(0) = 0. The trace
-    and estimate are bit-identical to chaining ``iht_step``.
+    and the first iteration starts from y itself because X(0) = 0.
 
     When a RipEstimate at rank 2K is supplied, the contraction validity
     condition rho >= 4 sqrt(K) c(2K) is checked and recorded on the state.
     """
     values = _obs_values(y)
-    _check_length(values, batch)
-    n = batch.n
+    n, d = batch.n, batch.dim
+    if values.shape[0] != n:
+        raise ValueError("observation length does not match design batch")
     max_iters = config.max_iters if config.max_iters is not None else _default_max_iters(n)
-    dtype = np.complex128 if np.issubdtype(batch.matrices.dtype, np.complexfloating) else np.float64
-    state = IhtState.initial(batch.dim, t0=config.t0, dtype=dtype)
+    threshold = config.t0
+    trace = []
     converged = False
     resid = values
-    for _ in range(max_iters):
-        state, resid = _step(state, batch, values, config, resid)
-        rec = state.trace[-1]
-        if stopping_check(rec.threshold, rec.upsilon, config.rho, config.e):
+    for iteration in range(1, max_iters + 1):
+        sigma = float(np.linalg.norm(resid) / np.sqrt(n))
+        ups = (config.upsilon if config.upsilon is not None
+               else upsilon_r(sigma, d, n, config.upsilon_quantile))
+        clamped = False
+        if threshold is None:
+            # data-driven start: first threshold is sigma_1 + upsilon_1
+            threshold = sigma + ups
+        else:
+            t_new = threshold_step(threshold, config.rho, ups)
+            clamped = config.upsilon is None and t_new > threshold
+            if not clamped:
+                threshold = t_new
+        backproj = adjoint_apply(batch, resid)
+        if iteration == 1:
+            estimate = np.zeros_like(backproj)
+        factors = hard_threshold_singular(estimate + backproj, threshold)
+        estimate = factors.reconstruct()
+        resid = values - apply_design(batch, estimate)
+        trace.append(IterationRecord(
+            iteration=iteration, threshold=threshold, sigma=sigma, upsilon=ups,
+            rank=factors.rank(), residual_l2=float(np.linalg.norm(resid)), clamped=clamped))
+        if stopping_check(threshold, ups, config.rho, config.e):
             converged = True
             break
-    upsilons = [rec.upsilon for rec in state.trace]
-    ups_floor = min(upsilons)
-    if config.upsilon is not None:
-        t_seed = state.trace[0].threshold if config.t0 is None else config.t0
-    else:
-        t_seed = state.trace[0].threshold
+    ups_floor = min(rec.upsilon for rec in trace)
+    fixed_seed = config.upsilon is not None and config.t0 is not None
+    t_seed = config.t0 if fixed_seed else trace[0].threshold
     bound = schedule_iteration_bound(t_seed, ups_floor, config.rho)
     rho_ok = None
     if rip is not None:
         k_half = rip.k / 2.0
         rho_ok = bool(config.rho >= 4.0 * math.sqrt(k_half) * rip.max_deviation)
-    state = replace(state, converged=converged, iteration_bound=bound,
-                    rho_condition_ok=rho_ok)
-    if (converged and config.upsilon is not None and config.upsilon > 0
-            and config.t0 is not None and config.e >= 0.1
+    state = IhtState(estimate=estimate, trace=tuple(trace), converged=converged,
+                     iteration_bound=bound, rho_condition_ok=rho_ok)
+    if (converged and fixed_seed and config.upsilon > 0 and config.e >= 0.1
             and 10.0 * (1.0 - config.rho) * config.t0 >= config.upsilon
             and state.iteration > bound):
         # fixed-upsilon schedules come with an exact iteration cap; tripping it
         # means the schedule arithmetic is broken
         raise StoppingBoundError(
             f"stopping bound violated: r={state.iteration} > {bound:.3f}")
-    return state.estimate, state
+    return estimate, state
 
 
 def write_trace_csv(state: IhtState, path):

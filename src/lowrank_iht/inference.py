@@ -123,8 +123,7 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
     if sigma is None:
-        sigma = state.final_sigma if state is not None and state.trace \
-            else empirical_sigma(batch, y, theta_hat)
+        sigma = state.final_sigma if state is not None else empirical_sigma(batch, y, theta_hat)
     if sigma < 0:
         raise ValueError("sigma must be nonnegative")
     q = ndtri((1.0 + level) / 2.0) if two_sided_correct else ndtri(level)

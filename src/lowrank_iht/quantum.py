@@ -374,6 +374,7 @@ def build_rescaled_dataset(settings, batches) -> TomographyDataset:
     if not settings:
         raise ValueError("need at least one setting")
     m = settings[0].m
+    repetitions = batches[0].repetitions
     drops = _subset_drops(m)[:, None, :]
     ybars = []
     for setting, batch in zip(settings, batches):
@@ -381,11 +382,12 @@ def build_rescaled_dataset(settings, batches) -> TomographyDataset:
             raise ValueError("outcome batch does not belong to its setting")
         if setting.m != m:
             raise ValueError("all settings must share the same qubit count")
+        if batch.repetitions != repetitions:
+            raise ValueError("all settings must be measured the same number of times")
         # (2^m, T) parities of every subset-marginalized outcome
         ybars.append(np.where(drops, 1, batch.outcomes).prod(axis=2).mean(axis=1))
     y = (np.array(ybars) * _subset_scales(m)).ravel()
-    return TomographyDataset(m=m, settings=settings,
-                             repetitions=batches[0].repetitions, y=y)
+    return TomographyDataset(m=m, settings=settings, repetitions=repetitions, y=y)
 
 
 def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> TomographyDataset:

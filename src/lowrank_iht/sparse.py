@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_int
 from ._ndtri import ndtri
 from ._rng import make_rng
 from .inference import EntrywiseResult
@@ -104,8 +105,8 @@ class SparseConfig:
     def __post_init__(self):
         if self.t0 is not None and not 0 <= self.t0 < math.inf:
             raise ValueError("t0 must be nonnegative and finite")
-        if self.k_cap is not None and (isinstance(self.k_cap, bool) or self.k_cap < 1):
-            raise ValueError("k_cap must be an integer of at least 1")
+        if self.k_cap is not None:
+            check_int(self.k_cap, "k_cap")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if self.upsilon is not None and not 0 <= self.upsilon < math.inf:
@@ -232,7 +233,7 @@ def _smallest_feasible_mu(sigma_hat: np.ndarray, j: int, mu_lo: float) -> float:
 
 
 def build_decorrelator(x: np.ndarray, strategy: str = "identity",
-                       mu: float | None = None, k_values=()) -> Decorrelator:
+                       mu: float | None = None) -> Decorrelator:
     """Identity V, or one l1-minimizing row program per coordinate.
 
     The row program looks for v with small l1 norm satisfying
@@ -244,8 +245,8 @@ def build_decorrelator(x: np.ndarray, strategy: str = "identity",
         raise ValueError("need n >= 2 and p >= 1")
     sigma_hat = empirical_covariance(x)
     if strategy == "identity":
-        dec = Decorrelator(v=np.eye(p), sigma_hat=sigma_hat, construction="identity")
-    elif strategy == "row_program":
+        return Decorrelator(v=np.eye(p), sigma_hat=sigma_hat, construction="identity")
+    if strategy == "row_program":
         if mu is None:
             mu = math.sqrt(math.log(p) / n)
         rows = []
@@ -254,13 +255,9 @@ def build_decorrelator(x: np.ndarray, strategy: str = "identity",
             if v_row is None:
                 raise RowProgramInfeasibleError(j, _smallest_feasible_mu(sigma_hat, j, mu))
             rows.append(v_row)
-        dec = Decorrelator(v=np.array(rows), sigma_hat=sigma_hat,
-                           construction="row_program", mu=mu)
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    for k in k_values:
-        dec.r_k(int(k))
-    return dec
+        return Decorrelator(v=np.array(rows), sigma_hat=sigma_hat,
+                            construction="row_program", mu=mu)
+    raise ValueError(f"unknown strategy {strategy!r}")
 
 
 def largest_feasible_k(dec: Decorrelator, k_max: int) -> int:
@@ -298,6 +295,11 @@ def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
         theta += alpha_r,  T_r = 2 r_K T_{r-1} + upsilon,
     seeded at T_0. A zero r_K (orthogonal designs) collapses to a single
     exact-recovery iteration.
+
+    While T_r exceeds every |backprojected entry| nothing survives the
+    threshold, so theta and the backprojection stay as they are; the
+    backprojection is recomputed only after an iteration in which some entry
+    survived.
     """
     n, p = instance.n, instance.p
     k_cap = config.k_cap if config.k_cap is not None else largest_feasible_k(dec, p)
@@ -313,14 +315,20 @@ def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
         t = float(np.max(np.abs(dec.v @ (instance.x.T @ instance.y) / n))) + 2.0 * ups
     iters = 1 if gamma == 0.0 else max(1, math.ceil(math.log(n) / math.log(1.0 / gamma)))
     theta = np.zeros(p)
+    support = 0
     trace = []
     vxt = dec.v @ instance.x.T
+    backproj = None
     for r in range(1, iters + 1):
         t = gamma * t + ups
-        alpha = hard_threshold_entries(vxt @ (instance.y - instance.x @ theta) / n, t)
-        theta = theta + alpha
-        trace.append(SparseIterationRecord(iteration=r, threshold=t,
-                                           support_size=int(np.count_nonzero(theta))))
+        if backproj is None:
+            backproj = vxt @ (instance.y - instance.x @ theta) / n
+            backproj_max = float(np.max(np.abs(backproj)))
+        if t <= backproj_max:
+            theta = theta + hard_threshold_entries(backproj, t)
+            support = int(np.count_nonzero(theta))
+            backproj = None
+        trace.append(SparseIterationRecord(iteration=r, threshold=t, support_size=support))
     return theta, tuple(trace)
 
 

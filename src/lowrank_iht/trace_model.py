@@ -77,11 +77,9 @@ class Observations:
 
     ``noise`` retains the realized noise vector when the observations were
     simulated, which is what makes exact decomposition identities testable.
-    ``noise_std`` is None when the noise is not an explicit Gaussian scale.
     """
 
     values: np.ndarray
-    noise_std: float | None = None
     noise: np.ndarray | None = None
 
     def __post_init__(self):
@@ -91,8 +89,6 @@ class Observations:
         if not np.all(np.isfinite(vals)):
             raise ValueError("observation values must be finite")
         object.__setattr__(self, "values", vals)
-        if self.noise_std is not None and not self.noise_std >= 0:
-            raise ValueError("noise_std must be nonnegative")
         if self.noise is not None:
             noise = np.asarray(self.noise, dtype=np.float64)
             if noise.shape != vals.shape:
@@ -229,7 +225,7 @@ def simulate_observations(batch: DesignBatch, theta, noise_std: float, seed) -> 
         raise ValueError("noise_std must be nonnegative")
     eps = noise_std * make_rng(seed).standard_normal(batch.n)
     values = apply_design(batch, theta) + eps
-    return Observations(values=values, noise_std=float(noise_std), noise=eps)
+    return Observations(values=values, noise=eps)
 
 
 def estimate_rip_constant(batch: DesignBatch, k: int, trials: int, seed,

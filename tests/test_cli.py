@@ -115,6 +115,24 @@ def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command,
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, override", [
+    ("simulate-matrix", {"d_values": [4.7]}),
+    ("simulate-matrix", {"n_values": [40.9]}),
+    ("simulate-matrix", {"k_values": ["1"]}),
+    ("simulate-matrix", {"replicates": 1.0}),
+    ("simulate-matrix", {"seed": "3"}),
+    ("simulate-matrix", {"iht": {"max_iters": 2.5}}),
+    ("simulate-sparse", {"sparse_estimator": {"k_cap": 1.5}}),
+], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
+def test_non_integer_for_an_int_exits_2(tmp_path, capsys, command, override):
+    # a float or a string is refused, not truncated to an int
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**_TINY[command], **override}))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "must be an integer" in capsys.readouterr().err
+
+
 def test_mode_mismatch_exits_2(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"mode": "sparse", "p_values": [10],

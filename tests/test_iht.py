@@ -8,10 +8,9 @@ from lowrank_iht import iht
 from lowrank_iht._ndtri import ndtri
 from lowrank_iht.iht import (
     IhtConfig,
-    IhtState,
+    IterationRecord,
     StoppingBoundError,
     empirical_sigma,
-    iht_step,
     run_iht,
     schedule_iteration_bound,
     stopping_check,
@@ -19,9 +18,11 @@ from lowrank_iht.iht import (
     upsilon_r,
     write_trace_csv,
 )
+from lowrank_iht.linalg import hard_threshold_singular
 from lowrank_iht.quantum import gen_density_matrix, simulate_dataset
 from lowrank_iht.trace_model import (
     DesignBatch,
+    adjoint_apply,
     apply_design,
     estimate_rip_constant,
     gen_basis_design,
@@ -238,13 +239,11 @@ def test_iht_step_reduces_residual_on_plain_instance():
     theta = gen_low_rank_theta(d, 2, 23)
     batch = gen_gaussian_design(n, d, 24)
     obs = simulate_observations(batch, theta, 0.1, 25)
-    state = IhtState.initial(d)
-    config = IhtConfig()
-    s1 = iht_step(state, batch, obs, config)
-    s2 = iht_step(s1, batch, obs, config)
-    assert s2.trace[-1].residual_l2 <= s1.trace[-1].residual_l2
-    assert s1.iteration == 1 and s2.iteration == 2
-    assert s1.trace[-1].rank <= d
+    _, state = run_iht(batch, obs, IhtConfig(max_iters=2))
+    first, second = state.trace
+    assert second.residual_l2 <= first.residual_l2
+    assert (first.iteration, second.iteration) == (1, 2)
+    assert first.rank <= d
 
 
 def test_rho_condition_recorded_with_rip_estimate():
@@ -271,6 +270,8 @@ def test_config_validation():
         IhtConfig(e=-0.5)
     with pytest.raises(ValueError):
         IhtConfig(max_iters=0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        IhtConfig(max_iters=2.5)
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -334,25 +335,43 @@ def test_run_iht_makes_one_forward_pass_per_iteration(monkeypatch):
     assert len(calls) == state.iteration
 
 
+def _recomputing_loop(batch, y, config, iterations):
+    # the estimator written out plainly: every iteration recomputes the
+    # residual y - X(theta) at the incoming estimate instead of carrying it
+    values = y.values
+    n, d = batch.n, batch.dim
+    estimate = np.zeros_like(adjoint_apply(batch, values))
+    threshold = None
+    trace = []
+    for r in range(1, iterations + 1):
+        resid = values - apply_design(batch, estimate)
+        sigma = float(np.linalg.norm(resid) / np.sqrt(n))
+        ups = upsilon_r(sigma, d, n, config.upsilon_quantile)
+        clamped = False
+        if threshold is None:
+            threshold = sigma + ups
+        elif threshold_step(threshold, config.rho, ups) > threshold:
+            clamped = True
+        else:
+            threshold = threshold_step(threshold, config.rho, ups)
+        factors = hard_threshold_singular(estimate + adjoint_apply(batch, resid), threshold)
+        estimate = factors.reconstruct()
+        residual_l2 = float(np.linalg.norm(values - apply_design(batch, estimate)))
+        trace.append(IterationRecord(r, threshold, sigma, ups, factors.rank(),
+                                     residual_l2, clamped))
+    return estimate, tuple(trace)
+
+
 @pytest.mark.parametrize("instance", [_gaussian_instance, _pauli_instance],
                          ids=["gaussian", "pauli"])
-def test_run_iht_is_bitwise_equal_to_chained_iht_step(instance):
+def test_run_iht_is_bitwise_equal_to_the_recomputing_loop(instance):
     batch, obs = instance()
     config = IhtConfig()
     estimate, state = run_iht(batch, obs, config)
-    chained = IhtState.initial(batch.dim, dtype=estimate.dtype)
-    for _ in range(state.iteration):
-        chained = iht_step(chained, batch, obs, config)
-    assert estimate.tobytes() == chained.estimate.tobytes()
+    reference, trace = _recomputing_loop(batch, obs, config, state.iteration)
+    assert estimate.tobytes() == reference.tobytes()
     # repr prints each float exactly, so equal reprs mean bitwise-equal records
-    assert repr(state.trace) == repr(chained.trace)
-
-
-def test_iht_step_computes_its_own_residual(monkeypatch):
-    batch, obs = _gaussian_instance()
-    calls = _count_forward_calls(monkeypatch)
-    iht_step(IhtState.initial(batch.dim), batch, obs)
-    assert len(calls) == 2
+    assert repr(state.trace) == repr(trace)
 
 
 def test_run_iht_rejects_mismatched_observation_length():

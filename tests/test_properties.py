@@ -12,9 +12,12 @@ from lowrank_iht import (
     DesignBatch,
     adjoint_apply,
     apply_design,
+    decomposition_terms,
+    gen_density_matrix,
     gen_gaussian_design,
     gen_low_rank_theta,
     run_iht,
+    simulate_dataset,
     simulate_observations,
 )
 
@@ -52,3 +55,44 @@ def test_run_iht_is_scale_equivariant(seed, k, c):
     assert scaled_state.iteration == state.iteration
     assert scaled_state.rank == state.rank
     assert np.linalg.norm(scaled - c * estimate) <= 1e-12 * np.linalg.norm(c * estimate)
+
+
+def _gaussian_regression(seed, k):
+    theta = gen_low_rank_theta(8, k, seed)
+    batch = gen_gaussian_design(300, 8, seed + 1)
+    return theta, batch, simulate_observations(batch, theta, 1.0, seed + 2).values
+
+
+def _pauli_regression(seed, k):
+    # m = 3 qubits: 24 settings of 8 rows each, Hermitian complex rows
+    theta = gen_density_matrix(8, k, seed)
+    batch, obs = simulate_dataset(theta, 24, 200, seed + 1).to_trace_regression()
+    return theta, batch, obs.values
+
+
+@pytest.mark.parametrize("regression", [_gaussian_regression, _pauli_regression],
+                         ids=["gaussian", "pauli"])
+@_FIXED
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 2))
+def test_run_iht_is_row_permutation_invariant(regression, seed, k):
+    _, batch, y = regression(seed, k)
+    perm = np.random.default_rng(seed).permutation(batch.n)
+    estimate, state = run_iht(batch, y)
+    permuted, permuted_state = run_iht(DesignBatch(batch.matrices[perm]), y[perm])
+    assert permuted_state.iteration == state.iteration
+    assert permuted_state.rank == state.rank
+    assert permuted_state.converged == state.converged
+    assert np.linalg.norm(permuted - estimate) <= 1e-12 * np.linalg.norm(estimate)
+
+
+@_FIXED
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 2))
+def test_debias_decomposition_identity_on_a_pauli_design(seed, k):
+    # sqrt(n) (debiased - theta) = remainder + sqrt(n) X*(eps) with
+    # eps = y - X(theta), on Hermitian complex design rows
+    theta, batch, y = _pauli_regression(seed, k)
+    assert np.array_equal(batch.matrices, batch.matrices.conj().transpose(0, 2, 1))
+    theta_hat, _ = run_iht(batch, y)
+    eps = y - apply_design(batch, theta)
+    remainder, noise_term, total = decomposition_terms(batch, y, theta_hat, theta, eps)
+    assert np.allclose(remainder + noise_term, total, rtol=0, atol=1e-10)

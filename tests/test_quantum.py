@@ -334,7 +334,8 @@ def test_rows_equal_the_per_mask_loop_bit_for_bit():
         theta = gen_density_matrix(2 ** m, 1, 72 + m)
         settings = gen_random_settings(6, m, 80 + m)
         settings = settings + settings[:2]
-        batches = [sample_outcomes(s, theta, int(rng.integers(1, 40)), 90 + i)
+        repetitions = int(rng.integers(1, 40))
+        batches = [sample_outcomes(s, theta, repetitions, 90 + i)
                    for i, s in enumerate(settings)]
         ds = build_rescaled_dataset(settings, batches)
         y, rows = _per_mask_reference(settings, batches)
@@ -346,6 +347,18 @@ def test_rows_equal_the_per_mask_loop_bit_for_bit():
         assert designs.tobytes() == rows.tobytes()
         assert batch.matrices.tobytes() == (rows * boost).tobytes()
         assert obs.values.tobytes() == (y * boost).tobytes()
+
+
+def test_mixed_repetition_counts_are_rejected():
+    # a dataset records one T, so settings measured 5 and 8 times cannot
+    # share one; recording the first batch's T would save a manifest whose
+    # y values load_dataset refuses
+    theta = gen_density_matrix(4, 1, 75)
+    settings = gen_random_settings(2, 2, 76)
+    batches = [sample_outcomes(s, theta, reps, 77 + i)
+               for i, (s, reps) in enumerate(zip(settings, (5, 8)))]
+    with pytest.raises(ValueError, match="same number of times"):
+        build_rescaled_dataset(settings, batches)
 
 
 def test_dataset_and_its_regression_hold_one_design():

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+from lowrank_iht import sparse
+from lowrank_iht.linalg import hard_threshold_entries
 from lowrank_iht.sparse import (
     AssumptionViolationError,
     Decorrelator,
@@ -88,8 +90,10 @@ def test_gaussian_covariance_concentrates():
 def test_decorrelator_caches_certificates():
     rng = np.random.default_rng(13)
     x = rng.standard_normal((40, 5))
-    dec = build_decorrelator(x, k_values=(1, 2))
-    assert set(dec.certified_r) == {1, 2}
+    dec = build_decorrelator(x)
+    assert dec.certified_r == {}
+    r1, r2 = dec.r_k(1), dec.r_k(2)
+    assert dec.certified_r == {1: r1, 2: r2}
     r3 = dec.r_k(3)
     assert dec.certified_r[3] == r3
 
@@ -155,15 +159,26 @@ def test_qr_orthogonal_noiseless_recovery():
     assert set(np.nonzero(est)[0]) == set(np.nonzero(theta)[0])
 
 
-def test_pure_noise_stays_fully_truncated():
+def test_pure_noise_stays_fully_truncated(monkeypatch):
     rng = np.random.default_rng(29)
     n, p = 400, 100
     x = rng.standard_normal((n, p))
     inst = SparseInstance(x=x, y=rng.standard_normal(n))
-    dec = build_decorrelator(x, k_values=(2,))
+    dec = build_decorrelator(x)
+    calls = []
+
+    def counting(u, threshold):
+        calls.append(threshold)
+        return hard_threshold_entries(u, threshold)
+
+    monkeypatch.setattr(sparse, "hard_threshold_entries", counting)
     est, trace = sparse_iht_run(inst, dec, SparseConfig(k_cap=2))
     assert np.all(est == 0.0)
     assert all(rec.support_size == 0 for rec in trace)
+    # no entry ever reaches the threshold, so every iteration is idle and
+    # the thresholding is skipped outright
+    assert len(trace) > 1
+    assert calls == []
 
 
 def test_threshold_recursion_closed_form():
@@ -335,5 +350,7 @@ def test_instance_and_config_validation():
         SparseConfig(delta=0.0)
     with pytest.raises(ValueError):
         SparseConfig(k_cap=0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        SparseConfig(k_cap=1.5)
     with pytest.raises(ValueError):
         build_decorrelator(np.ones((40, 4)), strategy="whitening")

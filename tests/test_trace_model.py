@@ -137,7 +137,8 @@ def test_simulate_observations_noiseless_and_noisy():
     np.testing.assert_allclose(clean.noise, 0.0, atol=1e-15)
     noisy = simulate_observations(batch, theta, 2.0, 7)
     np.testing.assert_allclose(noisy.values - noisy.noise, clean.values, atol=1e-12)
-    assert noisy.noise_std == 2.0
+    unit = simulate_observations(batch, theta, 1.0, 7)
+    np.testing.assert_array_equal(noisy.noise, 2.0 * unit.noise)
     again = simulate_observations(batch, theta, 2.0, 7)
     np.testing.assert_array_equal(noisy.values, again.values)
 
@@ -174,7 +175,7 @@ def test_observations_validation():
         Observations(values=np.ones(3), noise=np.ones(2))
     obs = Observations(values=np.ones(3))
     assert obs.n == 3
-    assert obs.noise_std is None
+    assert obs.noise is None
 
 
 def test_design_batch_validation():
