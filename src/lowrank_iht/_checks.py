@@ -1,10 +1,11 @@
-"""Validation of integer configuration fields."""
+"""Validation of integer and float configuration fields."""
 
 from __future__ import annotations
 
+import numbers
 import operator
 
-__all__ = ["check_int"]
+__all__ = ["check_float", "check_int"]
 
 
 def check_int(value, name: str, low: int = 1, high: int | None = None,
@@ -24,3 +25,14 @@ def check_int(value, name: str, low: int = 1, high: int | None = None,
         bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
         raise error(f"{name} must be {bounds}, got {value}")
     return value
+
+
+def check_float(value, name: str, error: type[ValueError] = ValueError) -> float:
+    """``value`` as a float, raising ``error`` unless it is a real number.
+
+    Strings are refused rather than parsed, and bools rather than read as 0
+    and 1. Range checks are left to the caller.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    return float(value)

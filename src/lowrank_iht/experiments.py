@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_float, check_int
 from .iht import IhtConfig, run_iht
 from .inference import confidence_intervals
 from .linalg import entrywise_inf_norm, schatten_norm
@@ -101,6 +101,9 @@ class ExperimentConfig:
                                                      error=ConfigError))
         object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, 2 ** 64,
                                                    ConfigError))
+        for name in ("noise_std", "level"):
+            object.__setattr__(self, name, check_float(getattr(self, name), name,
+                                                       ConfigError))
         if not 0 <= self.noise_std < math.inf:
             raise ConfigError("noise_std must be nonnegative and finite")
         if not 0 < self.level < 1:
@@ -112,7 +115,8 @@ class ExperimentConfig:
                          for v in getattr(self, name))
             object.__setattr__(self, name, vals)
         for name in ("alpha_values", "t_factors"):
-            vals = tuple(float(v) for v in getattr(self, name))
+            vals = tuple(check_float(v, f"{name} entries", ConfigError)
+                         for v in getattr(self, name))
             if not all(0 < v < math.inf for v in vals):
                 raise ConfigError(f"{name} entries must be positive and finite")
             object.__setattr__(self, name, vals)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_float, check_int
 from ._ndtri import ndtri
 from .linalg import hard_threshold_singular
 from .trace_model import DesignBatch, RipEstimate, adjoint_apply, apply_design, _obs_values
@@ -59,6 +59,10 @@ class IhtConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
+        for name in ("rho", "upsilon", "upsilon_quantile", "t0", "e"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, check_float(value, name))
         if not 0 < self.rho < 1:
             raise ValueError("rho must lie in (0, 1)")
         if self.upsilon is not None and not 0 <= self.upsilon < math.inf:

@@ -192,7 +192,11 @@ def outcome_distribution(setting: PauliSetting, theta) -> np.ndarray:
     diagonal, rather than forming 2^m projectors. Identity qubits put all
     their mass on +1.
     """
-    theta = _check_density(theta)
+    return _outcome_distribution(setting, _check_density(theta))
+
+
+def _outcome_distribution(setting: PauliSetting, theta: np.ndarray) -> np.ndarray:
+    """outcome_distribution for a theta that already passed _check_density."""
     m = setting.m
     if theta.shape[0] != 2 ** m:
         raise ValueError(f"density matrix is {theta.shape[0]}x{theta.shape[0]}, "
@@ -219,9 +223,15 @@ def outcome_distribution(setting: PauliSetting, theta) -> np.ndarray:
 
 def sample_outcomes(setting: PauliSetting, theta, repetitions: int, seed) -> OutcomeBatch:
     """T i.i.d. outcome vectors drawn by inverse CDF over the ordered table."""
+    return _sample_outcomes(setting, _check_density(theta), repetitions, seed)
+
+
+def _sample_outcomes(setting: PauliSetting, theta: np.ndarray, repetitions: int,
+                     seed) -> OutcomeBatch:
+    """sample_outcomes for a theta that already passed _check_density."""
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    p = outcome_distribution(setting, theta)
+    p = _outcome_distribution(setting, theta)
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
     rng = make_rng(seed)
@@ -394,7 +404,8 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     """Sample settings, measure, and assemble the dataset in one call.
 
     Per-setting sampling seeds are spawned from the master seed, so settings
-    could be simulated in parallel without changing the result.
+    could be simulated in parallel without changing the result. theta is
+    validated once here, not once per setting.
     """
     theta = _check_density(theta)
     d = theta.shape[0]
@@ -404,7 +415,7 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     setting_seed, *sample_seeds = root.spawn(n_settings + 1)
     settings = gen_random_settings(n_settings, m, setting_seed)
-    batches = [sample_outcomes(s, theta, repetitions, child)
+    batches = [_sample_outcomes(s, theta, repetitions, child)
                for s, child in zip(settings, sample_seeds)]
     return build_rescaled_dataset(settings, batches)
 

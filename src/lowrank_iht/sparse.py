@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_float, check_int
 from ._ndtri import ndtri
 from ._rng import make_rng
 from .inference import EntrywiseResult
@@ -103,6 +104,10 @@ class SparseConfig:
     upsilon: float | None = None
 
     def __post_init__(self):
+        for name in ("t0", "delta", "upsilon"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, check_float(value, name))
         if self.t0 is not None and not 0 <= self.t0 < math.inf:
             raise ValueError("t0 must be nonnegative and finite")
         if self.k_cap is not None:
@@ -151,7 +156,8 @@ class Decorrelator:
     """V together with the covariance it was certified against.
 
     certified_r caches exact r_k values; r_k() computes missing ones on
-    demand (cached in place, values are pure functions of V and Sigma).
+    demand (cached in place, values are pure functions of V and Sigma), and
+    vsv_diag is likewise computed on first use.
     """
 
     v: np.ndarray
@@ -171,6 +177,12 @@ class Decorrelator:
     @property
     def p(self) -> int:
         return self.v.shape[0]
+
+    @cached_property
+    def vsv_diag(self) -> np.ndarray:
+        """diag(V Sigma V^T), computed once: the noise floor and every
+        interval half-width read it."""
+        return np.einsum("ij,jk,ik->i", self.v, self.sigma_hat, self.v)
 
     def r_k(self, k: int) -> float:
         if k not in self.certified_r:
@@ -281,8 +293,7 @@ def largest_feasible_k(dec: Decorrelator, k_max: int) -> int:
 
 
 def _upsilon(dec: Decorrelator, n: int, delta: float) -> float:
-    vsv_diag = np.einsum("ij,jk,ik->i", dec.v, dec.sigma_hat, dec.v)
-    m_big = float(vsv_diag.max())
+    m_big = float(dec.vsv_diag.max())
     return 2.0 * math.sqrt(m_big * math.log(dec.p / delta) / n)
 
 
@@ -356,9 +367,8 @@ def sparse_confidence_intervals(theta_hat: np.ndarray, instance: SparseInstance,
     if sigma_hat < 0:
         raise ValueError("sigma_hat must be nonnegative")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    vsv_diag = np.einsum("ij,jk,ik->i", dec.v, dec.sigma_hat, dec.v)
     z = ndtri((1.0 + level) / 2.0)
-    half = sigma_hat * np.sqrt(vsv_diag / instance.n) * z
+    half = sigma_hat * np.sqrt(dec.vsv_diag / instance.n) * z
     return EntrywiseResult(estimate=theta_hat, half_width=half,
                            sigma=sigma_hat, level=level, quantile=z)
 

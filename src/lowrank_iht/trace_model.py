@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._rng import make_rng
+from ._rng import make_rng, standard_normal
 
 __all__ = [
     "DesignBatch",
@@ -186,11 +186,14 @@ def isometry_deviation(batch: DesignBatch, a) -> float:
 
 
 def gen_gaussian_design(n: int, d: int, seed) -> DesignBatch:
-    """n independent standard Gaussian d x d design matrices."""
+    """n independent standard Gaussian d x d design matrices.
+
+    Exactly ``make_rng(seed).standard_normal((n, d, d))``; large designs are
+    drawn on two threads (see ``_rng.standard_normal``).
+    """
     if n < 1 or d < 1:
         raise ValueError("n and d must be positive")
-    rng = make_rng(seed)
-    return DesignBatch(rng.standard_normal((n, d, d)))
+    return DesignBatch(standard_normal(seed, (n, d, d)))
 
 
 def gen_basis_design(d: int) -> DesignBatch:

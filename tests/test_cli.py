@@ -133,6 +133,29 @@ def test_non_integer_for_an_int_exits_2(tmp_path, capsys, command, override):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, override", [
+    ("simulate-matrix", {"noise_std": True}),
+    ("simulate-matrix", {"level": "0.9"}),
+    ("simulate-matrix", {"iht": {"rho": "0.5"}}),
+    ("simulate-matrix", {"iht": {"upsilon": True}}),
+    ("simulate-matrix", {"iht": {"upsilon_quantile": "0.9"}}),
+    ("simulate-matrix", {"iht": {"t0": True}}),
+    ("simulate-matrix", {"iht": {"e": True}}),
+    ("simulate-quantum", {"alpha_values": [True, "2"]}),
+    ("simulate-quantum", {"t_factors": ["10"]}),
+    ("simulate-sparse", {"sparse_estimator": {"t0": True}}),
+    ("simulate-sparse", {"sparse_estimator": {"delta": "0.05"}}),
+    ("simulate-sparse", {"sparse_estimator": {"upsilon": True}}),
+], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
+def test_bool_or_string_for_a_float_exits_2(tmp_path, capsys, command, override):
+    # a bool is not read as 0 or 1, and a string is not parsed
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**_TINY[command], **override}))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "must be a number" in capsys.readouterr().err
+
+
 def test_mode_mismatch_exits_2(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"mode": "sparse", "p_values": [10],

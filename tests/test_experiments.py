@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from lowrank_iht import _rng
 from lowrank_iht.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -142,14 +143,18 @@ def test_run_twice_is_byte_identical(tmp_path):
 
 
 def test_workers_do_not_change_outputs(tmp_path):
-    out_serial = tmp_path / "serial"
-    out_pool = tmp_path / "pool"
-    run_experiment(_matrix_config(out_serial, workers=1))
-    run_experiment(_matrix_config(out_pool, workers=2))
-    assert (out_serial / "metrics.csv").read_bytes() == \
-        (out_pool / "metrics.csv").read_bytes()
-    assert (out_serial / "aggregate.csv").read_bytes() == \
-        (out_pool / "aggregate.csv").read_bytes()
+    # d=16, n=1100 draws 281,600 normals per design: above the size at which
+    # the design is drawn on two threads, here inside each pool worker
+    assert 1100 * 16 * 16 >= _rng._SPLIT_MIN
+    for name, grid in (("small", {}), ("split", {"d_values": (16,), "n_values": (1100,)})):
+        out_serial = tmp_path / name / "serial"
+        out_pool = tmp_path / name / "pool"
+        run_experiment(_matrix_config(out_serial, workers=1, **grid))
+        run_experiment(_matrix_config(out_pool, workers=2, **grid))
+        assert (out_serial / "metrics.csv").read_bytes() == \
+            (out_pool / "metrics.csv").read_bytes()
+        assert (out_serial / "aggregate.csv").read_bytes() == \
+            (out_pool / "aggregate.csv").read_bytes()
 
 
 def test_schema_line_and_parsed_types(tmp_path):

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from lowrank_iht import quantum
 from lowrank_iht.quantum import (
     OutcomeBatch,
     PauliSetting,
@@ -412,6 +413,22 @@ def test_simulate_dataset_determinism():
     assert not np.array_equal(a.y, c.y)
     with pytest.raises(ValueError):
         simulate_dataset(np.eye(3) / 3.0, 2, 2, 64)
+
+
+def test_simulate_dataset_checks_theta_once(monkeypatch):
+    checked = []
+    check = quantum._check_density
+
+    def counting(theta):
+        checked.append(theta)
+        return check(theta)
+
+    monkeypatch.setattr(quantum, "_check_density", counting)
+    theta = gen_density_matrix(8, 1, 61)
+    ds = simulate_dataset(theta, 7, 6, 62)
+    assert len(checked) == 1
+    monkeypatch.undo()
+    assert np.array_equal(ds.y, simulate_dataset(theta, 7, 6, 62).y)
 
 
 def test_save_load_round_trip(tmp_path):

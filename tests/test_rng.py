@@ -1,0 +1,122 @@
+import os
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from lowrank_iht import _rng
+from lowrank_iht.trace_model import gen_gaussian_design
+
+# below, at and just above the split size; odd totals; totals whose half is
+# not a multiple of 4 (131075, 131077); and two design shapes well above it
+_SHAPES = [(1023, 16, 16), (1024, 16, 16), (1025, 16, 16), (262145,),
+           (262150,), (3, 5, 17477), (2049, 8, 16), (500, 32, 32)]
+
+
+def _seeds(count):
+    for s in range(count):
+        yield s
+        yield np.random.SeedSequence(1000 + s, spawn_key=(s % 3,))
+
+
+def _single(seed, shape):
+    return _rng.make_rng(seed).standard_normal(shape)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    # take the threaded path whatever the machine running the test has
+    monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
+
+
+@pytest.mark.parametrize("shape", _SHAPES, ids=str)
+def test_split_draw_is_byte_identical_to_one_draw(two_cpus, monkeypatch, shape):
+    seams = []
+    seam = _rng._seam
+
+    def spy(*args):
+        seams.append(seam(*args))
+        return seams[-1]
+
+    monkeypatch.setattr(_rng, "_seam", spy)
+    cases = 0
+    for seed in _seeds(13):
+        out = _rng.standard_normal(seed, shape)
+        assert out.shape == shape and out.dtype == np.float64
+        assert out.tobytes() == _single(seed, shape).tobytes()
+        cases += 1
+    assert cases == 26
+    if np.prod(shape) < _rng._SPLIT_MIN:
+        assert seams == []
+    else:
+        # every case went through the threads and proved its seam
+        assert len(seams) == cases and None not in seams
+
+
+def test_generator_seed_advances_exactly_as_one_draw(two_cpus):
+    shape = (2049, 8, 16)
+    mine, theirs = _rng.make_rng(5), _rng.make_rng(5)
+    assert _rng.standard_normal(mine, shape).tobytes() == \
+        theirs.standard_normal(shape).tobytes()
+    assert repr(mine.bit_generator.state) == repr(theirs.bit_generator.state)
+    assert mine.random(3).tobytes() == theirs.random(3).tobytes()
+
+
+def test_unproved_seam_falls_back_to_the_head_generator(two_cpus, monkeypatch):
+    monkeypatch.setattr(_rng, "_seam", lambda *args: None)
+    for shape in ((1025, 16, 16), (262150,), (500, 32, 32)):
+        for seed in _seeds(3):
+            assert _rng.standard_normal(seed, shape).tobytes() == \
+                _single(seed, shape).tobytes()
+
+
+class _NoThreads:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("one usable CPU must not start a thread")
+
+
+def test_one_usable_cpu_takes_the_single_call(monkeypatch):
+    monkeypatch.setattr(_rng.threading, "Thread", _NoThreads)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    shape = (500, 32, 32)
+    assert _rng.standard_normal(7, shape).tobytes() == _single(7, shape).tobytes()
+    # without CPU affinity the CPU count decides
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert _rng.standard_normal(7, shape).tobytes() == _single(7, shape).tobytes()
+
+
+class _HeadFails:
+    """A generator that fails when drawn from off the main thread."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.bit_generator = rng.bit_generator
+
+    def standard_normal(self, *args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise RuntimeError("head draw failed")
+        return self.rng.standard_normal(*args, **kwargs)
+
+
+def test_head_thread_exception_reaches_the_caller(two_cpus, monkeypatch):
+    make_rng = _rng.make_rng
+    monkeypatch.setattr(_rng, "make_rng", lambda seed: _HeadFails(make_rng(seed)))
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="head draw failed"):
+        _rng.standard_normal(3, (1025, 16, 16))
+    assert threading.active_count() == threads
+
+
+def test_split_design_draw_makes_no_second_buffer(two_cpus):
+    seed = np.random.SeedSequence(7)
+    tracemalloc.start()
+    try:
+        batch = gen_gaussian_design(4000, 64, seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * batch.matrices.nbytes
+    assert batch.matrices.tobytes() == _single(seed, (4000, 64, 64)).tobytes()

@@ -98,6 +98,27 @@ def test_decorrelator_caches_certificates():
     assert dec.certified_r[3] == r3
 
 
+def test_decorrelator_computes_vsv_diag_once(monkeypatch):
+    inst = gen_sparse_instance(60, 8, 2, 1.0, 5)
+    dec = build_decorrelator(inst.x)
+    expected = np.einsum("ij,jk,ik->i", dec.v, dec.sigma_hat, dec.v)
+    calls = []
+    einsum = np.einsum
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    theta, _ = sparse_iht_run(inst, dec)
+    for level in (0.9, 0.95):
+        ci = sparse_confidence_intervals(theta, inst, dec, 1.0, level)
+        assert ci.half_width.tobytes() == (
+            np.sqrt(expected / inst.n) * ci.quantile).tobytes()
+    assert calls == ["ij,jk,ik->i"]
+    assert dec.vsv_diag.tobytes() == expected.tobytes()
+
+
 def test_row_program_approximates_inverse_when_well_conditioned():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((4000, 5))
