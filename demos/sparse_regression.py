@@ -21,10 +21,10 @@ dec = build_decorrelator(inst.x)
 k_cap = largest_feasible_k(dec, 2 * k)
 print(f"certified sparsity level K={k_cap} (2 r_K = {2 * dec.r_k(k_cap):.3f})")
 
-theta_r, trace = sparse_iht_run(inst, dec, SparseConfig(k_cap=k_cap))
+theta_r, thresholds = sparse_iht_run(inst, dec, SparseConfig(k_cap=k_cap))
 support_true = np.flatnonzero(inst.theta_truth)
 support_hat = np.flatnonzero(theta_r)
-print(f"{len(trace)} iterations, final threshold {trace[-1].threshold:.3f}")
+print(f"{len(thresholds)} iterations, final threshold {thresholds[-1]:.3f}")
 print(f"true support {support_true.tolist()}, "
       f"recovered {support_hat.tolist()}")
 

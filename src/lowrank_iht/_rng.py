@@ -25,6 +25,8 @@ import threading
 
 import numpy as np
 
+from ._checks import check_int
+
 __all__ = ["make_rng", "standard_normal"]
 
 # below this many normals one sequential draw is cheaper than a thread
@@ -36,17 +38,17 @@ _SHIFT_CHUNK = 2 ** 17
 def make_rng(seed) -> np.random.Generator:
     """Return a Philox-backed Generator for ``seed``.
 
-    ``seed`` may be an int, a ``numpy.random.SeedSequence``, or an existing
-    ``Generator`` (returned as-is so callers can thread one stream through
-    several draws).
+    ``seed`` may be a nonnegative int (numpy ints too), a
+    ``numpy.random.SeedSequence``, or an existing ``Generator`` (returned
+    as-is so callers can thread one stream through several draws). None,
+    floats, bools and strings raise ValueError; none is truncated or parsed.
     """
     if isinstance(seed, np.random.Generator):
         return seed
     if isinstance(seed, np.random.SeedSequence):
         return np.random.Generator(np.random.Philox(seed))
-    if seed is None:
-        raise ValueError("an explicit seed is required")
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(int(seed))))
+    seed = check_int(seed, "seed", 0)
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 def _usable_cpus() -> int:

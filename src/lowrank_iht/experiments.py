@@ -130,6 +130,8 @@ class ExperimentConfig:
                 raise ConfigError(f"{self.mode} mode requires {name}")
         if self.mode == "matrix_sim" and self.design == "gaussian" and not self.n_values:
             raise ConfigError("matrix_sim with gaussian design requires n_values")
+        if self.mode == "sparse" and min(self.n_values) < 2:
+            raise ConfigError(f"sparse mode needs every n >= 2, got {min(self.n_values)}")
         for cell in self.cells():
             if self.mode == "matrix_sim" and cell["k"] > cell["d"]:
                 raise ConfigError(f"k={cell['k']} exceeds d={cell['d']}")
@@ -261,7 +263,7 @@ def _sparse_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
     start = time.perf_counter()
     instance = gen_sparse_instance(n, p, k, config.noise_std, inst_seed)
     dec = build_decorrelator(instance.x, "identity")
-    theta_r, trace = sparse_iht_run(instance, dec, config.sparse_estimator)
+    theta_r, thresholds = sparse_iht_run(instance, dec, config.sparse_estimator)
     theta_hat = desparsify(theta_r, instance, dec)
     sigma_hat = sparse_sigma(instance, theta_r)
     intervals = sparse_confidence_intervals(theta_hat, instance, dec, sigma_hat,
@@ -279,7 +281,7 @@ def _sparse_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
         "linf": float(np.max(np.abs(diff))),
         "support_size": len(support_hat),
         "support_included": int(support_hat <= support_true),
-        "iterations": len(trace),
+        "iterations": len(thresholds),
         "coverage": float(np.mean(covered)),
         "mean_ci_length": float(np.mean(2.0 * intervals.half_width)),
         "runtime_ms": runtime_ms,

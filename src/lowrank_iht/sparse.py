@@ -28,7 +28,6 @@ __all__ = [
     "RowProgramInfeasibleError",
     "SparseInstance",
     "SparseConfig",
-    "SparseIterationRecord",
     "Decorrelator",
     "empirical_covariance",
     "estimate_r_k",
@@ -116,13 +115,6 @@ class SparseConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.upsilon is not None and not 0 <= self.upsilon < math.inf:
             raise ValueError("upsilon must be nonnegative and finite")
-
-
-@dataclass(frozen=True)
-class SparseIterationRecord:
-    iteration: int
-    threshold: float
-    support_size: int
 
 
 def empirical_covariance(x: np.ndarray) -> np.ndarray:
@@ -299,13 +291,15 @@ def _upsilon(dec: Decorrelator, n: int, delta: float) -> float:
 
 def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
                    config: SparseConfig = SparseConfig()):
-    """Fixed-count thresholded backprojection; returns (theta_hat, trace).
+    """Fixed-count thresholded backprojection; returns (theta_hat, thresholds).
 
     Runs ceil(log n / log(1 / 2 r_K)) iterations of
         alpha_r = threshold((1/n) V X^T (Y - X theta), T_r),
         theta += alpha_r,  T_r = 2 r_K T_{r-1} + upsilon,
     seeded at T_0. A zero r_K (orthogonal designs) collapses to a single
-    exact-recovery iteration.
+    exact-recovery iteration. ``thresholds`` is a float64 array holding
+    T_1, ..., T_R, one entry per iteration, so its length is the iteration
+    count.
 
     While T_r exceeds every |backprojected entry| nothing survives the
     threshold, so theta and the backprojection stay as they are; the
@@ -326,21 +320,19 @@ def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
         t = float(np.max(np.abs(dec.v @ (instance.x.T @ instance.y) / n))) + 2.0 * ups
     iters = 1 if gamma == 0.0 else max(1, math.ceil(math.log(n) / math.log(1.0 / gamma)))
     theta = np.zeros(p)
-    support = 0
-    trace = []
+    thresholds = np.empty(iters)
     vxt = dec.v @ instance.x.T
     backproj = None
-    for r in range(1, iters + 1):
+    for r in range(iters):
         t = gamma * t + ups
+        thresholds[r] = t
         if backproj is None:
             backproj = vxt @ (instance.y - instance.x @ theta) / n
             backproj_max = float(np.max(np.abs(backproj)))
         if t <= backproj_max:
             theta = theta + hard_threshold_entries(backproj, t)
-            support = int(np.count_nonzero(theta))
             backproj = None
-        trace.append(SparseIterationRecord(iteration=r, threshold=t, support_size=support))
-    return theta, tuple(trace)
+    return theta, thresholds
 
 
 def desparsify(theta_hat_r: np.ndarray, instance: SparseInstance,

@@ -106,6 +106,7 @@ _NAN, _INF = float("nan"), float("inf")
     ("simulate-matrix", {"d_values": [True]}),
     ("simulate-matrix", {"iht": {"max_iters": True}}),
     ("simulate-sparse", {"sparse_estimator": {"k_cap": True}}),
+    ("simulate-sparse", {"n_values": [1]}),
 ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
 def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command, override):
     config = tmp_path / "c.json"
@@ -113,6 +114,8 @@ def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command,
     code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+    # the config is refused before anything is written
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command, override", [

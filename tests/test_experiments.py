@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,20 @@ def test_compute_metrics_against_numpy_oracles():
 def _matrix_config(out, **overrides):
     base = dict(mode="matrix_sim", output_dir=str(out), replicates=2, seed=7,
                 d_values=(6,), k_values=(1,), n_values=(40,))
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def _quantum_config(out, **overrides):
+    base = dict(mode="quantum", output_dir=str(out), replicates=2, seed=3,
+                m_values=(2,), k_values=(1,), alpha_values=(2.0,), t_factors=(3.0,))
+    base.update(overrides)
+    return ExperimentConfig(**base)
+
+
+def _sparse_config(out, **overrides):
+    base = dict(mode="sparse", output_dir=str(out), replicates=2, seed=5,
+                p_values=(30,), k_values=(2,), n_values=(200,))
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -146,15 +162,18 @@ def test_workers_do_not_change_outputs(tmp_path):
     # d=16, n=1100 draws 281,600 normals per design: above the size at which
     # the design is drawn on two threads, here inside each pool worker
     assert 1100 * 16 * 16 >= _rng._SPLIT_MIN
-    for name, grid in (("small", {}), ("split", {"d_values": (16,), "n_values": (1100,)})):
+    split = functools.partial(_matrix_config, d_values=(16,), n_values=(1100,))
+    for name, make, files in (
+            ("small", _matrix_config, ()),
+            ("split", split, ()),
+            ("quantum", _quantum_config, ()),
+            ("sparse", _sparse_config, ("coordinates.csv",))):
         out_serial = tmp_path / name / "serial"
         out_pool = tmp_path / name / "pool"
-        run_experiment(_matrix_config(out_serial, workers=1, **grid))
-        run_experiment(_matrix_config(out_pool, workers=2, **grid))
-        assert (out_serial / "metrics.csv").read_bytes() == \
-            (out_pool / "metrics.csv").read_bytes()
-        assert (out_serial / "aggregate.csv").read_bytes() == \
-            (out_pool / "aggregate.csv").read_bytes()
+        run_experiment(make(out_serial, workers=1))
+        run_experiment(make(out_pool, workers=2))
+        for file in ("metrics.csv", "aggregate.csv", *files):
+            assert (out_serial / file).read_bytes() == (out_pool / file).read_bytes()
 
 
 def test_schema_line_and_parsed_types(tmp_path):
@@ -173,10 +192,7 @@ def test_schema_line_and_parsed_types(tmp_path):
 
 
 def test_quantum_rows_leave_coverage_empty(tmp_path):
-    config = ExperimentConfig(mode="quantum", output_dir=str(tmp_path),
-                              replicates=1, seed=3, m_values=(2,),
-                              k_values=(1,), alpha_values=(2.0,),
-                              t_factors=(3.0,))
+    config = _quantum_config(tmp_path, replicates=1)
     paths = run_experiment(config)
     columns, rows = read_csv(paths["metrics"])
     assert rows[0]["coverage"] is None
@@ -201,9 +217,7 @@ def test_noiseless_basis_run_is_exact(tmp_path):
 
 
 def test_sparse_experiment_outputs(tmp_path):
-    config = ExperimentConfig(mode="sparse", output_dir=str(tmp_path),
-                              replicates=2, seed=5, p_values=(30,),
-                              k_values=(2,), n_values=(200,))
+    config = _sparse_config(tmp_path)
     paths = run_experiment(config)
     columns, rows = read_csv(paths["metrics"])
     assert columns[:4] == ["p", "k", "n", "replicate"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lowrank_iht import _rng
-from lowrank_iht.trace_model import gen_gaussian_design
+from lowrank_iht.trace_model import gen_gaussian_design, gen_low_rank_theta
 
 # below, at and just above the split size; odd totals; totals whose half is
 # not a multiple of 4 (131075, 131077); and two design shapes well above it
@@ -120,3 +120,22 @@ def test_split_design_draw_makes_no_second_buffer(two_cpus):
         tracemalloc.stop()
     assert peak < 1.05 * batch.matrices.nbytes
     assert batch.matrices.tobytes() == _single(seed, (4000, 64, 64)).tobytes()
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.9, 1.0, True, "7", None, -1],
+                         ids=repr)
+def test_make_rng_refuses_a_seed_that_is_not_a_nonnegative_int(seed):
+    # a float or bool is not truncated to an int and a string is not parsed,
+    # so 1.9 cannot silently draw seed 1's stream
+    with pytest.raises(ValueError, match="seed must be"):
+        _rng.make_rng(seed)
+    with pytest.raises(ValueError, match="seed must be"):
+        gen_low_rank_theta(4, 1, seed)
+
+
+def test_make_rng_takes_numpy_ints_seed_sequences_and_generators():
+    expected = _rng.make_rng(7).random(4).tobytes()
+    for seed in (np.int64(7), np.uint8(7), np.random.SeedSequence(7)):
+        assert _rng.make_rng(seed).random(4).tobytes() == expected
+    rng = _rng.make_rng(7)
+    assert _rng.make_rng(rng) is rng

@@ -193,12 +193,11 @@ def test_pure_noise_stays_fully_truncated(monkeypatch):
         return hard_threshold_entries(u, threshold)
 
     monkeypatch.setattr(sparse, "hard_threshold_entries", counting)
-    est, trace = sparse_iht_run(inst, dec, SparseConfig(k_cap=2))
+    est, thresholds = sparse_iht_run(inst, dec, SparseConfig(k_cap=2))
     assert np.all(est == 0.0)
-    assert all(rec.support_size == 0 for rec in trace)
     # no entry ever reaches the threshold, so every iteration is idle and
     # the thresholding is skipped outright
-    assert len(trace) > 1
+    assert len(thresholds) > 1
     assert calls == []
 
 
@@ -208,13 +207,70 @@ def test_threshold_recursion_closed_form():
     k_cap, ups, t0 = 4, 0.2, 5.0
     gamma = 2.0 * dec.r_k(k_cap)
     assert 0.0 < gamma < 1.0
-    _, trace = sparse_iht_run(inst, dec,
-                              SparseConfig(k_cap=k_cap, upsilon=ups, t0=t0))
-    assert len(trace) == max(1, math.ceil(math.log(600) / math.log(1.0 / gamma)))
+    _, thresholds = sparse_iht_run(inst, dec,
+                                   SparseConfig(k_cap=k_cap, upsilon=ups, t0=t0))
+    assert len(thresholds) == max(1, math.ceil(math.log(600) / math.log(1.0 / gamma)))
     plateau = ups / (1.0 - gamma)
-    for rec in trace:
-        closed = gamma ** rec.iteration * (t0 - plateau) + plateau
-        assert rec.threshold == pytest.approx(closed, rel=1e-12)
+    for r, threshold in enumerate(thresholds, start=1):
+        closed = gamma ** r * (t0 - plateau) + plateau
+        assert threshold == pytest.approx(closed, rel=1e-12)
+
+
+def _plain_sparse_loop(inst, dec, config):
+    # the scheme as stated, with no idle skip: every iteration recomputes the
+    # backprojection at the current estimate and thresholds it
+    n, p = inst.n, inst.p
+    k_cap = config.k_cap if config.k_cap is not None else largest_feasible_k(dec, p)
+    gamma = 2.0 * dec.r_k(k_cap)
+    ups = config.upsilon
+    if ups is None:
+        ups = 2.0 * math.sqrt(float(dec.vsv_diag.max()) * math.log(p / config.delta) / n)
+    t = config.t0
+    if t is None:
+        t = float(np.max(np.abs(dec.v @ (inst.x.T @ inst.y) / n))) + 2.0 * ups
+    iters = 1 if gamma == 0.0 else max(1, math.ceil(math.log(n) / math.log(1.0 / gamma)))
+    vxt = dec.v @ inst.x.T
+    theta = np.zeros(p)
+    thresholds = []
+    for _ in range(iters):
+        t = gamma * t + ups
+        thresholds.append(t)
+        theta = theta + hard_threshold_entries(vxt @ (inst.y - inst.x @ theta) / n, t)
+    return theta, iters, np.array(thresholds)
+
+
+def test_sparse_run_equals_the_plain_loop():
+    cases = [(gen_sparse_instance(400, 100, 3, 1.0, seed), SparseConfig())
+             for seed in range(20)]
+    cases.append((gen_sparse_instance(600, 40, 2, 1.0, 31),
+                  SparseConfig(k_cap=4, upsilon=0.2, t0=5.0)))
+    # X = 2 I makes Sigma_hat the identity exactly, so gamma = 0
+    x = 2.0 * np.eye(4)
+    cases.append((SparseInstance(x=x, y=x @ np.array([0.0, 2.0, 0.0, -1.5])),
+                  SparseConfig(upsilon=0.0, t0=1.0)))
+    for inst, config in cases:
+        dec = build_decorrelator(inst.x)
+        theta, thresholds = sparse_iht_run(inst, dec, config)
+        plain_theta, iters, plain_thresholds = _plain_sparse_loop(inst, dec, config)
+        assert thresholds.dtype == np.float64
+        assert len(thresholds) == iters
+        assert theta.tobytes() == plain_theta.tobytes()
+        assert thresholds.tobytes() == plain_thresholds.tobytes()
+    # the last case is the orthogonal one: gamma = 0, a single iteration
+    assert dec.r_k(4) == 0.0 and iters == 1
+
+
+def test_worst_default_cell_seed_runs_its_full_count_at_eight_bytes_each():
+    # seed 1642 of the default sparse cell certifies K = 3 with
+    # 2 r_K = 0.9999957, so the fixed count is 1,399,125 iterations; the
+    # threshold's fixed point lies far above every backprojected entry, so
+    # nothing ever survives and the estimate stays zero
+    inst = gen_sparse_instance(400, 100, 3, 1.0, 1642)
+    dec = build_decorrelator(inst.x)
+    theta, thresholds = sparse_iht_run(inst, dec)
+    assert thresholds.dtype == np.float64
+    assert len(thresholds) == 1_399_125
+    assert np.all(theta == 0.0)
 
 
 def test_assumption_violation_raised():
@@ -234,9 +290,9 @@ def test_final_error_within_twice_final_threshold():
         inst = gen_sparse_instance(600, 40, 2, 0.5, seed)
         dec = build_decorrelator(inst.x)
         k_cap = largest_feasible_k(dec, 4)
-        est, trace = sparse_iht_run(inst, dec, SparseConfig(k_cap=k_cap))
+        est, thresholds = sparse_iht_run(inst, dec, SparseConfig(k_cap=k_cap))
         err = float(np.max(np.abs(est - inst.theta_truth)))
-        limit = 2.0 * trace[-1].threshold
+        limit = 2.0 * thresholds[-1]
         assert err <= limit
         # coordinates above the detection limit cannot be missed
         detectable = set(np.nonzero(np.abs(inst.theta_truth) > limit)[0])
