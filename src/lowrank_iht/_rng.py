@@ -29,8 +29,11 @@ from ._checks import check_int
 
 __all__ = ["make_rng", "standard_normal"]
 
-# below this many normals one sequential draw is cheaper than a thread
-_SPLIT_MIN = 2 ** 18
+# below this many normals one sequential draw is cheaper than a thread: on
+# 2 vCPUs the OpenBLAS workers of the last BLAS call still spin on the second
+# core, so a split draw of the default grids' 0.4M-0.8M normals lost to one
+# call, while the 16.4M normals of a d=64, n=4000 design still gain
+_SPLIT_MIN = 2 ** 20
 # float64 entries (1 MiB) moved per slice while closing the seam
 _SHIFT_CHUNK = 2 ** 17
 
@@ -68,7 +71,7 @@ def _entered_at(seed, word: int) -> np.random.Generator:
 
 def standard_normal(seed, shape: tuple) -> np.ndarray:
     """Exactly ``make_rng(seed).standard_normal(shape)``, drawn on two threads
-    when that pays: at least 2**18 normals, an int or SeedSequence seed, and
+    when that pays: at least 2**20 normals, an int or SeedSequence seed, and
     more than one usable CPU. A Generator seed is drawn from in place, so its
     state advances as it would by the single call.
     """

@@ -33,7 +33,7 @@ import numpy as np
 from ._checks import check_float, check_int
 from .iht import IhtConfig, run_iht
 from .inference import confidence_intervals
-from .linalg import entrywise_inf_norm, schatten_norm
+from .linalg import _singular_values, entrywise_inf_norm
 from .quantum import simulate_dataset, gen_density_matrix
 from .sparse import (
     SparseConfig,
@@ -108,6 +108,10 @@ class ExperimentConfig:
             raise ConfigError("noise_std must be nonnegative and finite")
         if not 0 < self.level < 1:
             raise ConfigError("level must lie in (0, 1)")
+        if not isinstance(self.two_sided_correct, bool):
+            # a string such as "false" would otherwise count as true
+            raise ConfigError(f"two_sided_correct must be true or false, "
+                              f"got {self.two_sided_correct!r}")
         if self.design not in ("gaussian", "basis"):
             raise ConfigError(f"design must be gaussian or basis, got {self.design!r}")
         for name in ("d_values", "k_values", "n_values", "m_values", "p_values"):
@@ -132,6 +136,10 @@ class ExperimentConfig:
             raise ConfigError("matrix_sim with gaussian design requires n_values")
         if self.mode == "sparse" and min(self.n_values) < 2:
             raise ConfigError(f"sparse mode needs every n >= 2, got {min(self.n_values)}")
+        k_cap = self.sparse_estimator.k_cap
+        if self.mode == "sparse" and k_cap is not None and k_cap > min(self.p_values):
+            raise ConfigError(f"sparse_estimator.k_cap={k_cap} exceeds the "
+                              f"smallest p={min(self.p_values)}")
         for cell in self.cells():
             if self.mode == "matrix_sim" and cell["k"] > cell["d"]:
                 raise ConfigError(f"k={cell['k']} exceeds d={cell['d']}")
@@ -190,11 +198,14 @@ def compute_metrics(theta_hat, theta):
     if theta_hat.shape != theta.shape:
         raise ValueError("shapes differ")
     diff = theta_hat - theta
+    # one singular-value computation serves both Schatten norms, with the
+    # bits of schatten_norm(diff, "operator") and schatten_norm(diff, 1.0)
+    s = _singular_values(diff)
     return (
         float(np.sum(np.abs(diff) ** 2)),
-        schatten_norm(diff, "operator"),
+        float(s[0]),
         entrywise_inf_norm(diff),
-        schatten_norm(diff, 1.0),
+        float(np.sum(s)),
     )
 
 

@@ -58,8 +58,11 @@ def entry_scale_matrix(batch: DesignBatch) -> np.ndarray:
     total = None
     for start in range(0, batch.n, rows):
         chunk = x[start:start + rows]
-        block = np.abs(chunk, out=buf[:chunk.shape[0]])
-        np.square(block, out=block)
+        block = buf[:chunk.shape[0]]
+        if np.iscomplexobj(chunk):
+            np.square(np.abs(chunk, out=block), out=block)
+        else:
+            np.square(chunk, out=block)  # x * x is |x|^2 bit for bit
         if total is not None:
             block[0] += total
         total = np.add.reduce(block, axis=0)

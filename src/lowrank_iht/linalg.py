@@ -101,11 +101,16 @@ def svd(a) -> SvdFactors:
     v = vh.conj().T.copy()
     cols = np.flatnonzero(s != 0.0)
     pivot = u[np.argmax(np.abs(u[:, cols]), axis=0), cols]
-    # hypot, like abs() of a complex scalar; numpy's vectorised complex abs
-    # rounds differently and would change the phases in the last bit
-    mag = np.hypot(pivot.real, pivot.imag)
-    keep = mag > 0.0
-    phase = np.conj(pivot[keep] / mag[keep])
+    if np.iscomplexobj(pivot):
+        # hypot, like abs() of a complex scalar; numpy's vectorised complex
+        # abs rounds differently and would change the phases in the last bit
+        mag = np.hypot(pivot.real, pivot.imag)
+        keep = mag > 0.0
+        phase = np.conj(pivot[keep] / mag[keep])
+    else:
+        # a real pivot over its modulus is exactly its sign
+        keep = pivot != 0.0
+        phase = np.sign(pivot[keep])
     u[:, cols[keep]] *= phase
     v[:, cols[keep]] *= phase
     nzero = int(np.count_nonzero(s == 0.0))

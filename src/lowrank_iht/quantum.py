@@ -56,12 +56,14 @@ _PAULI = (
 )
 
 _ISQRT2 = 1.0 / math.sqrt(2.0)
-# columns are the +1 and -1 eigenvectors of the indexed Pauli
-_EIGVECS = {
-    1: np.array([[_ISQRT2, _ISQRT2], [_ISQRT2, -_ISQRT2]], dtype=np.complex128),
-    2: np.array([[_ISQRT2, _ISQRT2], [1.0j * _ISQRT2, -1.0j * _ISQRT2]], dtype=np.complex128),
-    3: np.eye(2, dtype=np.complex128),
-}
+# entry s has as columns the +1 and -1 eigenvectors of Pauli s; an identity
+# qubit (s = 0) takes Z's, and _outcome_distribution moves its mass onto +1
+_EIGVECS = np.array([
+    np.eye(2),
+    [[_ISQRT2, _ISQRT2], [_ISQRT2, -_ISQRT2]],
+    [[_ISQRT2, _ISQRT2], [1.0j * _ISQRT2, -1.0j * _ISQRT2]],
+    np.eye(2),
+], dtype=np.complex128)
 
 _LETTER = {0: "I", 1: "X", 2: "Y", 3: "Z"}
 _INDEX = {v: k for k, v in _LETTER.items()}
@@ -195,14 +197,34 @@ def outcome_distribution(setting: PauliSetting, theta) -> np.ndarray:
     return _outcome_distribution(setting, _check_density(theta))
 
 
-def _outcome_distribution(setting: PauliSetting, theta: np.ndarray) -> np.ndarray:
-    """outcome_distribution for a theta that already passed _check_density."""
+def _kron_rows(factors: np.ndarray) -> np.ndarray:
+    """(N, 2^m, 2^m) Kronecker products of (N, m, 2, 2) factors, taken one
+    qubit at a time over all N rows, qubit 1 leftmost: row i has the bits of
+    reduce(np.kron, factors[i])."""
+    count, m = factors.shape[:2]
+    rows = factors[:, 0]
+    for q in range(1, m):
+        side = 2 ** (q + 1)
+        rows = (rows[:, :, None, :, None]
+                * factors[:, q, None, :, None, :]).reshape(count, side, side)
+    return rows
+
+
+def _rotations(settings) -> np.ndarray:
+    """(N, 2^m, 2^m) joint eigenbases of N settings with equal m."""
+    return _kron_rows(_EIGVECS[np.array([s.qubits for s in settings])])
+
+
+def _outcome_distribution(setting: PauliSetting, theta: np.ndarray,
+                          u: np.ndarray | None = None) -> np.ndarray:
+    """outcome_distribution for a theta that already passed _check_density;
+    ``u`` is the setting's rotation when the caller built it already."""
     m = setting.m
     if theta.shape[0] != 2 ** m:
         raise ValueError(f"density matrix is {theta.shape[0]}x{theta.shape[0]}, "
                          f"setting has {m} qubits")
-    u = reduce(np.kron, [_EIGVECS[s] if s != 0 else _EIGVECS[3]
-                         for s in setting.qubits])
+    if u is None:
+        u = _rotations((setting,))[0]
     rotated = u.conj().T @ theta @ u
     p = np.real(np.diag(rotated)).copy()
     if any(s == 0 for s in setting.qubits):
@@ -223,22 +245,22 @@ def _outcome_distribution(setting: PauliSetting, theta: np.ndarray) -> np.ndarra
 
 def sample_outcomes(setting: PauliSetting, theta, repetitions: int, seed) -> OutcomeBatch:
     """T i.i.d. outcome vectors drawn by inverse CDF over the ordered table."""
-    return _sample_outcomes(setting, _check_density(theta), repetitions, seed)
-
-
-def _sample_outcomes(setting: PauliSetting, theta: np.ndarray, repetitions: int,
-                     seed) -> OutcomeBatch:
-    """sample_outcomes for a theta that already passed _check_density."""
     if repetitions < 1:
         raise ValueError("repetitions must be at least 1")
-    p = _outcome_distribution(setting, theta)
+    p = _outcome_distribution(setting, _check_density(theta))
+    return _sample_outcomes(setting, p, repetitions, seed, outcome_table(setting.m))
+
+
+def _sample_outcomes(setting: PauliSetting, p: np.ndarray, repetitions: int, seed,
+                     table: np.ndarray) -> OutcomeBatch:
+    """sample_outcomes from the setting's distribution p and outcome_table(m)."""
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
     rng = make_rng(seed)
     draws = rng.random(repetitions)
     idx = np.searchsorted(cdf, draws, side="right")
     np.clip(idx, 0, p.size - 1, out=idx)
-    return OutcomeBatch(setting=setting, outcomes=outcome_table(setting.m)[idx])
+    return OutcomeBatch(setting=setting, outcomes=table[idx])
 
 
 def parity(outcome) -> np.ndarray:
@@ -339,12 +361,7 @@ class TomographyDataset:
         rows are scaled by c_E."""
         qubits = np.array([s.qubits for s in self.settings])
         words = np.where(_subset_drops(self.m), 0, qubits[:, None, :]).reshape(self.n, self.m)
-        paulis = np.array(_PAULI)
-        rows = paulis[words[:, 0]]
-        for q in range(1, self.m):
-            side = 2 ** (q + 1)
-            rows = (rows[:, :, None, :, None]
-                    * paulis[words[:, q]][:, None, :, None, :]).reshape(self.n, side, side)
+        rows = _kron_rows(np.array(_PAULI)[words])
         rows *= np.tile(_subset_scales(self.m), len(self.settings))[:, None, None]
         return rows
 
@@ -405,7 +422,8 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
 
     Per-setting sampling seeds are spawned from the master seed, so settings
     could be simulated in parallel without changing the result. theta is
-    validated once here, not once per setting.
+    validated once here, not once per setting; the settings' rotations are
+    built in one batched Kronecker pass and the outcome table once.
     """
     theta = _check_density(theta)
     d = theta.shape[0]
@@ -415,8 +433,12 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     setting_seed, *sample_seeds = root.spawn(n_settings + 1)
     settings = gen_random_settings(n_settings, m, setting_seed)
-    batches = [_sample_outcomes(s, theta, repetitions, child)
-               for s, child in zip(settings, sample_seeds)]
+    if repetitions < 1:
+        raise ValueError("repetitions must be at least 1")
+    table = outcome_table(m)
+    batches = [_sample_outcomes(s, _outcome_distribution(s, theta, u), repetitions,
+                                child, table)
+               for s, u, child in zip(settings, _rotations(settings), sample_seeds)]
     return build_rescaled_dataset(settings, batches)
 
 

@@ -131,11 +131,14 @@ def estimate_r_k(v: np.ndarray, sigma_hat: np.ndarray, k: int) -> float:
     """
     v = np.asarray(v, dtype=np.float64)
     sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
-    p = sigma_hat.shape[0]
+    return _top_k_row_sum(np.abs(v @ sigma_hat - np.eye(sigma_hat.shape[0])), k)
+
+
+def _top_k_row_sum(absm: np.ndarray, k: int) -> float:
+    """Largest sum of the k largest entries of a row of the (p, p) |M|."""
+    p = absm.shape[0]
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
-    m = v @ sigma_hat - np.eye(p)
-    absm = np.abs(m)
     if k < p:
         top = np.partition(absm, p - k, axis=1)[:, p - k:]
     else:
@@ -148,8 +151,10 @@ class Decorrelator:
     """V together with the covariance it was certified against.
 
     certified_r caches exact r_k values; r_k() computes missing ones on
-    demand (cached in place, values are pure functions of V and Sigma), and
-    vsv_diag is likewise computed on first use.
+    demand (cached in place, values are pure functions of V and Sigma) from
+    |V Sigma - I|, which is formed once for all levels, and vsv_diag is
+    likewise computed on first use. When V is the identity, ``apply``,
+    ``vsv_diag`` and r_k skip the products with it and return the same bits.
     """
 
     v: np.ndarray
@@ -171,14 +176,31 @@ class Decorrelator:
         return self.v.shape[0]
 
     @cached_property
+    def _is_identity(self) -> bool:
+        return np.array_equal(self.v, np.eye(self.p))
+
+    def apply(self, m: np.ndarray) -> np.ndarray:
+        """V @ m, C-ordered. For V = I this is a copy of m plus 0.0, which
+        turns -0.0 into +0.0 as the zero terms of np.eye(p) @ m do."""
+        if self._is_identity:
+            return np.add(m, 0.0, order="C")
+        return self.v @ m
+
+    @cached_property
     def vsv_diag(self) -> np.ndarray:
         """diag(V Sigma V^T), computed once: the noise floor and every
         interval half-width read it."""
+        if self._is_identity:
+            return np.diag(self.sigma_hat).copy()
         return np.einsum("ij,jk,ik->i", self.v, self.sigma_hat, self.v)
+
+    @cached_property
+    def _abs_gap(self) -> np.ndarray:
+        return np.abs(self.apply(self.sigma_hat) - np.eye(self.p))
 
     def r_k(self, k: int) -> float:
         if k not in self.certified_r:
-            self.certified_r[k] = estimate_r_k(self.v, self.sigma_hat, k)
+            self.certified_r[k] = _top_k_row_sum(self._abs_gap, k)
         return self.certified_r[k]
 
 
@@ -317,11 +339,11 @@ def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
     if config.t0 is not None:
         t = config.t0
     else:
-        t = float(np.max(np.abs(dec.v @ (instance.x.T @ instance.y) / n))) + 2.0 * ups
+        t = float(np.max(np.abs(dec.apply(instance.x.T @ instance.y) / n))) + 2.0 * ups
     iters = 1 if gamma == 0.0 else max(1, math.ceil(math.log(n) / math.log(1.0 / gamma)))
     theta = np.zeros(p)
     thresholds = np.empty(iters)
-    vxt = dec.v @ instance.x.T
+    vxt = dec.apply(instance.x.T)
     backproj = None
     for r in range(iters):
         t = gamma * t + ups
@@ -342,7 +364,7 @@ def desparsify(theta_hat_r: np.ndarray, instance: SparseInstance,
     if theta_hat_r.shape != (instance.p,):
         raise ValueError(f"estimate must have length {instance.p}")
     resid = instance.y - instance.x @ theta_hat_r
-    return theta_hat_r + dec.v @ (instance.x.T @ resid) / instance.n
+    return theta_hat_r + dec.apply(instance.x.T @ resid) / instance.n
 
 
 def sparse_sigma(instance: SparseInstance, theta: np.ndarray) -> float:
@@ -377,8 +399,8 @@ def sparse_decomposition_terms(theta_hat_r: np.ndarray, instance: SparseInstance
         raise ValueError("instance must carry theta_truth and realized_noise")
     root_n = math.sqrt(instance.n)
     diff = np.asarray(theta_hat_r, dtype=np.float64) - instance.theta_truth
-    remainder = root_n * (diff - dec.v @ (dec.sigma_hat @ diff))
-    noise_term = dec.v @ (instance.x.T @ instance.realized_noise) / root_n
+    remainder = root_n * (diff - dec.apply(dec.sigma_hat @ diff))
+    noise_term = dec.apply(instance.x.T @ instance.realized_noise) / root_n
     total = root_n * (desparsify(theta_hat_r, instance, dec) - instance.theta_truth)
     return remainder, noise_term, total
 

@@ -172,7 +172,9 @@ def adjoint_apply(batch: DesignBatch, v) -> np.ndarray:
         raise ValueError(f"weight vector length {v.shape} does not match n={batch.n}")
     if not np.all(np.isfinite(v)):
         raise ValueError("weights must be finite")
-    return np.tensordot(v, batch.matrices, axes=(0, 0)) / batch.n
+    n, d = batch.n, batch.dim
+    # one gemv over the flattened rows: the bits of np.tensordot(v, X, 1)
+    return (v @ batch.matrices.reshape(n, d * d)).reshape(d, d) / n
 
 
 def isometry_deviation(batch: DesignBatch, a) -> float:

@@ -107,6 +107,8 @@ _NAN, _INF = float("nan"), float("inf")
     ("simulate-matrix", {"iht": {"max_iters": True}}),
     ("simulate-sparse", {"sparse_estimator": {"k_cap": True}}),
     ("simulate-sparse", {"n_values": [1]}),
+    ("simulate-matrix", {"two_sided_correct": "false"}),
+    ("simulate-sparse", {"p_values": [20], "sparse_estimator": {"k_cap": 50}}),
 ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
 def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command, override):
     config = tmp_path / "c.json"

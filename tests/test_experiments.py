@@ -13,6 +13,7 @@ from lowrank_iht.experiments import (
     run_experiment,
 )
 from lowrank_iht.experiments import _rep_seed
+from lowrank_iht.linalg import schatten_norm
 from lowrank_iht.sparse import (
     build_decorrelator,
     desparsify,
@@ -34,15 +35,25 @@ def test_compute_metrics_hand_example():
     assert s1 == pytest.approx(5.0, rel=1e-12)
     with pytest.raises(ValueError):
         compute_metrics(np.zeros((2, 2)), np.zeros((3, 3)))
+    # the input checks of schatten_norm still apply
+    with pytest.raises(ValueError, match="finite"):
+        compute_metrics(np.full((2, 2), np.nan), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="2-D"):
+        compute_metrics(np.zeros(3), np.zeros(3))
 
 
 def test_compute_metrics_against_numpy_oracles():
     rng = np.random.default_rng(3)
-    for _ in range(5):
+    for trial in range(8):
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         b = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        if trial % 2:
+            a, b = a.real, b.real
         fro_sq, op, ent, s1 = compute_metrics(a, b)
         diff = a - b
+        # one singular-value computation gives both Schatten norms' bits
+        assert op == schatten_norm(diff, "operator")
+        assert s1 == schatten_norm(diff, 1.0)
         svals = np.linalg.svd(diff, compute_uv=False)
         assert fro_sq == pytest.approx(float(np.sum(np.abs(diff) ** 2)), rel=1e-10)
         assert op == pytest.approx(float(svals[0]), rel=1e-10)
@@ -159,10 +170,10 @@ def test_run_twice_is_byte_identical(tmp_path):
 
 
 def test_workers_do_not_change_outputs(tmp_path):
-    # d=16, n=1100 draws 281,600 normals per design: above the size at which
-    # the design is drawn on two threads, here inside each pool worker
-    assert 1100 * 16 * 16 >= _rng._SPLIT_MIN
-    split = functools.partial(_matrix_config, d_values=(16,), n_values=(1100,))
+    # d=32, n=1100 draws 1,126,400 normals per design: above the size at
+    # which the design is drawn on two threads, here inside each pool worker
+    assert 1100 * 32 * 32 >= _rng._SPLIT_MIN
+    split = functools.partial(_matrix_config, d_values=(32,), n_values=(1100,))
     for name, make, files in (
             ("small", _matrix_config, ()),
             ("split", split, ()),

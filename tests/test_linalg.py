@@ -88,6 +88,15 @@ def test_svd_phases_are_bitwise_equal_to_the_column_loop(kind):
             assert f.right.tobytes() == v.tobytes()
 
 
+def test_real_svd_phase_is_the_hypot_phase():
+    # a real pivot's phase is its sign, bit for bit the complex formula
+    rng = np.random.default_rng(12)
+    pivot = np.concatenate([rng.standard_normal(1000),
+                            [1e-300, -1e-300, 5e-324, -5e-324, 1e300, -1e300]])
+    hypot = np.conj(pivot / np.hypot(pivot.real, pivot.imag))
+    assert np.sign(pivot).tobytes() == hypot.tobytes()
+
+
 def test_svd_zero_matrix_gets_canonical_basis():
     f = svd(np.zeros((3, 3)))
     np.testing.assert_allclose(f.singular_values, 0.0)

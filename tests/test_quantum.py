@@ -416,19 +416,54 @@ def test_simulate_dataset_determinism():
 
 
 def test_simulate_dataset_checks_theta_once(monkeypatch):
-    checked = []
-    check = quantum._check_density
+    checked, tables = [], []
+    check, table = quantum._check_density, quantum.outcome_table
 
     def counting(theta):
         checked.append(theta)
         return check(theta)
 
+    def counting_table(m):
+        tables.append(m)
+        return table(m)
+
     monkeypatch.setattr(quantum, "_check_density", counting)
+    monkeypatch.setattr(quantum, "outcome_table", counting_table)
     theta = gen_density_matrix(8, 1, 61)
     ds = simulate_dataset(theta, 7, 6, 62)
     assert len(checked) == 1
+    assert tables == [3]
     monkeypatch.undo()
     assert np.array_equal(ds.y, simulate_dataset(theta, 7, 6, 62).y)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_batched_rotations_equal_the_kron_chain(m):
+    # every setting's joint eigenbasis, identity qubits included, against
+    # the one-setting Kronecker fold
+    rng = np.random.default_rng(70 + m)
+    settings = [PauliSetting(tuple(int(q) for q in row))
+                for row in rng.integers(0, 4, size=(40, m))]
+    settings.append(PauliSetting((0,) * m))
+    rotations = quantum._rotations(settings)
+    assert rotations.shape == (len(settings), 2 ** m, 2 ** m)
+    for setting, u in zip(settings, rotations):
+        chain = reduce(np.kron, [quantum._EIGVECS[s] for s in setting.qubits])
+        assert u.tobytes() == chain.tobytes()
+
+
+def test_simulate_dataset_equals_sampling_each_setting():
+    # the batched rotations and the shared outcome table against the public
+    # one-setting path, with the seeds simulate_dataset spawns
+    for m, count, reps, seed in ((1, 3, 5, 80), (3, 24, 30, 81), (5, 10, 64, 82)):
+        theta = gen_density_matrix(2 ** m, 2, seed)
+        ds = simulate_dataset(theta, count, reps, seed)
+        setting_seed, *sample_seeds = np.random.SeedSequence(seed).spawn(count + 1)
+        settings = gen_random_settings(count, m, setting_seed)
+        batches = [sample_outcomes(s, theta, reps, child)
+                   for s, child in zip(settings, sample_seeds)]
+        assert ds.y.tobytes() == build_rescaled_dataset(settings, batches).y.tobytes()
+        assert ds.settings == tuple(settings)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -8,10 +8,17 @@ import pytest
 from lowrank_iht import _rng
 from lowrank_iht.trace_model import gen_gaussian_design, gen_low_rank_theta
 
+_SPLIT_MIN = _rng._SPLIT_MIN
+_ROWS = _SPLIT_MIN // 256  # (_ROWS, 16, 16) holds exactly _SPLIT_MIN normals
 # below, at and just above the split size; odd totals; totals whose half is
-# not a multiple of 4 (131075, 131077); and two design shapes well above it
-_SHAPES = [(1023, 16, 16), (1024, 16, 16), (1025, 16, 16), (262145,),
-           (262150,), (3, 5, 17477), (2049, 8, 16), (500, 32, 32)]
+# not a multiple of 4; and two design shapes above it, the larger near twice
+_SHAPES = [(_ROWS - 1, 16, 16), (_ROWS, 16, 16), (_ROWS + 1, 16, 16),
+           (_SPLIT_MIN + 1,), (_SPLIT_MIN + 6,), (3, 5, _SPLIT_MIN // 15 + 2),
+           (2 * _ROWS + 1, 8, 16), (2000, 32, 32)]
+# sizes around the former split size 2**18, up to about 2**19 (the default
+# matrix grid draws 384,000 and 768,000 normals): each now takes one call
+_ONE_CALL_SHAPES = [(1023, 16, 16), (1024, 16, 16), (1025, 16, 16), (262145,),
+                    (262150,), (3, 5, 17477), (2049, 8, 16), (500, 32, 32)]
 
 
 def _seeds(count):
@@ -30,7 +37,7 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
 
 
-@pytest.mark.parametrize("shape", _SHAPES, ids=str)
+@pytest.mark.parametrize("shape", _SHAPES + _ONE_CALL_SHAPES, ids=str)
 def test_split_draw_is_byte_identical_to_one_draw(two_cpus, monkeypatch, shape):
     seams = []
     seam = _rng._seam
@@ -47,7 +54,8 @@ def test_split_draw_is_byte_identical_to_one_draw(two_cpus, monkeypatch, shape):
         assert out.tobytes() == _single(seed, shape).tobytes()
         cases += 1
     assert cases == 26
-    if np.prod(shape) < _rng._SPLIT_MIN:
+    if shape in _ONE_CALL_SHAPES or np.prod(shape) < _SPLIT_MIN:
+        assert np.prod(shape) < _SPLIT_MIN
         assert seams == []
     else:
         # every case went through the threads and proved its seam
@@ -65,7 +73,7 @@ def test_generator_seed_advances_exactly_as_one_draw(two_cpus):
 
 def test_unproved_seam_falls_back_to_the_head_generator(two_cpus, monkeypatch):
     monkeypatch.setattr(_rng, "_seam", lambda *args: None)
-    for shape in ((1025, 16, 16), (262150,), (500, 32, 32)):
+    for shape in ((_ROWS + 1, 16, 16), (_SPLIT_MIN + 6,), (2000, 32, 32)):
         for seed in _seeds(3):
             assert _rng.standard_normal(seed, shape).tobytes() == \
                 _single(seed, shape).tobytes()
@@ -80,7 +88,7 @@ def test_one_usable_cpu_takes_the_single_call(monkeypatch):
     monkeypatch.setattr(_rng.threading, "Thread", _NoThreads)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    shape = (500, 32, 32)
+    shape = (2000, 32, 32)
     assert _rng.standard_normal(7, shape).tobytes() == _single(7, shape).tobytes()
     # without CPU affinity the CPU count decides
     monkeypatch.delattr(os, "sched_getaffinity")
@@ -106,7 +114,7 @@ def test_head_thread_exception_reaches_the_caller(two_cpus, monkeypatch):
     monkeypatch.setattr(_rng, "make_rng", lambda seed: _HeadFails(make_rng(seed)))
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="head draw failed"):
-        _rng.standard_normal(3, (1025, 16, 16))
+        _rng.standard_normal(3, (_ROWS + 1, 16, 16))
     assert threading.active_count() == threads
 
 

@@ -99,8 +99,9 @@ def test_decorrelator_caches_certificates():
 
 
 def test_decorrelator_computes_vsv_diag_once(monkeypatch):
+    # a row-program V, since the identity reads diag(Sigma) without einsum
     inst = gen_sparse_instance(60, 8, 2, 1.0, 5)
-    dec = build_decorrelator(inst.x)
+    dec = build_decorrelator(inst.x, "row_program")
     expected = np.einsum("ij,jk,ik->i", dec.v, dec.sigma_hat, dec.v)
     calls = []
     einsum = np.einsum
@@ -117,6 +118,45 @@ def test_decorrelator_computes_vsv_diag_once(monkeypatch):
             np.sqrt(expected / inst.n) * ci.quantile).tobytes()
     assert calls == ["ij,jk,ik->i"]
     assert dec.vsv_diag.tobytes() == expected.tobytes()
+
+
+def test_identity_decorrelator_skips_products_with_the_same_bits(monkeypatch):
+    # apply, vsv_diag and r_k against the dense-identity formulas they replace
+    inst = gen_sparse_instance(200, 30, 3, 1.0, 8)
+    dec = build_decorrelator(inst.x)
+    eye = np.eye(inst.p)
+    expected_diag = np.einsum("ij,jk,ik->i", eye, dec.sigma_hat, eye)
+    expected_r = [estimate_r_k(eye, dec.sigma_hat, k) for k in range(1, inst.p + 1)]
+    products = []
+    monkeypatch.setattr(np, "einsum", lambda *args, **kw: products.append(args))
+    # a -0.0 entry comes back +0.0, as from the sum that eye @ m forms
+    small = Decorrelator(np.eye(4), np.eye(4), "identity")
+    signed = np.array([0.0, -0.0, 1.5, -2.5])
+    resid = inst.y - inst.x @ inst.theta_truth
+    for d, m in ((dec, inst.x.T @ inst.y), (dec, inst.x.T), (dec, dec.sigma_hat),
+                 (dec, inst.x.T @ resid), (small, signed),
+                 (small, signed[:, None] * np.ones((4, 3)))):
+        got = d.apply(m)
+        assert got.flags.c_contiguous and got is not m
+        assert got.tobytes() == (np.eye(d.p) @ m).tobytes()
+    assert dec.vsv_diag.tobytes() == expected_diag.tobytes()
+    assert [dec.r_k(k) for k in range(1, inst.p + 1)] == expected_r
+    assert products == []
+    with pytest.raises(ValueError, match="need 1 <= k <= p"):
+        dec.r_k(inst.p + 1)
+
+
+def test_decorrelator_forms_its_gap_once_for_every_level(monkeypatch):
+    inst = gen_sparse_instance(60, 8, 2, 1.0, 5)
+    for strategy in ("identity", "row_program"):
+        dec = build_decorrelator(inst.x, strategy)
+        gaps = []
+        absolute = np.abs
+        monkeypatch.setattr(np, "abs", lambda a: gaps.append(a.shape) or absolute(a))
+        values = [dec.r_k(k) for k in range(1, 9)]
+        monkeypatch.undo()
+        assert gaps == [(8, 8)]
+        assert values == [estimate_r_k(dec.v, dec.sigma_hat, k) for k in range(1, 9)]
 
 
 def test_row_program_approximates_inverse_when_well_conditioned():

@@ -81,6 +81,22 @@ def test_adjoint_apply_is_the_adjoint():
         assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
+@pytest.mark.parametrize("n, d, kind", [(1, 4, "real"), (1, 4, "complex"),
+                                         (700, 8, "complex"), (3000, 16, "real")])
+def test_adjoint_apply_has_the_bits_of_tensordot(n, d, kind):
+    # the flattened gemv against the contraction it replaced
+    rng = np.random.default_rng(n + d)
+    mats = rng.standard_normal((n, d, d))
+    if kind == "complex":
+        mats = mats + 1j * rng.standard_normal((n, d, d))
+    batch = DesignBatch(mats)
+    v = rng.standard_normal(n)
+    got = adjoint_apply(batch, v)
+    expected = np.tensordot(v, batch.matrices, axes=(0, 0)) / n
+    assert got.dtype == expected.dtype and got.shape == (d, d)
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_adjoint_apply_picks_out_single_row():
     batch = DesignBatch(np.random.default_rng(2).standard_normal((4, 3, 3)))
     v = np.zeros(4)
