@@ -14,7 +14,6 @@ from .linalg import (
     entrywise_inf_norm,
     hard_threshold_entries,
     hard_threshold_singular,
-    restricted_singular_bound,
     schatten_norm,
     svd,
 )
@@ -42,7 +41,6 @@ from .iht import (
     stopping_check,
     threshold_step,
     upsilon_r,
-    write_trace_csv,
 )
 from .inference import (
     EntrywiseResult,
@@ -56,15 +54,11 @@ from .quantum import (
     PauliSetting,
     TomographyDataset,
     build_rescaled_dataset,
-    eigenprojector,
     gen_density_matrix,
     gen_random_settings,
-    marginalize,
     outcome_distribution,
     parity,
-    pauli_matrix,
     sample_outcomes,
-    setting_projector,
     simulate_dataset,
 )
 from .sparse import (
@@ -74,7 +68,6 @@ from .sparse import (
     SparseInstance,
     build_decorrelator,
     desparsify,
-    estimate_r_k,
     gen_sparse_instance,
     largest_feasible_k,
     sparse_confidence_intervals,

@@ -36,7 +36,6 @@ __all__ = [
     "stopping_check",
     "schedule_iteration_bound",
     "run_iht",
-    "write_trace_csv",
 ]
 
 
@@ -127,7 +126,7 @@ class IhtState:
 
 def empirical_sigma(batch: DesignBatch, y, theta_hat) -> float:
     """Residual-based noise scale ||y - X(theta_hat)||_2 / sqrt(n)."""
-    values = _obs_values(y)
+    values = _obs_values(y, batch.n)
     resid = values - apply_design(batch, theta_hat)
     return float(np.linalg.norm(resid) / np.sqrt(batch.n))
 
@@ -195,10 +194,8 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
     When a RipEstimate at rank 2K is supplied, the contraction validity
     condition rho >= 4 sqrt(K) c(2K) is checked and recorded on the state.
     """
-    values = _obs_values(y)
+    values = _obs_values(y, batch.n)
     n, d = batch.n, batch.dim
-    if values.shape[0] != n:
-        raise ValueError("observation length does not match design batch")
     max_iters = config.max_iters if config.max_iters is not None else _default_max_iters(n)
     threshold = config.t0
     trace = []
@@ -247,12 +244,3 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
         raise StoppingBoundError(
             f"stopping bound violated: r={state.iteration} > {bound:.3f}")
     return estimate, state
-
-
-def write_trace_csv(state: IhtState, path):
-    """Per-iteration trace with columns iter, T_r, sigma_r, rank, residual_l2."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("iter,T_r,sigma_r,rank,residual_l2\n")
-        for rec in state.trace:
-            fh.write(f"{rec.iteration},{rec.threshold!r},{rec.sigma!r},"
-                     f"{rec.rank},{rec.residual_l2!r}\n")

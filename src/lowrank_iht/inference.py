@@ -32,7 +32,7 @@ __all__ = [
 
 def debias(batch: DesignBatch, y, theta_hat: np.ndarray) -> np.ndarray:
     """One-step bias correction theta_hat + adjoint(y - X(theta_hat))."""
-    values = _obs_values(y)
+    values = _obs_values(y, batch.n)
     resid = values - apply_design(batch, theta_hat)
     return theta_hat + adjoint_apply(batch, resid)
 
@@ -144,7 +144,7 @@ def decomposition_terms(batch: DesignBatch, y, theta_hat: np.ndarray,
     Their sum reproduces the debiased error exactly (up to floating point),
     which the estimator's tests pin down.
     """
-    values = _obs_values(y)
+    values = _obs_values(y, batch.n)
     root_n = np.sqrt(batch.n)
     diff = theta_hat - theta_true
     remainder = root_n * (diff - adjoint_apply(batch, apply_design(batch, diff)))

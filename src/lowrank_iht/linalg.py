@@ -20,8 +20,6 @@ __all__ = [
     "hard_threshold_singular",
     "schatten_norm",
     "entrywise_inf_norm",
-    "restricted_singular_bound",
-    "restricted_singular_bound_check",
 ]
 
 
@@ -177,46 +175,3 @@ def schatten_norm(a, p) -> float:
 def entrywise_inf_norm(a) -> float:
     """Largest entry modulus."""
     return float(np.max(np.abs(_as_matrix(a))))
-
-
-def _stack_vectors(vectors, dim: int) -> np.ndarray:
-    rows = []
-    for w in vectors:
-        w = np.asarray(w)
-        if w.ndim != 1 or w.shape[0] != dim:
-            raise ValueError("each vector must be 1-D of matching dimension")
-        rows.append(w)
-    if not rows:
-        return np.zeros((0, dim))
-    return np.stack(rows)
-
-
-def restricted_singular_bound(m, vectors) -> float:
-    """sup over unit u orthogonal to ``vectors`` and unit v of |u^H m v|.
-
-    Evaluated by projecting the rows of ``m`` onto the orthogonal complement of
-    span(vectors) and taking the operator norm. ``vectors`` must be
-    orthonormal (checked to 1e-8).
-    """
-    m = _as_matrix(m)
-    w = _stack_vectors(vectors, m.shape[0])
-    if w.shape[0]:
-        gram = w.conj() @ w.T
-        if np.max(np.abs(gram - np.eye(w.shape[0]))) > 1e-8:
-            raise ValueError("constraint vectors must be orthonormal")
-        m = m - w.conj().T @ (w @ m)
-    return schatten_norm(m, "operator")
-
-
-def restricted_singular_bound_check(m, j: int, vectors) -> bool:
-    """Check that the j-th singular value of ``m`` is bounded by the
-    restricted supremum over ``j - 1`` orthogonal directions (with 1e-8
-    numerical slack). Requires ``len(vectors) == j - 1``."""
-    m = _as_matrix(m)
-    s = _singular_values(m)
-    if not 1 <= j <= s.size:
-        raise ValueError(f"j must be in [1, {s.size}]")
-    vectors = list(vectors)
-    if len(vectors) != j - 1:
-        raise ValueError(f"need exactly {j - 1} constraint vectors for j={j}")
-    return bool(s[j - 1] <= restricted_singular_bound(m, vectors) + 1e-8)

@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
+from ._checks import check_int
 from ._rng import make_rng
 from .trace_model import DesignBatch, Observations
 
@@ -32,14 +32,10 @@ __all__ = [
     "PauliSetting",
     "OutcomeBatch",
     "TomographyDataset",
-    "pauli_matrix",
-    "eigenprojector",
-    "setting_projector",
     "outcome_table",
     "outcome_distribution",
     "sample_outcomes",
     "parity",
-    "marginalize",
     "gen_random_settings",
     "gen_density_matrix",
     "build_rescaled_dataset",
@@ -67,21 +63,6 @@ _EIGVECS = np.array([
 
 _LETTER = {0: "I", 1: "X", 2: "Y", 3: "Z"}
 _INDEX = {v: k for k, v in _LETTER.items()}
-
-
-def pauli_matrix(idx: int) -> np.ndarray:
-    if idx not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be 0..3, got {idx}")
-    return _PAULI[idx].copy()
-
-
-def eigenprojector(s: int, o: int) -> np.ndarray:
-    """Rank-one projector (I + o * sigma_s) / 2 onto the o-eigenspace."""
-    if s not in (1, 2, 3):
-        raise ValueError(f"Pauli index must be 1..3, got {s}")
-    if o not in (1, -1):
-        raise ValueError(f"outcome must be +1 or -1, got {o}")
-    return (np.eye(2, dtype=np.complex128) + o * _PAULI[s]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -138,24 +119,6 @@ class OutcomeBatch:
     @property
     def repetitions(self) -> int:
         return self.outcomes.shape[0]
-
-
-def setting_projector(setting: PauliSetting, outcome) -> np.ndarray:
-    """Kronecker product of per-qubit eigenprojectors, qubit 1 leftmost.
-
-    Index-0 qubits contribute the identity factor (their outcome is fixed at
-    +1 by convention and the supplied entry is ignored).
-    """
-    outcome = tuple(int(o) for o in outcome)
-    if len(outcome) != setting.m:
-        raise ValueError("outcome length does not match the setting")
-    factors = []
-    for s, o in zip(setting.qubits, outcome):
-        if s == 0:
-            factors.append(np.eye(2, dtype=np.complex128))
-        else:
-            factors.append(eigenprojector(s, o))
-    return reduce(np.kron, factors)
 
 
 def outcome_table(m: int) -> np.ndarray:
@@ -245,8 +208,7 @@ def _outcome_distribution(setting: PauliSetting, theta: np.ndarray,
 
 def sample_outcomes(setting: PauliSetting, theta, repetitions: int, seed) -> OutcomeBatch:
     """T i.i.d. outcome vectors drawn by inverse CDF over the ordered table."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
+    repetitions = check_int(repetitions, "repetitions")
     p = _outcome_distribution(setting, _check_density(theta))
     return _sample_outcomes(setting, p, repetitions, seed, outcome_table(setting.m))
 
@@ -267,36 +229,6 @@ def parity(outcome) -> np.ndarray:
     """Product of the per-qubit signs; last axis is the qubit axis."""
     arr = np.asarray(outcome)
     return arr.prod(axis=-1)
-
-
-def _as_mask(subset, m: int) -> int:
-    if isinstance(subset, (int, np.integer)):
-        mask = int(subset)
-        if not 0 <= mask < 2 ** m:
-            raise ValueError(f"subset mask {mask} out of range for m={m}")
-        return mask
-    mask = 0
-    for q in subset:
-        q = int(q)
-        if not 1 <= q <= m:
-            raise ValueError(f"qubit {q} outside 1..{m}")
-        mask |= 1 << (q - 1)
-    return mask
-
-
-def marginalize(setting: PauliSetting, outcome, subset):
-    """Replace the qubits in the subset by identity / forced +1.
-
-    The resulting pair describes what measuring the reduced setting directly
-    would have produced; marginal distributions agree exactly.
-    """
-    mask = _as_mask(subset, setting.m)
-    outcome = tuple(int(o) for o in outcome)
-    if len(outcome) != setting.m:
-        raise ValueError("outcome length does not match the setting")
-    qubits = tuple(0 if (mask >> i) & 1 else s for i, s in enumerate(setting.qubits))
-    new_outcome = tuple(1 if (mask >> i) & 1 else o for i, o in enumerate(outcome))
-    return PauliSetting(qubits), new_outcome
 
 
 def gen_random_settings(count: int, m: int, seed) -> list[PauliSetting]:
@@ -345,6 +277,7 @@ class TomographyDataset:
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "settings", settings)
+        object.__setattr__(self, "repetitions", check_int(self.repetitions, "repetitions"))
 
     @property
     def d(self) -> int:
@@ -425,6 +358,7 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     validated once here, not once per setting; the settings' rotations are
     built in one batched Kronecker pass and the outcome table once.
     """
+    repetitions = check_int(repetitions, "repetitions")
     theta = _check_density(theta)
     d = theta.shape[0]
     m = int(round(math.log2(d)))
@@ -433,8 +367,6 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     setting_seed, *sample_seeds = root.spawn(n_settings + 1)
     settings = gen_random_settings(n_settings, m, setting_seed)
-    if repetitions < 1:
-        raise ValueError("repetitions must be at least 1")
     table = outcome_table(m)
     batches = [_sample_outcomes(s, _outcome_distribution(s, theta, u), repetitions,
                                 child, table)

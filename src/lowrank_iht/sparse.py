@@ -30,14 +30,12 @@ __all__ = [
     "SparseConfig",
     "Decorrelator",
     "empirical_covariance",
-    "estimate_r_k",
     "build_decorrelator",
     "largest_feasible_k",
     "sparse_iht_run",
     "desparsify",
     "sparse_sigma",
     "sparse_confidence_intervals",
-    "sparse_decomposition_terms",
     "gen_sparse_instance",
 ]
 
@@ -122,18 +120,6 @@ def empirical_covariance(x: np.ndarray) -> np.ndarray:
     return x.T @ x / x.shape[0]
 
 
-def estimate_r_k(v: np.ndarray, sigma_hat: np.ndarray, k: int) -> float:
-    """Exact sup over k-sparse sign vectors u of ||(V Sigma - I) u||_inf.
-
-    The supremum is attained at u = +-1 on the k columns with the largest
-    |entries| of some row of M = V Sigma - I, so it equals the max over rows
-    of the sum of the k largest absolute entries.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
-    return _top_k_row_sum(np.abs(v @ sigma_hat - np.eye(sigma_hat.shape[0])), k)
-
-
 def _top_k_row_sum(absm: np.ndarray, k: int) -> float:
     """Largest sum of the k largest entries of a row of the (p, p) |M|."""
     p = absm.shape[0]
@@ -161,7 +147,7 @@ class Decorrelator:
     sigma_hat: np.ndarray
     construction: str
     mu: float | None = None
-    certified_r: dict = field(default_factory=dict)
+    certified_r: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         v = np.asarray(self.v, dtype=np.float64)
@@ -385,24 +371,6 @@ def sparse_confidence_intervals(theta_hat: np.ndarray, instance: SparseInstance,
     half = sigma_hat * np.sqrt(dec.vsv_diag / instance.n) * z
     return EntrywiseResult(estimate=theta_hat, half_width=half,
                            sigma=sigma_hat, level=level, quantile=z)
-
-
-def sparse_decomposition_terms(theta_hat_r: np.ndarray, instance: SparseInstance,
-                               dec: Decorrelator):
-    """Split sqrt(n) (desparsified - truth) into the remainder and noise parts.
-
-    Requires the instance to carry its truth and realized noise. Returns
-    (remainder, noise_term, total); remainder + noise_term equals total up to
-    floating point whenever Y = X theta + eps holds exactly.
-    """
-    if instance.theta_truth is None or instance.realized_noise is None:
-        raise ValueError("instance must carry theta_truth and realized_noise")
-    root_n = math.sqrt(instance.n)
-    diff = np.asarray(theta_hat_r, dtype=np.float64) - instance.theta_truth
-    remainder = root_n * (diff - dec.apply(dec.sigma_hat @ diff))
-    noise_term = dec.apply(instance.x.T @ instance.realized_noise) / root_n
-    total = root_n * (desparsify(theta_hat_r, instance, dec) - instance.theta_truth)
-    return remainder, noise_term, total
 
 
 def gen_sparse_instance(n: int, p: int, k: int, noise_std: float, seed) -> SparseInstance:

@@ -112,13 +112,18 @@ class RipEstimate:
     deviations: np.ndarray = field(repr=False)
 
 
-def _obs_values(y) -> np.ndarray:
-    if isinstance(y, Observations):
-        return y.values
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1:
+def _obs_values(y, n: int) -> np.ndarray:
+    """The observations ``y`` (an Observations or a vector) as a float64
+    vector, refused unless it is 1-D, of length n and finite."""
+    values = y.values if isinstance(y, Observations) else np.asarray(y, dtype=np.float64)
+    if values.ndim != 1:
         raise ValueError("expected a 1-D observation vector")
-    return y
+    if values.shape[0] != n:
+        raise ValueError(f"observation length {values.shape[0]} does not match "
+                         f"design batch n={n}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("observation values must be finite")
+    return values
 
 
 def apply_design(batch: DesignBatch, a) -> np.ndarray:

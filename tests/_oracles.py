@@ -1,0 +1,163 @@
+"""Reference implementations of the paper's identities, used only by tests.
+
+Each function here is a direct, unoptimised statement of a definition the
+estimator relies on: Pauli matrices and their eigenprojectors, outcome
+marginalization, the restricted singular-value bound, the sparse r_K
+supremum and the desparsified error split. Tests compare the package's
+production code against them; the package itself never calls them, so they
+are kept out of its public surface.
+"""
+
+from __future__ import annotations
+
+import math
+from functools import reduce
+
+import numpy as np
+
+from lowrank_iht.linalg import _as_matrix, _singular_values, schatten_norm
+from lowrank_iht.quantum import _PAULI, PauliSetting
+from lowrank_iht.sparse import Decorrelator, SparseInstance, _top_k_row_sum, desparsify
+
+
+# -- quantum ---------------------------------------------------------------
+
+def pauli_matrix(idx: int) -> np.ndarray:
+    """Pauli matrix I, X, Y or Z for index 0..3."""
+    if idx not in (0, 1, 2, 3):
+        raise ValueError(f"Pauli index must be 0..3, got {idx}")
+    return _PAULI[idx].copy()
+
+
+def eigenprojector(s: int, o: int) -> np.ndarray:
+    """Rank-one projector (I + o * sigma_s) / 2 onto the o-eigenspace."""
+    if s not in (1, 2, 3):
+        raise ValueError(f"Pauli index must be 1..3, got {s}")
+    if o not in (1, -1):
+        raise ValueError(f"outcome must be +1 or -1, got {o}")
+    return (np.eye(2, dtype=np.complex128) + o * _PAULI[s]) / 2.0
+
+
+def setting_projector(setting: PauliSetting, outcome) -> np.ndarray:
+    """Kronecker product of per-qubit eigenprojectors, qubit 1 leftmost.
+
+    Index-0 qubits contribute the identity factor (their outcome is fixed at
+    +1 by convention and the supplied entry is ignored).
+    """
+    outcome = tuple(int(o) for o in outcome)
+    if len(outcome) != setting.m:
+        raise ValueError("outcome length does not match the setting")
+    factors = []
+    for s, o in zip(setting.qubits, outcome):
+        if s == 0:
+            factors.append(np.eye(2, dtype=np.complex128))
+        else:
+            factors.append(eigenprojector(s, o))
+    return reduce(np.kron, factors)
+
+
+def _as_mask(subset, m: int) -> int:
+    if isinstance(subset, (int, np.integer)):
+        mask = int(subset)
+        if not 0 <= mask < 2 ** m:
+            raise ValueError(f"subset mask {mask} out of range for m={m}")
+        return mask
+    mask = 0
+    for q in subset:
+        q = int(q)
+        if not 1 <= q <= m:
+            raise ValueError(f"qubit {q} outside 1..{m}")
+        mask |= 1 << (q - 1)
+    return mask
+
+
+def marginalize(setting: PauliSetting, outcome, subset):
+    """Replace the qubits in the subset by identity / forced +1.
+
+    The resulting pair describes what measuring the reduced setting directly
+    would have produced; marginal distributions agree exactly.
+    """
+    mask = _as_mask(subset, setting.m)
+    outcome = tuple(int(o) for o in outcome)
+    if len(outcome) != setting.m:
+        raise ValueError("outcome length does not match the setting")
+    qubits = tuple(0 if (mask >> i) & 1 else s for i, s in enumerate(setting.qubits))
+    new_outcome = tuple(1 if (mask >> i) & 1 else o for i, o in enumerate(outcome))
+    return PauliSetting(qubits), new_outcome
+
+
+# -- linalg ----------------------------------------------------------------
+
+def _stack_vectors(vectors, dim: int) -> np.ndarray:
+    rows = []
+    for w in vectors:
+        w = np.asarray(w)
+        if w.ndim != 1 or w.shape[0] != dim:
+            raise ValueError("each vector must be 1-D of matching dimension")
+        rows.append(w)
+    if not rows:
+        return np.zeros((0, dim))
+    return np.stack(rows)
+
+
+def restricted_singular_bound(m, vectors) -> float:
+    """sup over unit u orthogonal to ``vectors`` and unit v of |u^H m v|.
+
+    Evaluated by projecting the rows of ``m`` onto the orthogonal complement of
+    span(vectors) and taking the operator norm. ``vectors`` must be
+    orthonormal (checked to 1e-8).
+    """
+    m = _as_matrix(m)
+    w = _stack_vectors(vectors, m.shape[0])
+    if w.shape[0]:
+        gram = w.conj() @ w.T
+        if np.max(np.abs(gram - np.eye(w.shape[0]))) > 1e-8:
+            raise ValueError("constraint vectors must be orthonormal")
+        m = m - w.conj().T @ (w @ m)
+    return schatten_norm(m, "operator")
+
+
+def restricted_singular_bound_check(m, j: int, vectors) -> bool:
+    """Check that the j-th singular value of ``m`` is bounded by the
+    restricted supremum over ``j - 1`` orthogonal directions (with 1e-8
+    numerical slack). Requires ``len(vectors) == j - 1``."""
+    m = _as_matrix(m)
+    s = _singular_values(m)
+    if not 1 <= j <= s.size:
+        raise ValueError(f"j must be in [1, {s.size}]")
+    vectors = list(vectors)
+    if len(vectors) != j - 1:
+        raise ValueError(f"need exactly {j - 1} constraint vectors for j={j}")
+    return bool(s[j - 1] <= restricted_singular_bound(m, vectors) + 1e-8)
+
+
+# -- sparse ----------------------------------------------------------------
+
+def estimate_r_k(v: np.ndarray, sigma_hat: np.ndarray, k: int) -> float:
+    """Exact sup over k-sparse sign vectors u of ||(V Sigma - I) u||_inf.
+
+    The supremum is attained at u = +-1 on the k columns with the largest
+    |entries| of some row of M = V Sigma - I, so it equals the max over rows
+    of the sum of the k largest absolute entries.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
+    return _top_k_row_sum(np.abs(v @ sigma_hat - np.eye(sigma_hat.shape[0])), k)
+
+
+def sparse_decomposition_terms(theta_hat_r: np.ndarray, instance: SparseInstance,
+                               dec: Decorrelator):
+    """Split sqrt(n) (desparsified - truth) into the remainder and noise parts.
+
+    Requires the instance to carry its truth and realized noise. Returns
+    (remainder, noise_term, total); remainder + noise_term equals total up to
+    floating point whenever Y = X theta + eps holds exactly.
+    """
+    if instance.theta_truth is None or instance.realized_noise is None:
+        raise ValueError("instance must carry theta_truth and realized_noise")
+    root_n = math.sqrt(instance.n)
+    diff = np.asarray(theta_hat_r, dtype=np.float64) - instance.theta_truth
+    remainder = root_n * (diff - dec.apply(dec.sigma_hat @ diff))
+    noise_term = dec.apply(instance.x.T @ instance.realized_noise) / root_n
+    total = root_n * (desparsify(theta_hat_r, instance, dec) - instance.theta_truth)
+    return remainder, noise_term, total

@@ -16,7 +16,6 @@ from lowrank_iht.iht import (
     stopping_check,
     threshold_step,
     upsilon_r,
-    write_trace_csv,
 )
 from lowrank_iht.linalg import hard_threshold_singular
 from lowrank_iht.quantum import gen_density_matrix, simulate_dataset
@@ -272,22 +271,6 @@ def test_config_validation():
         IhtConfig(max_iters=0)
     with pytest.raises(ValueError, match="must be an integer"):
         IhtConfig(max_iters=2.5)
-
-
-def test_trace_csv_round_trip(tmp_path):
-    d, n = 6, 150
-    theta = gen_low_rank_theta(d, 1, 35)
-    batch = gen_gaussian_design(n, d, 36)
-    obs = simulate_observations(batch, theta, 1.0, 37)
-    _, state = run_iht(batch, obs)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(state, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iter,T_r,sigma_r,rank,residual_l2"
-    assert len(lines) == 1 + len(state.trace)
-    first = lines[1].split(",")
-    assert int(first[0]) == 1
-    assert float(first[1]) == state.trace[0].threshold
 
 
 def test_estimate_never_gains_rank_above_kept_spectrum():

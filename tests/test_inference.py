@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lowrank_iht import inference
+from lowrank_iht import inference, trace_model
 from lowrank_iht.inference import (
     EntrywiseResult,
     confidence_intervals,
@@ -62,6 +62,30 @@ def test_decomposition_is_an_exact_identity():
         # noise term is sqrt(n) times the backprojected noise
         assert np.allclose(noise, math.sqrt(n) * adjoint_apply(batch, obs.noise),
                            atol=1e-10)
+
+
+def test_every_entry_point_refuses_a_malformed_observation_vector():
+    # a length-1 y would broadcast over all n rows and a NaN y would give a
+    # nan sigma; a valid vector comes back as the same array, so no output moves
+    theta = gen_low_rank_theta(4, 1, 3)
+    batch = gen_gaussian_design(100, 4, 1)
+    obs = simulate_observations(batch, theta, 1.0, 2)
+    entry_points = [
+        lambda y: empirical_sigma(batch, y, theta),
+        lambda y: debias(batch, y, theta),
+        lambda y: confidence_intervals(batch, y, theta),
+        lambda y: decomposition_terms(batch, y, theta, theta, obs.noise),
+        lambda y: run_iht(batch, y),
+    ]
+    malformed = [([5.0], "observation length"), (obs.values[:-1], "observation length"),
+                 (obs.values[:, None], "1-D"), (np.full(100, np.nan), "finite"),
+                 (np.r_[obs.values[:-1], np.inf], "finite")]
+    for call in entry_points:
+        for y, message in malformed:
+            with pytest.raises(ValueError, match=message):
+                call(y)
+    assert trace_model._obs_values(obs, 100) is obs.values
+    assert trace_model._obs_values(obs.values, 100) is obs.values
 
 
 def test_entry_scale_is_one_for_basis_design():

@@ -10,15 +10,19 @@ from hypothesis import given, settings, strategies as st
 
 from lowrank_iht import (
     DesignBatch,
+    SparseInstance,
     adjoint_apply,
     apply_design,
+    build_decorrelator,
     decomposition_terms,
     gen_density_matrix,
     gen_gaussian_design,
     gen_low_rank_theta,
+    gen_sparse_instance,
     run_iht,
     simulate_dataset,
     simulate_observations,
+    sparse_iht_run,
 )
 
 _FIXED = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -96,3 +100,17 @@ def test_debias_decomposition_identity_on_a_pauli_design(seed, k):
     eps = y - apply_design(batch, theta)
     remainder, noise_term, total = decomposition_terms(batch, y, theta_hat, theta, eps)
     assert np.allclose(remainder + noise_term, total, rtol=0, atol=1e-10)
+
+
+@_FIXED
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 4))
+def test_sparse_iht_run_is_coordinate_permutation_equivariant(seed, k):
+    # permuting X's columns and theta permutes the estimate; Sigma_hat and r_K
+    # are summed in another order, so equality holds to rounding, not bitwise
+    inst = gen_sparse_instance(400, 30, k, 1.0, seed)
+    perm = np.random.default_rng(seed).permutation(inst.p)
+    permuted = SparseInstance(x=inst.x[:, perm], y=inst.y, theta_truth=inst.theta_truth[perm])
+    theta, thresholds = sparse_iht_run(inst, build_decorrelator(inst.x))
+    theta_p, thresholds_p = sparse_iht_run(permuted, build_decorrelator(permuted.x))
+    assert np.allclose(thresholds_p, thresholds, rtol=1e-12, atol=0)
+    assert np.allclose(theta_p, theta[perm], rtol=1e-10, atol=1e-12)

@@ -12,21 +12,19 @@ from lowrank_iht.quantum import (
     TomographyDataset,
     _subset_scales,
     build_rescaled_dataset,
-    eigenprojector,
     gen_density_matrix,
     gen_random_settings,
     load_dataset,
-    marginalize,
     outcome_distribution,
     outcome_table,
     parity,
-    pauli_matrix,
     sample_outcomes,
     save_dataset,
-    setting_projector,
     simulate_dataset,
 )
 from lowrank_iht.trace_model import DesignBatch, apply_design, isometry_deviation
+
+from _oracles import eigenprojector, marginalize, pauli_matrix, setting_projector
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -435,6 +433,24 @@ def test_simulate_dataset_checks_theta_once(monkeypatch):
     assert tables == [3]
     monkeypatch.undo()
     assert np.array_equal(ds.y, simulate_dataset(theta, 7, 6, 62).y)
+
+
+def test_repetitions_must_be_a_positive_int(monkeypatch):
+    # a dataset with T = 0 would save a manifest that load_dataset refuses;
+    # simulate_dataset refuses a bad T before it samples any setting
+    setting = PauliSetting((1,))
+    theta = gen_density_matrix(2, 1, 65)
+    monkeypatch.setattr(quantum, "gen_random_settings",
+                        lambda *args: pytest.fail("settings were sampled"))
+    for bad in (0, -3, 2.5, True, "4"):
+        with pytest.raises(ValueError, match="repetitions must be"):
+            TomographyDataset(m=1, settings=(setting,), repetitions=bad, y=[1.0, 0.5])
+        with pytest.raises(ValueError, match="repetitions must be"):
+            simulate_dataset(theta, 2, bad, 66)
+        with pytest.raises(ValueError, match="repetitions must be"):
+            sample_outcomes(setting, theta, bad, 67)
+    ds = TomographyDataset(m=1, settings=(setting,), repetitions=np.int64(3), y=[1.0, 0.5])
+    assert type(ds.repetitions) is int and ds.repetitions == 3
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])

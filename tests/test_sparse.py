@@ -15,14 +15,14 @@ from lowrank_iht.sparse import (
     build_decorrelator,
     desparsify,
     empirical_covariance,
-    estimate_r_k,
     gen_sparse_instance,
     largest_feasible_k,
     sparse_confidence_intervals,
-    sparse_decomposition_terms,
     sparse_iht_run,
     sparse_sigma,
 )
+
+from _oracles import estimate_r_k, sparse_decomposition_terms
 
 
 def _r_k_oracle(v, sigma_hat, k):
@@ -96,6 +96,13 @@ def test_decorrelator_caches_certificates():
     assert dec.certified_r == {1: r1, 2: r2}
     r3 = dec.r_k(3)
     assert dec.certified_r[3] == r3
+
+
+def test_certificates_cannot_be_passed_in():
+    # a passed-in r_k would be trusted unchecked and set the contraction factor
+    x = np.random.default_rng(14).standard_normal((40, 5))
+    with pytest.raises(TypeError):
+        Decorrelator(np.eye(5), empirical_covariance(x), "identity", certified_r={1: 0.0})
 
 
 def test_decorrelator_computes_vsv_diag_once(monkeypatch):
