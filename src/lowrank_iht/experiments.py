@@ -296,21 +296,15 @@ def _sparse_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
         "coverage": float(np.mean(covered)),
         "mean_ci_length": float(np.mean(2.0 * intervals.half_width)),
         "runtime_ms": runtime_ms,
-        "coordinates": [
-            {**cell, "replicate": rep_idx, "j": j,
-             "theta_hat": float(intervals.estimate[j]),
-             "ci_lower": float(intervals.lower[j]),
-             "ci_upper": float(intervals.upper[j]),
-             "in_support": int(j in support_true)}
-            for j in range(p)
-        ],
+        "coordinates": (intervals.estimate, intervals.lower, intervals.upper, truth != 0),
     }
 
 
 class _Mode(NamedTuple):
     """How one mode fills metrics.csv: rows from ``replicate``, with the cell
     columns before ``replicate`` and the metric columns after it. A sparse
-    row also carries its ``coordinates`` rows for coordinates.csv."""
+    row also carries its ``coordinates`` for coordinates.csv: the arrays
+    theta_hat, ci_lower, ci_upper and in_support, indexed by j."""
 
     replicate: Callable[..., dict]
     cell_cols: tuple
@@ -367,6 +361,20 @@ def _write_csv(path, columns, rows):
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(row.get(col)) for col in columns) + "\n")
+
+
+def _write_coordinates(path, key_cols, rows):
+    """coordinates.csv: one line per (row, j), laid out as _write_csv lays
+    out dicts of the row's key columns, j and its ``coordinates`` arrays."""
+    with open(path, "w", newline="\n") as fh:
+        fh.write(SCHEMA_LINE + "\n")
+        fh.write(",".join([*key_cols, *_COORD_COLS]) + "\n")
+        for row in rows:
+            key = ",".join(_fmt(row[col]) for col in key_cols)
+            estimate, lower, upper, in_support = (a.tolist() for a in row["coordinates"])
+            fh.writelines(f"{key},{j},{est!r},{lo!r},{hi!r},{int(inside)}\n"
+                          for j, (est, lo, hi, inside)
+                          in enumerate(zip(estimate, lower, upper, in_support)))
 
 
 def read_csv(path):
@@ -435,16 +443,14 @@ def run_experiment(config: ExperimentConfig) -> dict:
     cell_cols = mode.cell_cols
     _ensure_outdir(config.output_dir)
     rows = _run_all(config)
-    coord_rows = [c for row in rows for c in row.pop("coordinates", ())]
     paths = {name: os.path.join(config.output_dir, f"{name}.csv")
              for name in ("metrics", "aggregate", "timings")}
     _write_csv(paths["metrics"], [*cell_cols, "replicate", *mode.metric_cols], rows)
     _write_aggregate(paths["aggregate"], rows, cell_cols, mode.metric_cols)
     _write_csv(paths["timings"], [*cell_cols, "replicate", "runtime_ms"], rows)
-    if coord_rows:
+    if rows and "coordinates" in rows[0]:
         paths["coordinates"] = os.path.join(config.output_dir, "coordinates.csv")
-        _write_csv(paths["coordinates"], [*cell_cols, "replicate", *_COORD_COLS],
-                   coord_rows)
+        _write_coordinates(paths["coordinates"], [*cell_cols, "replicate"], rows)
     return paths
 
 

@@ -16,7 +16,7 @@ recursion takes over from the second iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,16 +92,23 @@ class IterationRecord:
     clamped: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IhtState:
     """The result of a finished run.
 
     ``trace`` records one entry per performed iteration and is never empty;
     ``iteration``, ``threshold``, ``rank`` and ``final_sigma`` read its last
-    record.
+    record. ``batch`` is the run's design, ``y`` a copy of its observation
+    vector and ``residual`` is y - X(estimate), which
+    ``confidence_intervals`` reuses for the same batch, estimate and y
+    instead of recomputing it. ``estimate``, ``y`` and ``residual`` are
+    read-only, so the residual cannot go stale.
     """
 
     estimate: np.ndarray
+    batch: DesignBatch = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    residual: np.ndarray = field(repr=False)
     trace: tuple[IterationRecord, ...]
     converged: bool
     iteration_bound: float
@@ -175,7 +182,8 @@ def _default_max_iters(n: int) -> int:
 
 def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
             rip: RipEstimate | None = None):
-    """Run the full schedule; returns (estimate, state).
+    """Run the full schedule; returns (estimate, state), where estimate is
+    the state's read-only ``state.estimate``.
 
     sigma_r is measured at the incoming estimate, so the recorded sigma of
     iteration r is the residual scale before that iteration updated the
@@ -187,9 +195,14 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
     that exhausts max_iters without meeting the stopping rule is returned with
     converged=False rather than raising.
 
-    Each iteration makes one forward and one adjoint pass over the design:
-    the residual recorded after thresholding is the next iteration's input,
-    and the first iteration starts from y itself because X(0) = 0.
+    Each iteration makes at most one forward and one adjoint pass over the
+    design: the residual recorded after thresholding is the next iteration's
+    input. Since X(0) = 0, the first iteration starts from y itself, and an
+    iteration whose thresholded estimate has rank 0 sets its residual to y
+    without a forward pass. X*(y) is computed once and reused by every
+    iteration that starts from y. With the data-driven first threshold
+    sigma_1 + upsilon_1 the first estimate usually has rank 0, so a run of r
+    iterations then makes r - 1 forward and r - 1 adjoint passes.
 
     When a RipEstimate at rank 2K is supplied, the contraction validity
     condition rho >= 4 sqrt(K) c(2K) is checked and recorded on the state.
@@ -201,6 +214,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
     trace = []
     converged = False
     resid = values
+    backproj_y = None
     for iteration in range(1, max_iters + 1):
         sigma = float(np.linalg.norm(resid) / np.sqrt(n))
         ups = (config.upsilon if config.upsilon is not None
@@ -214,15 +228,21 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
             clamped = config.upsilon is None and t_new > threshold
             if not clamped:
                 threshold = t_new
-        backproj = adjoint_apply(batch, resid)
+        if resid is not values:
+            backproj = adjoint_apply(batch, resid)
+        elif backproj_y is None:
+            backproj = backproj_y = adjoint_apply(batch, values)
+        else:
+            backproj = backproj_y
         if iteration == 1:
             estimate = np.zeros_like(backproj)
         factors = hard_threshold_singular(estimate + backproj, threshold)
         estimate = factors.reconstruct()
-        resid = values - apply_design(batch, estimate)
+        rank = factors.rank()
+        resid = values if rank == 0 else values - apply_design(batch, estimate)
         trace.append(IterationRecord(
             iteration=iteration, threshold=threshold, sigma=sigma, upsilon=ups,
-            rank=factors.rank(), residual_l2=float(np.linalg.norm(resid)), clamped=clamped))
+            rank=rank, residual_l2=float(np.linalg.norm(resid)), clamped=clamped))
         if stopping_check(threshold, ups, config.rho, config.e):
             converged = True
             break
@@ -234,8 +254,15 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
     if rip is not None:
         k_half = rip.k / 2.0
         rho_ok = bool(config.rho >= 4.0 * math.sqrt(k_half) * rip.max_deviation)
-    state = IhtState(estimate=estimate, trace=tuple(trace), converged=converged,
-                     iteration_bound=bound, rho_condition_ok=rho_ok)
+    # the state keeps its own read-only copy of y, which is also the residual
+    # of a rank-0 estimate
+    y_copy = values.copy()
+    residual = y_copy if resid is values else resid
+    for array in (estimate, y_copy, residual):
+        array.setflags(write=False)
+    state = IhtState(estimate=estimate, batch=batch, y=y_copy, residual=residual,
+                     trace=tuple(trace), converged=converged, iteration_bound=bound,
+                     rho_condition_ok=rho_ok)
     if (converged and fixed_seed and config.upsilon > 0 and config.e >= 0.1
             and 10.0 * (1.0 - config.rho) * config.t0 >= config.upsilon
             and state.iteration > bound):

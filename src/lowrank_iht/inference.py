@@ -69,7 +69,7 @@ def entry_scale_matrix(batch: DesignBatch) -> np.ndarray:
     return np.sqrt(total / batch.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EntrywiseResult:
     """Debiased point estimate with per-entry interval half-widths, for the
     matrix estimator and for the sparse one's coordinates.
@@ -116,7 +116,9 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
 
     sigma defaults to the last recorded iteration sigma when a state is
     given (the scale the stopping rule actually certified), else to the
-    residual scale at theta_hat.
+    residual scale at theta_hat. When batch is the state's design, theta_hat
+    its estimate and y bit for bit its observation vector, debiasing reuses
+    the state's residual instead of a forward pass, with the same bits.
 
     The default quantile is q = z_level, which for a two-sided interval at
     level 0.95 actually delivers nominal 90% coverage; pass
@@ -131,7 +133,13 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
         raise ValueError("sigma must be nonnegative")
     q = ndtri((1.0 + level) / 2.0) if two_sided_correct else ndtri(level)
     half = sigma * entry_scale_matrix(batch) * q / np.sqrt(batch.n)
-    return EntrywiseResult(estimate=debias(batch, y, theta_hat), half_width=half,
+    values = _obs_values(y, batch.n)
+    if (state is not None and batch is state.batch and theta_hat is state.estimate
+            and values.tobytes() == state.y.tobytes()):
+        estimate = theta_hat + adjoint_apply(batch, state.residual)
+    else:
+        estimate = debias(batch, values, theta_hat)
+    return EntrywiseResult(estimate=estimate, half_width=half,
                            sigma=sigma, level=level, quantile=q)
 
 

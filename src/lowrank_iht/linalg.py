@@ -40,7 +40,7 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Thin SVD factors with a fixed sign/phase convention.
 
@@ -97,20 +97,18 @@ def svd(a) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge for shape {a.shape}") from exc
     v = vh.conj().T.copy()
-    cols = np.flatnonzero(s != 0.0)
-    pivot = u[np.argmax(np.abs(u[:, cols]), axis=0), cols]
+    # every column of u is a unit vector, so its pivot is nonzero; the columns
+    # of zero singular values are replaced by the completion below
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
     if np.iscomplexobj(pivot):
         # hypot, like abs() of a complex scalar; numpy's vectorised complex
         # abs rounds differently and would change the phases in the last bit
-        mag = np.hypot(pivot.real, pivot.imag)
-        keep = mag > 0.0
-        phase = np.conj(pivot[keep] / mag[keep])
+        phase = np.conj(pivot / np.hypot(pivot.real, pivot.imag))
     else:
         # a real pivot over its modulus is exactly its sign
-        keep = pivot != 0.0
-        phase = np.sign(pivot[keep])
-    u[:, cols[keep]] *= phase
-    v[:, cols[keep]] *= phase
+        phase = np.sign(pivot)
+    u *= phase
+    v *= phase
     nzero = int(np.count_nonzero(s == 0.0))
     if nzero:
         kept_u = [u[:, j] for j in range(s.size) if s[j] != 0.0]

@@ -53,7 +53,7 @@ _PAULI = (
 
 _ISQRT2 = 1.0 / math.sqrt(2.0)
 # entry s has as columns the +1 and -1 eigenvectors of Pauli s; an identity
-# qubit (s = 0) takes Z's, and _outcome_distribution moves its mass onto +1
+# qubit (s = 0) takes Z's, and _outcome_distributions moves its mass onto +1
 _EIGVECS = np.array([
     np.eye(2),
     [[_ISQRT2, _ISQRT2], [_ISQRT2, -_ISQRT2]],
@@ -98,7 +98,7 @@ class PauliSetting:
             raise ValueError(f"unknown Pauli letter in {label!r}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OutcomeBatch:
     """T repeated sign vectors observed under one setting."""
 
@@ -157,7 +157,7 @@ def outcome_distribution(setting: PauliSetting, theta) -> np.ndarray:
     diagonal, rather than forming 2^m projectors. Identity qubits put all
     their mass on +1.
     """
-    return _outcome_distribution(setting, _check_density(theta))
+    return _outcome_distributions((setting,), _check_density(theta))[0]
 
 
 def _kron_rows(factors: np.ndarray) -> np.ndarray:
@@ -178,51 +178,63 @@ def _rotations(settings) -> np.ndarray:
     return _kron_rows(_EIGVECS[np.array([s.qubits for s in settings])])
 
 
-def _outcome_distribution(setting: PauliSetting, theta: np.ndarray,
-                          u: np.ndarray | None = None) -> np.ndarray:
-    """outcome_distribution for a theta that already passed _check_density;
-    ``u`` is the setting's rotation when the caller built it already."""
-    m = setting.m
-    if theta.shape[0] != 2 ** m:
+# Size of each (settings, d, d) complex temporary of _outcome_distributions:
+# the rotations are built and multiplied a block of settings at a time.
+_BLOCK_BYTES = 1 << 19
+
+
+def _outcome_distributions(settings, theta: np.ndarray) -> np.ndarray:
+    """(N, 2^m) outcome_distribution rows of N settings with equal m, for a
+    theta that already passed _check_density.
+
+    Each block of settings takes one stacked u^H theta u product, whose
+    diagonals have the bits of the one-setting 2-D product.
+    """
+    m = settings[0].m
+    d = 2 ** m
+    if theta.shape[0] != d:
         raise ValueError(f"density matrix is {theta.shape[0]}x{theta.shape[0]}, "
                          f"setting has {m} qubits")
-    if u is None:
-        u = _rotations((setting,))[0]
-    rotated = u.conj().T @ theta @ u
-    p = np.real(np.diag(rotated)).copy()
-    if any(s == 0 for s in setting.qubits):
-        p = p.reshape((2,) * m)
-        for axis, s in enumerate(setting.qubits):
-            if s == 0:
-                merged = p.sum(axis=axis, keepdims=True)
-                p = np.concatenate([merged, np.zeros_like(merged)], axis=axis)
-        p = p.ravel()
+    step = max(1, _BLOCK_BYTES // (16 * d * d))
+    p = np.empty((len(settings), d))
+    for start in range(0, len(settings), step):
+        u = _rotations(settings[start:start + step])
+        rotated = u.conj().transpose(0, 2, 1) @ theta @ u
+        p[start:start + step] = rotated.diagonal(axis1=1, axis2=2).real
+    for i, setting in enumerate(settings):
+        if 0 in setting.qubits:
+            row = p[i].reshape((2,) * m)
+            for axis, s in enumerate(setting.qubits):
+                if s == 0:
+                    merged = row.sum(axis=axis, keepdims=True)
+                    row = np.concatenate([merged, np.zeros_like(merged)], axis=axis)
+            p[i] = row.ravel()
     p[(p < 0) & (p > -1e-10)] = 0.0
-    if np.any(p < 0):
-        raise ValueError(f"outcome probability {p.min():.3e} below tolerance")
-    total = p.sum()
-    if not math.isclose(total, 1.0, abs_tol=1e-8):
-        raise ValueError(f"outcome probabilities sum to {total:.12g}")
-    return p / total
+    negative = np.flatnonzero((p < 0).any(axis=1))
+    if negative.size:
+        raise ValueError(f"outcome probability {p[negative[0]].min():.3e} below tolerance")
+    totals = p.sum(axis=1)
+    for total in totals.tolist():
+        if not math.isclose(total, 1.0, abs_tol=1e-8):
+            raise ValueError(f"outcome probabilities sum to {total:.12g}")
+    return p / totals[:, None]
+
+
+def _draw_outcomes(p: np.ndarray, repetitions: int, seed) -> np.ndarray:
+    """T outcome_table row indices drawn by inverse CDF over one setting's
+    distribution p."""
+    cdf = np.cumsum(p)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, make_rng(seed).random(repetitions), side="right")
+    return np.minimum(idx, p.size - 1, out=idx)
 
 
 def sample_outcomes(setting: PauliSetting, theta, repetitions: int, seed) -> OutcomeBatch:
     """T i.i.d. outcome vectors drawn by inverse CDF over the ordered table."""
     repetitions = check_int(repetitions, "repetitions")
-    p = _outcome_distribution(setting, _check_density(theta))
-    return _sample_outcomes(setting, p, repetitions, seed, outcome_table(setting.m))
-
-
-def _sample_outcomes(setting: PauliSetting, p: np.ndarray, repetitions: int, seed,
-                     table: np.ndarray) -> OutcomeBatch:
-    """sample_outcomes from the setting's distribution p and outcome_table(m)."""
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    rng = make_rng(seed)
-    draws = rng.random(repetitions)
-    idx = np.searchsorted(cdf, draws, side="right")
-    np.clip(idx, 0, p.size - 1, out=idx)
-    return OutcomeBatch(setting=setting, outcomes=table[idx])
+    p = _outcome_distributions((setting,), _check_density(theta))[0]
+    idx = _draw_outcomes(p, repetitions, seed)
+    return OutcomeBatch(setting=setting, outcomes=outcome_table(setting.m)[idx])
 
 
 def parity(outcome) -> np.ndarray:
@@ -251,7 +263,7 @@ def gen_density_matrix(d: int, k: int, seed) -> np.ndarray:
     return theta / np.trace(theta).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TomographyDataset:
     """Rescaled (observation, Pauli-word design) rows, N * 2^m of them.
 
@@ -325,6 +337,19 @@ def _subset_scales(m: int) -> np.ndarray:
     return math.sqrt(d) * (3.0 ** (-sizes / 2.0)) * (3.0 / 4.0) ** (m / 2.0)
 
 
+def _rescaled_y(m: int, counts: np.ndarray, repetitions: int) -> np.ndarray:
+    """The rows' y from (N, 2^m) per-setting outcome counts.
+
+    Row (i, E) is c_E * k / T, where k is the sum of the E-marginalized
+    parities over setting i's T outcomes. k is summed in integers through
+    the 2^m x 2^m table of each outcome's parity under each mask, so it is
+    exact, and k / T has the bits of the mean of the T parities.
+    """
+    drops = _subset_drops(m)[:, None, :]
+    parities = np.where(drops, 1, outcome_table(m)).prod(axis=2)
+    return (counts @ parities.T / repetitions * _subset_scales(m)).ravel()
+
+
 def build_rescaled_dataset(settings, batches) -> TomographyDataset:
     """Assemble the trace-regression rows from raw per-setting outcomes."""
     settings = tuple(settings)
@@ -335,19 +360,19 @@ def build_rescaled_dataset(settings, batches) -> TomographyDataset:
         raise ValueError("need at least one setting")
     m = settings[0].m
     repetitions = batches[0].repetitions
-    drops = _subset_drops(m)[:, None, :]
-    ybars = []
-    for setting, batch in zip(settings, batches):
+    # outcome_table row index of each outcome: bit m - q set when qubit q read -1
+    weights = 1 << np.arange(m - 1, -1, -1)
+    counts = np.empty((len(settings), 2 ** m), dtype=np.int64)
+    for row, setting, batch in zip(counts, settings, batches):
         if batch.setting != setting:
             raise ValueError("outcome batch does not belong to its setting")
         if setting.m != m:
             raise ValueError("all settings must share the same qubit count")
         if batch.repetitions != repetitions:
             raise ValueError("all settings must be measured the same number of times")
-        # (2^m, T) parities of every subset-marginalized outcome
-        ybars.append(np.where(drops, 1, batch.outcomes).prod(axis=2).mean(axis=1))
-    y = (np.array(ybars) * _subset_scales(m)).ravel()
-    return TomographyDataset(m=m, settings=settings, repetitions=repetitions, y=y)
+        row[:] = np.bincount((batch.outcomes < 0) @ weights, minlength=2 ** m)
+    return TomographyDataset(m=m, settings=settings, repetitions=repetitions,
+                             y=_rescaled_y(m, counts, repetitions))
 
 
 def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> TomographyDataset:
@@ -355,8 +380,11 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
 
     Per-setting sampling seeds are spawned from the master seed, so settings
     could be simulated in parallel without changing the result. theta is
-    validated once here, not once per setting; the settings' rotations are
-    built in one batched Kronecker pass and the outcome table once.
+    validated once here, not once per setting. The settings' outcome
+    distributions come from batched rotations, each setting keeps only the
+    count of each outcome, and the rows' y are formed from the counts; the
+    result has the bits of sampling each setting with ``sample_outcomes`` and
+    assembling with ``build_rescaled_dataset``.
     """
     repetitions = check_int(repetitions, "repetitions")
     theta = _check_density(theta)
@@ -366,12 +394,12 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
         raise ValueError(f"density matrix dimension {d} is not a power of two")
     root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
     setting_seed, *sample_seeds = root.spawn(n_settings + 1)
-    settings = gen_random_settings(n_settings, m, setting_seed)
-    table = outcome_table(m)
-    batches = [_sample_outcomes(s, _outcome_distribution(s, theta, u), repetitions,
-                                child, table)
-               for s, u, child in zip(settings, _rotations(settings), sample_seeds)]
-    return build_rescaled_dataset(settings, batches)
+    settings = tuple(gen_random_settings(n_settings, m, setting_seed))
+    counts = np.empty((n_settings, d), dtype=np.int64)
+    for row, p, child in zip(counts, _outcome_distributions(settings, theta), sample_seeds):
+        row[:] = np.bincount(_draw_outcomes(p, repetitions, child), minlength=d)
+    return TomographyDataset(m=m, settings=settings, repetitions=repetitions,
+                             y=_rescaled_y(m, counts, repetitions))
 
 
 _MANIFEST_COLUMNS = "setting_index,setting_string,subset_mask,y_value"

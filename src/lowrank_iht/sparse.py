@@ -53,7 +53,7 @@ class RowProgramInfeasibleError(ValueError):
             f"found by bisection: {smallest_feasible_mu:.6g}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SparseInstance:
     """Design, response, and (for simulations) the generating truth."""
 
@@ -132,7 +132,7 @@ def _top_k_row_sum(absm: np.ndarray, k: int) -> float:
     return float(top.sum(axis=1).max())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decorrelator:
     """V together with the covariance it was certified against.
 

@@ -33,7 +33,7 @@ __all__ = [
 IMAG_RESIDUE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignBatch:
     """A batch of n square design matrices, shape (n, d, d).
 
@@ -71,7 +71,7 @@ class DesignBatch:
         return self.matrices.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Observations:
     """Observed responses plus generation-time metadata.
 
@@ -100,7 +100,7 @@ class Observations:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RipEstimate:
     """Monte-Carlo lower estimate of the restricted-isometry deviation at a
     given rank. ``max_deviation`` only certifies the probed directions; the

@@ -2,7 +2,8 @@
 
 Each function here is a direct, unoptimised statement of a definition the
 estimator relies on: Pauli matrices and their eigenprojectors, outcome
-marginalization, the restricted singular-value bound, the sparse r_K
+marginalization, tomography sampled one setting at a time, the restricted
+singular-value bound, the sparse r_K
 supremum and the desparsified error split. Tests compare the package's
 production code against them; the package itself never calls them, so they
 are kept out of its public surface.
@@ -16,7 +17,15 @@ from functools import reduce
 import numpy as np
 
 from lowrank_iht.linalg import _as_matrix, _singular_values, schatten_norm
-from lowrank_iht.quantum import _PAULI, PauliSetting
+from lowrank_iht._rng import make_rng
+from lowrank_iht.quantum import (
+    _EIGVECS,
+    _PAULI,
+    PauliSetting,
+    _subset_scales,
+    gen_random_settings,
+    outcome_table,
+)
 from lowrank_iht.sparse import Decorrelator, SparseInstance, _top_k_row_sum, desparsify
 
 
@@ -84,6 +93,37 @@ def marginalize(setting: PauliSetting, outcome, subset):
     qubits = tuple(0 if (mask >> i) & 1 else s for i, s in enumerate(setting.qubits))
     new_outcome = tuple(1 if (mask >> i) & 1 else o for i, o in enumerate(outcome))
     return PauliSetting(qubits), new_outcome
+
+
+def simulate_dataset_per_setting(theta, n_settings: int, repetitions: int, seed):
+    """(settings, y) of ``quantum.simulate_dataset``, one setting at a time.
+
+    With the seeds simulate_dataset spawns, each setting rotates theta into
+    the Kronecker product of its eigenbases (u^H theta u, one 2-D product),
+    draws T outcome vectors by inverse CDF over the diagonal, and averages
+    the parity of the outcomes marginalized over every subset E, scaled by
+    c_E. Settings have no identity qubits, so no mass is merged.
+    """
+    theta = np.asarray(theta, dtype=np.complex128)
+    m = int(round(math.log2(theta.shape[0])))
+    setting_seed, *sample_seeds = np.random.SeedSequence(seed).spawn(n_settings + 1)
+    settings = gen_random_settings(n_settings, m, setting_seed)
+    table, scales = outcome_table(m), _subset_scales(m)
+    y = []
+    for setting, child in zip(settings, sample_seeds):
+        u = reduce(np.kron, [_EIGVECS[s] for s in setting.qubits])
+        p = np.real(np.diag(u.conj().T @ theta @ u)).copy()
+        p[(p < 0) & (p > -1e-10)] = 0.0
+        p = p / p.sum()
+        cdf = np.cumsum(p)
+        cdf[-1] = 1.0
+        idx = np.searchsorted(cdf, make_rng(child).random(repetitions), side="right")
+        outcomes = table[np.clip(idx, 0, p.size - 1)]
+        for mask in range(2 ** m):
+            keep = [q for q in range(m) if not (mask >> q) & 1]
+            ybar = float(outcomes[:, keep].prod(axis=1).mean()) if keep else 1.0
+            y.append(scales[mask] * ybar)
+    return settings, np.array(y)
 
 
 # -- linalg ----------------------------------------------------------------

@@ -9,9 +9,21 @@ import importlib
 import pkgutil
 import types
 
+import numpy as np
 import pytest
 
 import lowrank_iht
+from lowrank_iht.inference import confidence_intervals
+from lowrank_iht.iht import run_iht
+from lowrank_iht.linalg import svd
+from lowrank_iht.quantum import PauliSetting, gen_density_matrix, sample_outcomes, simulate_dataset
+from lowrank_iht.sparse import build_decorrelator, gen_sparse_instance
+from lowrank_iht.trace_model import (
+    estimate_rip_constant,
+    gen_gaussian_design,
+    gen_low_rank_theta,
+    simulate_observations,
+)
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(lowrank_iht.__path__)
                  if info.name != "__main__")
@@ -50,3 +62,53 @@ def test_removed_names_are_gone(module_name):
         assert not hasattr(lowrank_iht, name)
         assert not hasattr(module, name)
         assert name not in module.__all__
+
+
+def _array_holders():
+    # (name, build) with build() returning a fresh object of that class from
+    # fixed inputs, so two calls give equal contents in distinct objects
+    def design():
+        return gen_gaussian_design(60, 3, 1)
+
+    def observations():
+        return simulate_observations(design(), gen_low_rank_theta(3, 1, 2), 0.5, 3)
+
+    def state():
+        return run_iht(design(), observations())[1]
+
+    def intervals():
+        batch, obs = design(), observations()
+        estimate, st = run_iht(batch, obs)
+        return confidence_intervals(batch, obs, estimate, state=st)
+
+    theta = gen_density_matrix(4, 1, 4)
+    return {
+        "DesignBatch": design,
+        "Observations": observations,
+        "RipEstimate": lambda: estimate_rip_constant(design(), 1, 3, 5),
+        "IhtState": state,
+        "SvdFactors": lambda: svd(np.arange(9.0).reshape(3, 3)),
+        "EntrywiseResult": intervals,
+        "Decorrelator": lambda: build_decorrelator(np.eye(4), "identity"),
+        "SparseInstance": lambda: gen_sparse_instance(20, 5, 2, 0.5, 6),
+        "OutcomeBatch": lambda: sample_outcomes(PauliSetting((1, 3)), theta, 5, 7),
+        "TomographyDataset": lambda: simulate_dataset(theta, 3, 5, 8),
+    }
+
+
+@pytest.mark.parametrize("name", list(_array_holders()))
+def test_array_holders_compare_by_identity(name):
+    # a generated __eq__ over ndarray fields raises "truth value of an array
+    # is ambiguous"; these classes compare, and hash, as objects
+    build = _array_holders()[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, a, b}) == 2
+
+
+def test_pauli_settings_compare_by_value():
+    assert PauliSetting((1, 2)) == PauliSetting.from_label("XY")
+    assert PauliSetting((1, 2)) != PauliSetting((2, 1))
+    assert hash(PauliSetting((3,))) == hash(PauliSetting.from_label("z"))

@@ -3,7 +3,8 @@ import functools
 import numpy as np
 import pytest
 
-from lowrank_iht import _rng
+from lowrank_iht import _rng, experiments
+from lowrank_iht.cli import _DEFAULT_GRIDS
 from lowrank_iht.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -257,6 +258,28 @@ def test_sparse_experiment_outputs(tmp_path):
     assert [c["ci_lower"] for c in rep1] == res.lower.tolist()
     assert [c["ci_upper"] for c in rep1] == res.upper.tolist()
     assert [c["in_support"] for c in rep1] == (inst.theta_truth != 0).astype(int).tolist()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_coordinates_csv_has_the_bytes_of_one_dict_per_coordinate(tmp_path, seed):
+    # the default sparse grid at CLI seed 0..2, written from the interval
+    # arrays and, as a reference, from one dict per coordinate through the
+    # metrics writer
+    config = ExperimentConfig(mode="sparse", output_dir=str(tmp_path), seed=seed,
+                              **_DEFAULT_GRIDS["sparse"])
+    rows = experiments._run_all(config)
+    keys = ["p", "k", "n", "replicate"]
+    dicts = [{**{key: row[key] for key in keys}, "j": j, "theta_hat": float(est[j]),
+              "ci_lower": float(lower[j]), "ci_upper": float(upper[j]),
+              "in_support": int(inside[j])}
+             for row in rows for est, lower, upper, inside in [row["coordinates"]]
+             for j in range(row["p"])]
+    experiments._write_coordinates(tmp_path / "arrays.csv", keys, rows)
+    experiments._write_csv(tmp_path / "dicts.csv", keys + list(experiments._COORD_COLS),
+                           dicts)
+    written = (tmp_path / "arrays.csv").read_bytes()
+    assert written == (tmp_path / "dicts.csv").read_bytes()
+    assert written.count(b"\n") == 2 + 10 * 100
 
 
 def test_reaggregate_reproduces_aggregate(tmp_path):

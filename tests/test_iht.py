@@ -298,24 +298,53 @@ def _pauli_instance():
     return simulate_dataset(theta, 12, 200, 45).to_trace_regression()
 
 
-def _count_forward_calls(monkeypatch):
-    calls = []
-    forward = iht.apply_design
-
-    def counting(batch, a):
-        calls.append(1)
-        return forward(batch, a)
-
-    monkeypatch.setattr(iht, "apply_design", counting)
-    return calls
+def _rank_zero_instance():
+    # so few rows that every thresholded estimate of the run has rank 0
+    theta = gen_low_rank_theta(16, 2, 0)
+    batch = gen_gaussian_design(100, 16, 0)
+    return batch, simulate_observations(batch, theta, 1.0, 0)
 
 
-def test_run_iht_makes_one_forward_pass_per_iteration(monkeypatch):
-    batch, obs = _gaussian_instance()
-    calls = _count_forward_calls(monkeypatch)
-    _, state = run_iht(batch, obs)
-    assert state.iteration > 1
-    assert len(calls) == state.iteration
+# (instance, config): the data-driven default, a run that ends at rank 0, and
+# a fixed schedule whose first two estimates have rank 0
+_RUNS = {
+    "gaussian": (_gaussian_instance, IhtConfig()),
+    "pauli": (_pauli_instance, IhtConfig()),
+    "rank_zero": (_rank_zero_instance, IhtConfig()),
+    "fixed": (_gaussian_instance, IhtConfig(upsilon=0.1, t0=100.0)),
+}
+
+
+def _record_calls(monkeypatch, name):
+    # the second argument of every call to iht.<name>
+    args = []
+    original = getattr(iht, name)
+
+    def recording(batch, a):
+        args.append(a)
+        return original(batch, a)
+
+    monkeypatch.setattr(iht, name, recording)
+    return args
+
+
+@pytest.mark.parametrize("run", ["gaussian", "rank_zero", "fixed"])
+def test_run_iht_skips_the_passes_whose_result_is_known(monkeypatch, run):
+    # X(0) = 0: an iteration makes a forward pass only when its estimate is
+    # nonzero, and X*(y) is computed once however many iterations start from y
+    instance, config = _RUNS[run]
+    batch, obs = instance()
+    forward = _record_calls(monkeypatch, "apply_design")
+    adjoint = _record_calls(monkeypatch, "adjoint_apply")
+    _, state = run_iht(batch, obs, config)
+    ranks = [rec.rank for rec in state.trace]
+    assert state.iteration > 1 and ranks[0] == 0
+    assert len(forward) == sum(rank > 0 for rank in ranks)
+    assert sum(a is obs.values for a in adjoint) == 1
+    # every other iteration starts from the residual of a nonzero estimate
+    assert len(adjoint) == 1 + sum(rank > 0 for rank in ranks[:-1])
+    assert {"rank_zero": max(ranks) == 0, "fixed": ranks[:3] == [0, 0, 1],
+            "gaussian": ranks[:2] == [0, 1]}[run]
 
 
 def _recomputing_loop(batch, y, config, iterations):
@@ -324,35 +353,37 @@ def _recomputing_loop(batch, y, config, iterations):
     values = y.values
     n, d = batch.n, batch.dim
     estimate = np.zeros_like(adjoint_apply(batch, values))
-    threshold = None
+    threshold = config.t0
     trace = []
     for r in range(1, iterations + 1):
         resid = values - apply_design(batch, estimate)
         sigma = float(np.linalg.norm(resid) / np.sqrt(n))
-        ups = upsilon_r(sigma, d, n, config.upsilon_quantile)
+        ups = (config.upsilon if config.upsilon is not None
+               else upsilon_r(sigma, d, n, config.upsilon_quantile))
         clamped = False
         if threshold is None:
             threshold = sigma + ups
-        elif threshold_step(threshold, config.rho, ups) > threshold:
+        elif config.upsilon is None and threshold_step(threshold, config.rho, ups) > threshold:
             clamped = True
         else:
             threshold = threshold_step(threshold, config.rho, ups)
         factors = hard_threshold_singular(estimate + adjoint_apply(batch, resid), threshold)
         estimate = factors.reconstruct()
-        residual_l2 = float(np.linalg.norm(values - apply_design(batch, estimate)))
+        residual = values - apply_design(batch, estimate)
         trace.append(IterationRecord(r, threshold, sigma, ups, factors.rank(),
-                                     residual_l2, clamped))
-    return estimate, tuple(trace)
+                                     float(np.linalg.norm(residual)), clamped))
+    return estimate, residual, tuple(trace)
 
 
-@pytest.mark.parametrize("instance", [_gaussian_instance, _pauli_instance],
-                         ids=["gaussian", "pauli"])
-def test_run_iht_is_bitwise_equal_to_the_recomputing_loop(instance):
+@pytest.mark.parametrize("run", list(_RUNS))
+def test_run_iht_is_bitwise_equal_to_the_recomputing_loop(run):
+    instance, config = _RUNS[run]
     batch, obs = instance()
-    config = IhtConfig()
     estimate, state = run_iht(batch, obs, config)
-    reference, trace = _recomputing_loop(batch, obs, config, state.iteration)
+    reference, residual, trace = _recomputing_loop(batch, obs, config, state.iteration)
     assert estimate.tobytes() == reference.tobytes()
+    assert state.residual.tobytes() == residual.tobytes()
+    assert state.residual is not obs.values
     # repr prints each float exactly, so equal reprs mean bitwise-equal records
     assert repr(state.trace) == repr(trace)
 

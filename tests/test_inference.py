@@ -13,6 +13,7 @@ from lowrank_iht.inference import (
     entry_scale_matrix,
 )
 from lowrank_iht.iht import empirical_sigma, run_iht
+from lowrank_iht.quantum import gen_density_matrix, simulate_dataset
 from lowrank_iht.trace_model import (
     DesignBatch,
     adjoint_apply,
@@ -86,6 +87,53 @@ def test_every_entry_point_refuses_a_malformed_observation_vector():
                 call(y)
     assert trace_model._obs_values(obs, 100) is obs.values
     assert trace_model._obs_values(obs.values, 100) is obs.values
+
+
+def _gaussian_data():
+    theta = gen_low_rank_theta(10, 2, 41)
+    batch = gen_gaussian_design(700, 10, 42)
+    return batch, simulate_observations(batch, theta, 0.5, 43)
+
+
+def _pauli_data():
+    theta = gen_density_matrix(8, 1, 44)
+    return simulate_dataset(theta, 12, 200, 45).to_trace_regression()
+
+
+@pytest.mark.parametrize("data", [_gaussian_data, _pauli_data], ids=["gaussian", "pauli"])
+def test_confidence_intervals_reuse_the_residual_only_for_the_run_itself(monkeypatch, data):
+    batch, obs = data()
+    y = obs.values.copy()
+    estimate, state = run_iht(batch, y)
+    assert state.rank > 0
+    assert state.residual.tobytes() == (y - apply_design(batch, estimate)).tobytes()
+    recomputed = debias(batch, y, estimate)
+    calls = []
+    forward = inference.apply_design
+    monkeypatch.setattr(inference, "apply_design",
+                        lambda b, a: calls.append(1) or forward(b, a))
+
+    def debiased(b, values, theta):
+        return confidence_intervals(b, values, theta, state=state).estimate.tobytes()
+
+    # the run's own batch, estimate and y, in any container: no forward pass
+    # and the bits of recomputing the residual
+    for values in (y, obs, obs.values.copy(), list(y)):
+        assert debiased(batch, values, estimate) == recomputed.tobytes()
+    assert calls == []
+    # the state's arrays cannot be changed in place, the caller's y can
+    for array in (estimate, state.y, state.residual):
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 0.0
+    y += 1.0
+    other_batch = DesignBatch(2.0 * batch.matrices)
+    for b, values, theta in ((batch, obs, estimate.copy()), (batch, y, estimate),
+                             (DesignBatch(batch.matrices.copy()), obs, estimate),
+                             (other_batch, obs, estimate)):
+        assert debiased(b, values, theta) == debias(b, values, theta).tobytes()
+    # each of the four recomputed its residual
+    assert len(calls) == 2 * 4
+    assert debiased(batch, y, estimate) != recomputed.tobytes()
 
 
 def test_entry_scale_is_one_for_basis_design():

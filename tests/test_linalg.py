@@ -4,6 +4,7 @@ import pytest
 from lowrank_iht.linalg import (
     SvdConvergenceError,
     SvdFactors,
+    _canonical_completion,
     entrywise_inf_norm,
     hard_threshold_entries,
     hard_threshold_singular,
@@ -86,6 +87,34 @@ def test_svd_phases_are_bitwise_equal_to_the_column_loop(kind):
             u, v = _phase_loop_reference(a)
             assert f.left.tobytes() == u.tobytes()
             assert f.right.tobytes() == v.tobytes()
+
+
+def test_whole_column_phases_have_the_bits_of_the_column_loop():
+    # svd multiplies every column by its pivot's phase, the columns of zero
+    # singular values included, and then replaces those by the canonical
+    # completion of the others: the bits of phasing only the nonzero columns.
+    # Tied pivots (Hadamard), negative pivots, tall, wide, rank-deficient and
+    # complex inputs
+    rng = np.random.default_rng(13)
+    h = np.kron([[1.0, 1.0], [1.0, -1.0]], [[1.0, 1.0], [1.0, -1.0]])
+    cases = [h, -h, np.diag([2.0, -3.0, 1.0]), -np.eye(3), rng.standard_normal((7, 4)),
+             rng.standard_normal((4, 7)), np.diag([2.0, 0.0, -1.0]),
+             np.zeros((3, 2)), np.outer([1.0, -2.0, 0.0], [0.0, 3.0]),
+             np.outer([1.0, 1j, 0.0], [2.0, 0.0, -1j]), np.diag([1j, 0.0, -2.0])]
+    for a in cases:
+        f = svd(a)
+        u, v = _phase_loop_reference(a)
+        nonzero = f.singular_values != 0.0
+        assert f.left[:, nonzero].tobytes() == u[:, nonzero].tobytes()
+        assert f.right[:, nonzero].tobytes() == v[:, nonzero].tobytes()
+        count = int(np.count_nonzero(~nonzero))
+        for got, ref in ((f.left, u), (f.right, v)):
+            completion = _canonical_completion(list(ref[:, nonzero].T), count,
+                                               ref.shape[0], ref.dtype)
+            assert got[:, ~nonzero].tobytes() == np.array(completion).T.tobytes()
+        np.testing.assert_allclose(f.left.conj().T @ f.left, np.eye(nonzero.size), atol=1e-12)
+        np.testing.assert_allclose(f.reconstruct(), a, atol=1e-12)
+    assert [bool(svd(a).singular_values.all()) for a in cases] == [True] * 6 + [False] * 5
 
 
 def test_real_svd_phase_is_the_hypot_phase():

@@ -24,7 +24,13 @@ from lowrank_iht.quantum import (
 )
 from lowrank_iht.trace_model import DesignBatch, apply_design, isometry_deviation
 
-from _oracles import eigenprojector, marginalize, pauli_matrix, setting_projector
+from _oracles import (
+    eigenprojector,
+    marginalize,
+    pauli_matrix,
+    setting_projector,
+    simulate_dataset_per_setting,
+)
 
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -348,6 +354,26 @@ def test_rows_equal_the_per_mask_loop_bit_for_bit():
         assert obs.values.tobytes() == (y * boost).tobytes()
 
 
+def test_rows_with_identity_qubits_equal_the_per_mask_loop_bit_for_bit():
+    # marginalized settings carry identity qubits; the outcome entries of
+    # those qubits take part in the parities like any other, whether they
+    # were sampled (always +1) or given (+1 or -1)
+    rng = np.random.default_rng(73)
+    for m in (1, 2, 3, 4, 5):
+        theta = gen_density_matrix(2 ** m, 1, 74 + m)
+        settings = [PauliSetting(tuple(int(q) for q in row))
+                    for row in rng.integers(0, 4, size=(8, m))]
+        settings += [PauliSetting((0,) * m), PauliSetting((0,) + (3,) * (m - 1))]
+        repetitions = int(rng.integers(1, 30))
+        batches = [OutcomeBatch(s, rng.choice([-1, 1], size=(repetitions, m)))
+                   if i % 2 else sample_outcomes(s, theta, repetitions, 100 + i)
+                   for i, s in enumerate(settings)]
+        ds = build_rescaled_dataset(settings, batches)
+        y, rows = _per_mask_reference(settings, batches)
+        assert ds.y.tobytes() == y.tobytes()
+        assert ds.designs.tobytes() == rows.tobytes()
+
+
 def test_mixed_repetition_counts_are_rejected():
     # a dataset records one T, so settings measured 5 and 8 times cannot
     # share one; recording the first batch's T would save a manifest whose
@@ -469,8 +495,8 @@ def test_batched_rotations_equal_the_kron_chain(m):
 
 
 def test_simulate_dataset_equals_sampling_each_setting():
-    # the batched rotations and the shared outcome table against the public
-    # one-setting path, with the seeds simulate_dataset spawns
+    # the batched rotations and the counts against the public one-setting
+    # path and the outcome vectors, with the seeds simulate_dataset spawns
     for m, count, reps, seed in ((1, 3, 5, 80), (3, 24, 30, 81), (5, 10, 64, 82)):
         theta = gen_density_matrix(2 ** m, 2, seed)
         ds = simulate_dataset(theta, count, reps, seed)
@@ -480,6 +506,37 @@ def test_simulate_dataset_equals_sampling_each_setting():
                    for s, child in zip(settings, sample_seeds)]
         assert ds.y.tobytes() == build_rescaled_dataset(settings, batches).y.tobytes()
         assert ds.settings == tuple(settings)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_simulate_dataset_has_the_bits_of_the_per_setting_oracle(monkeypatch, m):
+    # stacked rotations, per-setting counts and the integer parity table
+    # against one 2-D product, one outcome array and one mean per setting;
+    # at m = 5 the 70 settings span three blocks, and a block of 3 settings
+    # splits every other m
+    theta = gen_density_matrix(2 ** m, min(2, 2 ** m), 120 + m)
+    count, repetitions, seed = (70 if m == 5 else 3 ** m + 4), 5 + 13 * m, 130 + m
+    settings, y = simulate_dataset_per_setting(theta, count, repetitions, seed)
+    ds = simulate_dataset(theta, count, repetitions, seed)
+    assert ds.settings == tuple(settings)
+    assert ds.y.tobytes() == y.tobytes()
+    monkeypatch.setattr(quantum, "_BLOCK_BYTES", 3 * 16 * 4 ** m)
+    assert simulate_dataset(theta, count, repetitions, seed).y.tobytes() == y.tobytes()
+
+
+def test_simulate_dataset_allocates_less_than_a_stack_of_rotations():
+    # 160 settings of 5 qubits measured 320 times each: the counts and one
+    # block of products at a time, never a (settings, T, 2^m) array, stay
+    # within the 4.8 MB that sampling one setting at a time peaked at
+    theta = gen_density_matrix(32, 1, 140)
+    tracemalloc.start()
+    try:
+        ds = simulate_dataset(theta, 160, 320, 141)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert ds.n == 160 * 32
+    assert peak <= 4.8e6
 
 
 def test_save_load_round_trip(tmp_path):
