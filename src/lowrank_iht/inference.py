@@ -7,8 +7,9 @@ backprojection of its residual removes the shrinkage to first order:
 
 Around the truth this splits exactly into a deterministic remainder plus the
 backprojected noise, and the entrywise standard error is estimated from the
-column-energy profile of the design itself, so no distributional knowledge
-beyond the residual scale is needed.
+entry energies the design's batch summed when it was built, so no
+distributional knowledge beyond the residual scale is needed. The design is
+read only through ``trace_model``, never through its dense storage.
 """
 
 from __future__ import annotations
@@ -37,36 +38,14 @@ def debias(batch: DesignBatch, y, theta_hat: np.ndarray) -> np.ndarray:
     return theta_hat + adjoint_apply(batch, resid)
 
 
-# Size of the |X^i|^2 temporary that entry_scale_matrix holds at a time.
-_BLOCK_BYTES = 1 << 20
-
-
 def entry_scale_matrix(batch: DesignBatch) -> np.ndarray:
     """Entrywise design energies Sigma_{m,m'} = sqrt(mean_i |X^i_{m,m'}|^2).
 
-    For standard Gaussian designs every entry concentrates at 1.
-
-    The squared moduli are summed over blocks of rows of about 1 MiB, so the
-    call allocates O(block) on top of the design instead of a copy of it.
-    Each block's reduction starts from the running sum, which keeps numpy's
-    sequential row order: the result is bitwise equal to
+    For standard Gaussian designs every entry concentrates at 1. Taken from
+    the batch's sums, without reading the design; bitwise equal to
     ``np.sqrt(np.mean(np.abs(X) ** 2, axis=0))``.
     """
-    x = batch.matrices
-    rows = max(1, _BLOCK_BYTES // (batch.dim * batch.dim * x.real.itemsize))
-    buf = np.empty((min(rows, batch.n),) + x.shape[1:], dtype=x.real.dtype)
-    total = None
-    for start in range(0, batch.n, rows):
-        chunk = x[start:start + rows]
-        block = buf[:chunk.shape[0]]
-        if np.iscomplexobj(chunk):
-            np.square(np.abs(chunk, out=block), out=block)
-        else:
-            np.square(chunk, out=block)  # x * x is |x|^2 bit for bit
-        if total is not None:
-            block[0] += total
-        total = np.add.reduce(block, axis=0)
-    return np.sqrt(total / batch.n)
+    return np.sqrt(batch.entry_energy / batch.n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -304,10 +304,13 @@ class TomographyDataset:
         """The (n, d, d) rows, freshly built: each word is a Kronecker product
         taken one qubit at a time over all rows, qubit 1 leftmost, then the
         rows are scaled by c_E."""
+        return self._rows(_subset_scales(self.m))
+
+    def _rows(self, scales: np.ndarray) -> np.ndarray:
         qubits = np.array([s.qubits for s in self.settings])
         words = np.where(_subset_drops(self.m), 0, qubits[:, None, :]).reshape(self.n, self.m)
         rows = _kron_rows(np.array(_PAULI)[words])
-        rows *= np.tile(_subset_scales(self.m), len(self.settings))[:, None, None]
+        rows *= np.tile(scales, len(self.settings))[:, None, None]
         return rows
 
     def to_trace_regression(self) -> tuple[DesignBatch, Observations]:
@@ -317,12 +320,13 @@ class TomographyDataset:
         energy on average, so the natural normalizer is the number of
         settings. The estimator divides by the total row count instead, which
         is 2^m times larger; multiplying y and designs by 2^(m/2) makes the
-        two conventions agree and restores the near-isometry.
+        two conventions agree and restores the near-isometry. Word entries
+        are 0 or of unit modulus, so one multiply by c_E * 2^(m/2) has the
+        bits of ``designs * 2^(m/2)``.
         """
         boost = 2.0 ** (self.m / 2.0)
-        rows = self.designs
-        rows *= boost
-        return DesignBatch(rows), Observations(values=self.y * boost)
+        return (DesignBatch(self._rows(_subset_scales(self.m) * boost)),
+                Observations(values=self.y * boost))
 
 
 def _subset_drops(m: int) -> np.ndarray:
@@ -331,10 +335,8 @@ def _subset_drops(m: int) -> np.ndarray:
 
 
 def _subset_scales(m: int) -> np.ndarray:
-    d = 2 ** m
-    masks = np.arange(2 ** m)
-    sizes = np.array([bin(int(mask)).count("1") for mask in masks])
-    return math.sqrt(d) * (3.0 ** (-sizes / 2.0)) * (3.0 / 4.0) ** (m / 2.0)
+    sizes = _subset_drops(m).sum(axis=1)
+    return math.sqrt(2 ** m) * (3.0 ** (-sizes / 2.0)) * (3.0 / 4.0) ** (m / 2.0)
 
 
 def _rescaled_y(m: int, counts: np.ndarray, repetitions: int) -> np.ndarray:

@@ -5,6 +5,10 @@ design matrices X^i. ``apply_design`` evaluates the forward operator,
 ``adjoint_apply`` its adjoint (1/n) sum_i v_i X^i under the trace inner
 product, and ``estimate_rip_constant`` probes the restricted-isometry quality
 of a design by Monte-Carlo over random low-rank matrices.
+
+Only this module reads a batch's dense ``matrices``. Building a batch reads
+them once, to check that they are finite and to sum the entry energies that
+other modules take from ``DesignBatch.entry_energy``.
 """
 
 from __future__ import annotations
@@ -33,15 +37,21 @@ __all__ = [
 IMAG_RESIDUE_TOL = 1e-9
 
 
+def _block_rows(arr: np.ndarray) -> int:
+    """Rows per block of the energy pass: 1/64 of the design, 64 KiB to 1 MiB."""
+    return max(1, min(max(arr.nbytes >> 6, 1 << 16), 1 << 20) // arr[0].real.nbytes)
+
+
 @dataclass(frozen=True, eq=False)
 class DesignBatch:
     """A batch of n square design matrices, shape (n, d, d).
 
-    Treat as read-only after construction; all operations are pure functions
-    of the batch.
+    The entries must not change after construction: ``entry_energy``, the
+    sums sum_i |X^i|^2, and a run's stored residual are computed from them once.
     """
 
     matrices: np.ndarray
+    entry_energy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         arr = np.asarray(self.matrices)
@@ -53,14 +63,24 @@ class DesignBatch:
                 or np.issubdtype(arr.dtype, np.complexfloating)):
             arr = arr.astype(np.float64)
         arr = np.ascontiguousarray(arr)
-        # NaN and inf propagate through a sum, so a finite sum proves every
-        # entry finite without an (n, d, d) bool temporary; only a sum that
-        # overflowed (or met a non-finite entry) needs the entrywise test
+        # Blocks of rows, each reduced from the running total added into its
+        # row 0: the bits of np.sum(np.abs(arr) ** 2, axis=0), and NaN or inf
+        # propagate, so finite energies prove every entry finite.
+        n, rows = arr.shape[0], _block_rows(arr)
+        buf = np.empty((min(rows, n),) + arr.shape[1:], dtype=arr.real.dtype)
+        energy = np.zeros_like(buf[0])
         with np.errstate(over="ignore", invalid="ignore"):
-            total = np.add.reduce(arr, axis=None)
-        if not np.isfinite(total) and not np.all(np.isfinite(arr)):
+            for start in range(0, n, rows):
+                chunk, block = arr[start:start + rows], buf[:min(rows, n - start)]
+                # x * x is |x|^2 bit for bit, so only complex rows take np.abs
+                np.square(np.abs(chunk, out=block) if arr.dtype.kind == "c" else chunk, out=block)
+                block[0] += energy
+                np.add.reduce(block, axis=0, out=energy)
+        energy.setflags(write=False)
+        if not np.all(np.isfinite(energy)) and not np.all(np.isfinite(arr)):
             raise ValueError("design entries must be finite")
         object.__setattr__(self, "matrices", arr)
+        object.__setattr__(self, "entry_energy", energy)
 
     @property
     def n(self) -> int:
@@ -150,14 +170,11 @@ def apply_design(batch: DesignBatch, a) -> np.ndarray:
     else:
         # Interleaved float view: one BLAS pass per component, no big copies.
         xv = x.view(np.float64).reshape(n, 2 * d * d)
-        b = np.empty(2 * d * d)
-        b[0::2] = np.asarray(a.real, dtype=np.float64).ravel()
-        b[1::2] = np.asarray(a.imag, dtype=np.float64).ravel() if a_complex else 0.0
-        re = xv @ b
-        b2 = np.empty(2 * d * d)
-        b2[0::2] = np.asarray(a.imag, dtype=np.float64).ravel() if a_complex else 0.0
-        b2[1::2] = -np.asarray(a.real, dtype=np.float64).ravel()
-        im = xv @ b2
+        a_re = np.asarray(a.real, dtype=np.float64).ravel()
+        a_im = np.asarray(a.imag, dtype=np.float64).ravel()  # zeros for real a
+        b = np.empty((2, 2 * d * d))
+        b[0, 0::2], b[0, 1::2], b[1, 0::2], b[1, 1::2] = a_re, a_im, a_im, -a_re
+        re, im = xv @ b[0], xv @ b[1]
     residue = float(np.max(np.abs(im)))
     if residue > IMAG_RESIDUE_TOL:
         warnings.warn(

@@ -157,7 +157,7 @@ def test_entry_scale_matches_mean_square_loop():
 @pytest.mark.parametrize("n", [3, 4, 11])
 def test_blocked_entry_scale_is_bitwise_equal_to_the_one_pass_mean(monkeypatch, kind, n):
     # 4 rows per block: n below, equal to, and not a multiple of the block
-    monkeypatch.setattr(inference, "_BLOCK_BYTES", 4 * 3 * 3 * 8)
+    monkeypatch.setattr(trace_model, "_block_rows", lambda arr: 4)
     rng = np.random.default_rng(n)
     mats = rng.standard_normal((n, 3, 3))
     if kind == "complex":
@@ -165,6 +165,18 @@ def test_blocked_entry_scale_is_bitwise_equal_to_the_one_pass_mean(monkeypatch, 
     batch = DesignBatch(mats)
     want = np.sqrt(np.mean(np.abs(batch.matrices) ** 2, axis=0))
     assert entry_scale_matrix(batch).tobytes() == want.tobytes()
+
+
+def test_generated_batches_give_the_bits_of_the_one_pass_mean():
+    theta = gen_density_matrix(8, 1, 3)
+    batches = [gen_gaussian_design(1500, 16, 1), gen_gaussian_design(3, 5, 2),
+               gen_basis_design(6),
+               simulate_dataset(theta, 40, 80, 4).to_trace_regression()[0],
+               simulate_dataset(gen_density_matrix(2, 1, 5), 3, 4, 6).to_trace_regression()[0]]
+    for batch in batches:
+        want = np.sqrt(np.mean(np.abs(batch.matrices) ** 2, axis=0))
+        assert entry_scale_matrix(batch).tobytes() == want.tobytes()
+        assert not batch.entry_energy.flags.writeable
 
 
 def test_entry_scale_allocates_far_less_than_the_design():

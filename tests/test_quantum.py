@@ -334,8 +334,9 @@ def _per_mask_reference(settings, batches):
 
 
 def test_rows_equal_the_per_mask_loop_bit_for_bit():
+    # to_trace_regression scales the words by c_E * 2^(m/2) in one multiply
     rng = np.random.default_rng(71)
-    for m in (1, 2, 3, 4):
+    for m in (1, 2, 3, 4, 5):
         theta = gen_density_matrix(2 ** m, 1, 72 + m)
         settings = gen_random_settings(6, m, 80 + m)
         settings = settings + settings[:2]

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from lowrank_iht.inference import entry_scale_matrix
 from lowrank_iht.trace_model import (
     DesignBatch,
     Observations,
@@ -221,6 +222,9 @@ def test_design_batch_accepts_finite_entries_whose_sum_overflows():
         warnings.simplefilter("error")
         batch = DesignBatch(mats)
     assert batch.matrices is mats
+    # 1e308 ** 2 overflows, so every entry scale is inf, as
+    # np.sqrt(np.mean(np.abs(mats) ** 2, axis=0)) gives
+    assert np.all(entry_scale_matrix(batch) == np.inf)
     mats = mats.copy()
     mats[2, 1, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
