@@ -20,14 +20,11 @@ from .linalg import (
 from .trace_model import (
     DesignBatch,
     Observations,
-    RipEstimate,
     adjoint_apply,
     apply_design,
-    estimate_rip_constant,
     gen_basis_design,
     gen_gaussian_design,
     gen_low_rank_theta,
-    isometry_deviation,
     simulate_observations,
 )
 from .iht import (

@@ -23,7 +23,7 @@ import numpy as np
 from ._checks import check_float, check_int
 from ._ndtri import ndtri
 from .linalg import hard_threshold_singular
-from .trace_model import DesignBatch, RipEstimate, adjoint_apply, apply_design, _obs_values
+from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
 
 __all__ = [
     "IhtConfig",
@@ -112,7 +112,6 @@ class IhtState:
     trace: tuple[IterationRecord, ...]
     converged: bool
     iteration_bound: float
-    rho_condition_ok: bool | None
 
     @property
     def iteration(self) -> int:
@@ -169,19 +168,22 @@ def schedule_iteration_bound(t0: float, upsilon: float, rho: float) -> float:
     seeded at T_0: 1 + log(10 (1-rho) T_0 / upsilon) / log(1/rho).
 
     Infinite when upsilon is zero (the schedule then never meets a positive
-    stopping line).
+    stopping line), and 1 when 10 (1-rho) T_0 <= upsilon, since then
+    T_1 = rho T_0 + upsilon <= upsilon / (1-rho) already meets it.
     """
     if upsilon <= 0:
         return math.inf
-    return 1.0 + math.log(10.0 * (1.0 - rho) * t0 / upsilon) / math.log(1.0 / rho)
+    seed_ratio = 10.0 * (1.0 - rho) * t0 / upsilon
+    if seed_ratio <= 1.0:
+        return 1.0
+    return 1.0 + math.log(seed_ratio) / math.log(1.0 / rho)
 
 
 def _default_max_iters(n: int) -> int:
     return max(1, math.ceil(10.0 * math.log(n)))
 
 
-def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
-            rip: RipEstimate | None = None):
+def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     """Run the full schedule; returns (estimate, state), where estimate is
     the state's read-only ``state.estimate``.
 
@@ -250,10 +252,6 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
     fixed_seed = config.upsilon is not None and config.t0 is not None
     t_seed = config.t0 if fixed_seed else trace[0].threshold
     bound = schedule_iteration_bound(t_seed, ups_floor, config.rho)
-    rho_ok = None
-    if rip is not None:
-        k_half = rip.k / 2.0
-        rho_ok = bool(config.rho >= 4.0 * math.sqrt(k_half) * rip.max_deviation)
     # the state keeps its own read-only copy of y, which is also the residual
     # of a rank-0 estimate
     y_copy = values.copy()
@@ -261,10 +259,8 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig(),
     for array in (estimate, y_copy, residual):
         array.setflags(write=False)
     state = IhtState(estimate=estimate, batch=batch, y=y_copy, residual=residual,
-                     trace=tuple(trace), converged=converged, iteration_bound=bound,
-                     rho_condition_ok=rho_ok)
+                     trace=tuple(trace), converged=converged, iteration_bound=bound)
     if (converged and fixed_seed and config.upsilon > 0 and config.e >= 0.1
-            and 10.0 * (1.0 - config.rho) * config.t0 >= config.upsilon
             and state.iteration > bound):
         # fixed-upsilon schedules come with an exact iteration cap; tripping it
         # means the schedule arithmetic is broken

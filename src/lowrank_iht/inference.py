@@ -108,8 +108,8 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
         raise ValueError("level must lie in (0, 1)")
     if sigma is None:
         sigma = state.final_sigma if state is not None else empirical_sigma(batch, y, theta_hat)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < np.inf:
+        raise ValueError("sigma must be finite and nonnegative")
     q = ndtri((1.0 + level) / 2.0) if two_sided_correct else ndtri(level)
     half = sigma * entry_scale_matrix(batch) * q / np.sqrt(batch.n)
     values = _obs_values(y, batch.n)

@@ -364,8 +364,8 @@ def sparse_confidence_intervals(theta_hat: np.ndarray, instance: SparseInstance,
     """Coordinate j gets half-width sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}."""
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
-    if sigma_hat < 0:
-        raise ValueError("sigma_hat must be nonnegative")
+    if not 0 <= sigma_hat < math.inf:
+        raise ValueError("sigma_hat must be finite and nonnegative")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     z = ndtri((1.0 + level) / 2.0)
     half = sigma_hat * np.sqrt(dec.vsv_diag / instance.n) * z

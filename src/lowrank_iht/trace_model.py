@@ -1,10 +1,9 @@
-"""Noisy trace regression: designs, observations, and near-isometry probing.
+"""Noisy trace regression: designs, observations, and the design operators.
 
 The data model is Y_i = Re tr((X^i)^H Theta) + noise_i for a batch of d x d
-design matrices X^i. ``apply_design`` evaluates the forward operator,
+design matrices X^i. ``apply_design`` evaluates the forward operator and
 ``adjoint_apply`` its adjoint (1/n) sum_i v_i X^i under the trace inner
-product, and ``estimate_rip_constant`` probes the restricted-isometry quality
-of a design by Monte-Carlo over random low-rank matrices.
+product.
 
 Only this module reads a batch's dense ``matrices``. Building a batch reads
 them once, to check that they are finite and to sum the entry energies that
@@ -23,15 +22,12 @@ from ._rng import make_rng, standard_normal
 __all__ = [
     "DesignBatch",
     "Observations",
-    "RipEstimate",
     "apply_design",
     "adjoint_apply",
-    "isometry_deviation",
     "gen_gaussian_design",
     "gen_basis_design",
     "gen_low_rank_theta",
     "simulate_observations",
-    "estimate_rip_constant",
 ]
 
 IMAG_RESIDUE_TOL = 1e-9
@@ -120,18 +116,6 @@ class Observations:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class RipEstimate:
-    """Monte-Carlo lower estimate of the restricted-isometry deviation at a
-    given rank. ``max_deviation`` only certifies the probed directions; the
-    true supremum can be larger."""
-
-    k: int
-    trials: int
-    max_deviation: float
-    deviations: np.ndarray = field(repr=False)
-
-
 def _obs_values(y, n: int) -> np.ndarray:
     """The observations ``y`` (an Observations or a vector) as a float64
     vector, refused unless it is 1-D, of length n and finite."""
@@ -199,16 +183,6 @@ def adjoint_apply(batch: DesignBatch, v) -> np.ndarray:
     return (v @ batch.matrices.reshape(n, d * d)).reshape(d, d) / n
 
 
-def isometry_deviation(batch: DesignBatch, a) -> float:
-    """Relative isometry deviation |(1/n)||X(a)||^2 - ||a||_F^2| / ||a||_F^2."""
-    a = np.asarray(a)
-    fro2 = float(np.sum(np.abs(a) ** 2))
-    if fro2 == 0.0:
-        raise ValueError("cannot probe with the zero matrix")
-    va = apply_design(batch, a)
-    return abs(float(va @ va) / batch.n - fro2) / fro2
-
-
 def gen_gaussian_design(n: int, d: int, seed) -> DesignBatch:
     """n independent standard Gaussian d x d design matrices.
 
@@ -253,32 +227,3 @@ def simulate_observations(batch: DesignBatch, theta, noise_std: float, seed) -> 
     eps = noise_std * make_rng(seed).standard_normal(batch.n)
     values = apply_design(batch, theta) + eps
     return Observations(values=values, noise=eps)
-
-
-def estimate_rip_constant(batch: DesignBatch, k: int, trials: int, seed,
-                          probe: str = "real") -> RipEstimate:
-    """Monte-Carlo probe of the rank-k restricted isometry deviation.
-
-    probe="real" draws A = G H^T with real standard Gaussian G, H (d x k),
-    normalized to unit Frobenius norm. probe="hermitian" draws
-    A = G diag(g) G^H with complex Gaussian G, for designs that only measure
-    the Hermitian component (e.g. Pauli tomography designs).
-    """
-    if not 1 <= k <= batch.dim:
-        raise ValueError("need 1 <= k <= d")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if probe not in ("real", "hermitian"):
-        raise ValueError(f"unknown probe class {probe!r}")
-    rng = make_rng(seed)
-    d = batch.dim
-    devs = np.empty(trials)
-    for t in range(trials):
-        if probe == "real":
-            a = rng.standard_normal((d, k)) @ rng.standard_normal((d, k)).T
-        else:
-            g = (rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))) / np.sqrt(2)
-            a = (g * rng.standard_normal(k)) @ g.conj().T
-        devs[t] = isometry_deviation(batch, a / np.linalg.norm(a))
-    return RipEstimate(k=k, trials=trials, max_deviation=float(devs.max()),
-                       deviations=devs)

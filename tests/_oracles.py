@@ -3,15 +3,16 @@
 Each function here is a direct, unoptimised statement of a definition the
 estimator relies on: Pauli matrices and their eigenprojectors, outcome
 marginalization, tomography sampled one setting at a time, the restricted
-singular-value bound, the sparse r_K
-supremum and the desparsified error split. Tests compare the package's
-production code against them; the package itself never calls them, so they
-are kept out of its public surface.
+singular-value bound, the Monte-Carlo restricted-isometry probe, the sparse
+r_K supremum and the desparsified error split. Tests compare the package's
+production code against them, or measure its designs with them; the package
+itself never calls them, so they are kept out of its public surface.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -27,6 +28,7 @@ from lowrank_iht.quantum import (
     outcome_table,
 )
 from lowrank_iht.sparse import Decorrelator, SparseInstance, _top_k_row_sum, desparsify
+from lowrank_iht.trace_model import DesignBatch, apply_design
 
 
 # -- quantum ---------------------------------------------------------------
@@ -169,6 +171,59 @@ def restricted_singular_bound_check(m, j: int, vectors) -> bool:
     if len(vectors) != j - 1:
         raise ValueError(f"need exactly {j - 1} constraint vectors for j={j}")
     return bool(s[j - 1] <= restricted_singular_bound(m, vectors) + 1e-8)
+
+
+# -- trace_model -----------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class RipEstimate:
+    """Monte-Carlo lower estimate of the restricted-isometry deviation at a
+    given rank. ``max_deviation`` only certifies the probed directions; the
+    true supremum can be larger."""
+
+    k: int
+    trials: int
+    max_deviation: float
+    deviations: np.ndarray = field(repr=False)
+
+
+def isometry_deviation(batch: DesignBatch, a) -> float:
+    """Relative isometry deviation |(1/n)||X(a)||^2 - ||a||_F^2| / ||a||_F^2."""
+    a = np.asarray(a)
+    fro2 = float(np.sum(np.abs(a) ** 2))
+    if fro2 == 0.0:
+        raise ValueError("cannot probe with the zero matrix")
+    va = apply_design(batch, a)
+    return abs(float(va @ va) / batch.n - fro2) / fro2
+
+
+def estimate_rip_constant(batch: DesignBatch, k: int, trials: int, seed,
+                          probe: str = "real") -> RipEstimate:
+    """Monte-Carlo probe of the rank-k restricted isometry deviation.
+
+    probe="real" draws A = G H^T with real standard Gaussian G, H (d x k),
+    normalized to unit Frobenius norm. probe="hermitian" draws
+    A = G diag(g) G^H with complex Gaussian G, for designs that only measure
+    the Hermitian component (e.g. Pauli tomography designs).
+    """
+    if not 1 <= k <= batch.dim:
+        raise ValueError("need 1 <= k <= d")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if probe not in ("real", "hermitian"):
+        raise ValueError(f"unknown probe class {probe!r}")
+    rng = make_rng(seed)
+    d = batch.dim
+    devs = np.empty(trials)
+    for t in range(trials):
+        if probe == "real":
+            a = rng.standard_normal((d, k)) @ rng.standard_normal((d, k)).T
+        else:
+            g = (rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))) / np.sqrt(2)
+            a = (g * rng.standard_normal(k)) @ g.conj().T
+        devs[t] = isometry_deviation(batch, a / np.linalg.norm(a))
+    return RipEstimate(k=k, trials=trials, max_deviation=float(devs.max()),
+                       deviations=devs)
 
 
 # -- sparse ----------------------------------------------------------------

@@ -43,14 +43,18 @@ from lowrank_iht.sparse import (
     sparse_sigma,
 )
 from lowrank_iht.trace_model import (
-    estimate_rip_constant,
     gen_basis_design,
     gen_gaussian_design,
     gen_low_rank_theta,
     simulate_observations,
 )
 
-from _oracles import marginalize, pauli_matrix, sparse_decomposition_terms
+from _oracles import (
+    estimate_rip_constant,
+    marginalize,
+    pauli_matrix,
+    sparse_decomposition_terms,
+)
 
 Z90 = 1.2815515655446004
 
@@ -324,3 +328,39 @@ def test_criterion_10_sparse_oracles():
     _report(10, ok, f"r_k_gap={r_k_gap:.2e} recovery_err={recovery_err:.2e} "
                     f"identity_gap={identity_gap:.2e} support_coverage={mean_cov:.3f} "
                     f"elapsed={elapsed:.1f}s")
+
+
+def test_criterion_12_rates_in_d_and_k():
+    # The paper's risk bounds are sigma^2 k d / n (Frobenius) and sigma^2 d / n
+    # (operator) up to constants, so with n = 60 k d the normalized errors
+    # should not drift with d or k. The Frobenius constant tracks the
+    # k (2d - k) degrees of freedom of a rank-k matrix, near 2 - k/d; the
+    # operator constant grows with k where k/d is large, so it is gated only
+    # at k/d <= 1/8. (d, k) = (32, 4) is left out of the grid for time.
+    start = time.perf_counter()
+    cells = [(8, 1), (8, 2), (8, 4), (16, 1), (16, 2), (16, 4), (32, 1), (32, 2)]
+    root = np.random.SeedSequence(1212)
+    frobenius, operator, converged = {}, {}, True
+    for d, k in cells:
+        n = 60 * k * d
+        fro, op = [], []
+        for rep in range(20):
+            theta_seed, design_seed, noise_seed = root.spawn(3)
+            theta = gen_low_rank_theta(d, k, theta_seed)
+            batch = gen_gaussian_design(n, d, design_seed)
+            obs = simulate_observations(batch, theta, 1.0, noise_seed)
+            est, state = run_iht(batch, obs)
+            converged = converged and state.converged
+            fro.append(n * float(np.linalg.norm(est - theta)) ** 2 / (k * d))
+            op.append(n * schatten_norm(est - theta, "operator") ** 2 / d)
+        frobenius[d, k] = float(np.median(fro))
+        operator[d, k] = float(np.median(op))
+    gated_op = {cell: c for cell, c in operator.items() if cell[1] / cell[0] <= 1 / 8}
+    spread = max(frobenius.values()) / min(frobenius.values())
+    elapsed = time.perf_counter() - start
+    ok = (converged and all(1.0 <= c <= 3.0 for c in frobenius.values()) and spread <= 1.8
+          and all(0.8 <= c <= 2.5 for c in gated_op.values()) and elapsed < 120)
+    _report(12, ok, f"frobenius={ {cell: round(c, 3) for cell, c in frobenius.items()} } "
+                    f"max/min={spread:.3f} "
+                    f"operator(k/d<=1/8)={ {cell: round(c, 3) for cell, c in gated_op.items()} } "
+                    f"converged={converged} elapsed={elapsed:.1f}s")

@@ -5,7 +5,9 @@ benchmark call. Reference implementations that only tests use live in
 ``tests/_oracles.py`` and must not reappear in the package.
 """
 
+import dataclasses
 import importlib
+import inspect
 import pkgutil
 import types
 
@@ -14,16 +16,11 @@ import pytest
 
 import lowrank_iht
 from lowrank_iht.inference import confidence_intervals
-from lowrank_iht.iht import run_iht
+from lowrank_iht.iht import IhtState, run_iht
 from lowrank_iht.linalg import svd
 from lowrank_iht.quantum import PauliSetting, gen_density_matrix, sample_outcomes, simulate_dataset
 from lowrank_iht.sparse import build_decorrelator, gen_sparse_instance
-from lowrank_iht.trace_model import (
-    estimate_rip_constant,
-    gen_gaussian_design,
-    gen_low_rank_theta,
-    simulate_observations,
-)
+from lowrank_iht.trace_model import gen_gaussian_design, gen_low_rank_theta, simulate_observations
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(lowrank_iht.__path__)
                  if info.name != "__main__")
@@ -35,6 +32,7 @@ REMOVED = {
     "linalg": ("restricted_singular_bound", "restricted_singular_bound_check"),
     "sparse": ("estimate_r_k", "sparse_decomposition_terms"),
     "iht": ("write_trace_csv",),
+    "trace_model": ("RipEstimate", "estimate_rip_constant", "isometry_deviation"),
 }
 
 
@@ -49,7 +47,7 @@ def test_every_all_entry_exists(name):
 def test_every_package_name_is_in_its_modules_all():
     exported = {name: value for name, value in vars(lowrank_iht).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(exported) == 58
+    assert len(exported) == 55
     for name, value in exported.items():
         module = importlib.import_module(value.__module__)
         assert name in module.__all__, f"{name} is not in {module.__name__}.__all__"
@@ -62,6 +60,13 @@ def test_removed_names_are_gone(module_name):
         assert not hasattr(lowrank_iht, name)
         assert not hasattr(module, name)
         assert name not in module.__all__
+
+
+def test_run_iht_takes_no_rip_probe():
+    # a Monte-Carlo probe only bounds the restricted isometry constant from
+    # below, so the estimator neither takes one nor reports a verdict from it
+    assert "rip" not in inspect.signature(run_iht).parameters
+    assert "rho_condition_ok" not in {f.name for f in dataclasses.fields(IhtState)}
 
 
 def _array_holders():
@@ -85,7 +90,6 @@ def _array_holders():
     return {
         "DesignBatch": design,
         "Observations": observations,
-        "RipEstimate": lambda: estimate_rip_constant(design(), 1, 3, 5),
         "IhtState": state,
         "SvdFactors": lambda: svd(np.arange(9.0).reshape(3, 3)),
         "EntrywiseResult": intervals,

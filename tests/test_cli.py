@@ -215,6 +215,16 @@ def test_violated_stopping_bound_exits_3(tmp_path, monkeypatch, capsys):
     assert "stopping bound violated" in capsys.readouterr().err
 
 
+def test_fixed_schedule_seeded_at_zero_exits_0(tmp_path, capsys):
+    # T0 = 0 passes validation; the run must not take log(0) for its bound
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**_TINY["simulate-matrix"], "iht": {"upsilon": 0.1, "t0": 0}}))
+    code = main(["simulate-matrix", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 0, capsys.readouterr().err
+    _, rows = read_csv(tmp_path / "o" / "metrics.csv")
+    assert len(rows) == 1
+
+
 def test_package_import_pulls_in_neither_scipy_nor_the_process_pool():
     probe = ("import sys, lowrank_iht; "
              "print(sorted(m for m in ('scipy', 'concurrent.futures.process') "

@@ -23,7 +23,6 @@ from lowrank_iht.trace_model import (
     DesignBatch,
     adjoint_apply,
     apply_design,
-    estimate_rip_constant,
     gen_basis_design,
     gen_gaussian_design,
     gen_low_rank_theta,
@@ -107,6 +106,21 @@ def test_schedule_iteration_bound_closed_form():
     expected = 1 + math.log2(5000)
     assert schedule_iteration_bound(1.0, 1e-3, 0.5) == pytest.approx(expected, rel=1e-12)
     assert schedule_iteration_bound(1.0, 0.0, 0.5) == math.inf
+
+
+@pytest.mark.parametrize("t0", [0.0, 1e-3, 0.02])
+def test_schedule_iteration_bound_is_one_from_a_low_seed(t0):
+    # 10 (1 - rho) T0 <= upsilon: T1 = rho T0 + upsilon <= upsilon / (1 - rho)
+    # already meets the stopping line, so the cap is one iteration, and T0 = 0
+    # must not take log(0)
+    assert schedule_iteration_bound(t0, 0.1, 0.5) == 1.0
+    d, n = 6, 300
+    batch = gen_gaussian_design(n, d, 4)
+    obs = simulate_observations(batch, gen_low_rank_theta(d, 2, 3), 0.5, 5)
+    _, state = run_iht(batch, obs, IhtConfig(upsilon=0.1, t0=t0))
+    assert state.converged
+    assert state.iteration == 1
+    assert state.iteration_bound == 1.0
 
 
 def test_fixed_schedule_follows_arithmetico_geometric_form():
@@ -243,19 +257,6 @@ def test_iht_step_reduces_residual_on_plain_instance():
     assert second.residual_l2 <= first.residual_l2
     assert (first.iteration, second.iteration) == (1, 2)
     assert first.rank <= d
-
-
-def test_rho_condition_recorded_with_rip_estimate():
-    d, n = 8, 900
-    theta = gen_low_rank_theta(d, 1, 27)
-    batch = gen_gaussian_design(n, d, 28)
-    obs = simulate_observations(batch, theta, 0.5, 29)
-    rip = estimate_rip_constant(batch, 2, 40, 30)
-    _, state = run_iht(batch, obs, rip=rip)
-    expected = 0.5 >= 4.0 * math.sqrt(rip.k / 2.0) * rip.max_deviation
-    assert state.rho_condition_ok == expected
-    _, state2 = run_iht(batch, obs)
-    assert state2.rho_condition_ok is None
 
 
 def test_config_validation():

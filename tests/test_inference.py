@@ -236,9 +236,11 @@ def test_half_width_formula():
 
 
 @pytest.mark.parametrize("sigma, level", [(1.0, 1.0), (1.0, 0.0), (1.0, 1.5),
-                                          (-1.0, 0.95)])
+                                          (-1.0, 0.95), (math.nan, 0.95),
+                                          (math.inf, 0.95)])
 def test_confidence_intervals_rejects_bad_sigma_and_level(sigma, level):
-    # level 1 or 0 would give infinite half-widths, a negative sigma negative ones
+    # level 1 or 0 would give infinite half-widths, a negative sigma negative
+    # ones, a NaN or infinite sigma NaN or infinite ones
     batch = gen_basis_design(3)
     with pytest.raises(ValueError, match="must"):
         confidence_intervals(batch, np.zeros(9), np.zeros((3, 3)), sigma=sigma,

@@ -61,6 +61,27 @@ def test_run_iht_is_scale_equivariant(seed, k, c):
     assert np.linalg.norm(scaled - c * estimate) <= 1e-12 * np.linalg.norm(c * estimate)
 
 
+@_FIXED
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 3))
+def test_run_iht_is_rotation_equivariant(seed, k):
+    # X^i -> U X^i V^T with orthogonal U, V keeps <U X^i V^T, U A V^T> = <X^i, A>,
+    # maps the adjoint to U X*(v) V^T and leaves singular values unchanged, so
+    # the same y gives U theta_hat V^T at the same rank and iteration
+    d = 8
+    theta = gen_low_rank_theta(d, k, seed)
+    batch = gen_gaussian_design(600, d, seed + 1)
+    y = simulate_observations(batch, theta, 1.0, seed + 2).values
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    estimate, state = run_iht(batch, y)
+    rotated, rotated_state = run_iht(DesignBatch(u @ batch.matrices @ v.T), y)
+    assert rotated_state.iteration == state.iteration
+    assert rotated_state.rank == state.rank
+    expected = u @ estimate @ v.T
+    assert np.linalg.norm(rotated - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
 def _gaussian_regression(seed, k):
     theta = gen_low_rank_theta(8, k, seed)
     batch = gen_gaussian_design(300, 8, seed + 1)

@@ -22,10 +22,11 @@ from lowrank_iht.quantum import (
     save_dataset,
     simulate_dataset,
 )
-from lowrank_iht.trace_model import DesignBatch, apply_design, isometry_deviation
+from lowrank_iht.trace_model import DesignBatch, apply_design
 
 from _oracles import (
     eigenprojector,
+    isometry_deviation,
     marginalize,
     pauli_matrix,
     setting_projector,

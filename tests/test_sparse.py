@@ -408,8 +408,9 @@ def test_interval_half_width_formula():
     zero = sparse_confidence_intervals(np.zeros(4), inst, dec, sigma_hat=0.0)
     assert np.all(zero.half_width == 0.0)
     assert np.all(zero.covers(np.zeros(4)))
-    with pytest.raises(ValueError):
-        sparse_confidence_intervals(np.zeros(4), inst, dec, sigma_hat=-1.0)
+    for bad_sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma_hat must be finite and nonnegative"):
+            sparse_confidence_intervals(np.zeros(4), inst, dec, sigma_hat=bad_sigma)
     with pytest.raises(ValueError):
         sparse_confidence_intervals(np.zeros(4), inst, dec, sigma_hat=1.0, level=0.0)
 

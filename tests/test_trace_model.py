@@ -10,13 +10,13 @@ from lowrank_iht.trace_model import (
     Observations,
     adjoint_apply,
     apply_design,
-    estimate_rip_constant,
     gen_basis_design,
     gen_gaussian_design,
     gen_low_rank_theta,
-    isometry_deviation,
     simulate_observations,
 )
+
+from _oracles import estimate_rip_constant, isometry_deviation
 
 
 def _apply_oracle(matrices, a):
