@@ -21,16 +21,13 @@ estimate, state = run_iht(batch, obs)
 print(f"converged in {state.iteration} iterations, "
       f"estimated rank {state.rank}, sigma {state.final_sigma:.3f}")
 
-result = confidence_intervals(batch, obs, estimate, state=state)
-print(f"default quantile {result.quantile:.3f} "
-      f"-> coverage {result.coverage_rate(theta):.3f}")
-
-# the same intervals with the two-sided quantile are wider and cover more
-wide = confidence_intervals(batch, obs, estimate, state=state,
-                            two_sided_correct=True)
-print(f"two-sided quantile {wide.quantile:.3f} "
-      f"-> coverage {wide.coverage_rate(theta):.3f}")
+# level is the two-sided coverage each interval aims at; 95% intervals are
+# wider than 90% ones and cover more
+for level in (0.90, 0.95):
+    result = confidence_intervals(batch, obs, estimate, level=level, state=state)
+    print(f"level {level:.2f}: quantile {result.quantile:.3f} "
+          f"-> coverage {result.coverage_rate(theta):.3f}")
 
 a, b = (int(i) for i in np.unravel_index(np.argmax(np.abs(theta)), theta.shape))
 print(f"largest entry ({a}, {b}): truth {theta[a, b]:+.4f}, "
-      f"interval [{wide.lower[a, b]:+.4f}, {wide.upper[a, b]:+.4f}]")
+      f"95% interval [{result.lower[a, b]:+.4f}, {result.upper[a, b]:+.4f}]")

@@ -28,7 +28,7 @@ _COMMAND_MODE = {
 _DEFAULT_GRIDS = {
     "matrix_sim": {
         "d_values": [16], "k_values": [2], "n_values": [1500, 3000],
-        "replicates": 8,
+        "replicates": 8, "level": 0.90,
     },
     "quantum": {
         "m_values": [3], "k_values": [1], "alpha_values": [2, 5],

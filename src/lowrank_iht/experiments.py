@@ -79,7 +79,6 @@ class ExperimentConfig:
     workers: int = 1
     noise_std: float = 1.0
     level: float = 0.95
-    two_sided_correct: bool = False
     design: str = "gaussian"
     d_values: tuple = ()
     k_values: tuple = ()
@@ -108,10 +107,6 @@ class ExperimentConfig:
             raise ConfigError("noise_std must be nonnegative and finite")
         if not 0 < self.level < 1:
             raise ConfigError("level must lie in (0, 1)")
-        if not isinstance(self.two_sided_correct, bool):
-            # a string such as "false" would otherwise count as true
-            raise ConfigError(f"two_sided_correct must be true or false, "
-                              f"got {self.two_sided_correct!r}")
         if self.design not in ("gaussian", "basis"):
             raise ConfigError(f"design must be gaussian or basis, got {self.design!r}")
         for name in ("d_values", "k_values", "n_values", "m_values", "p_values"):
@@ -227,9 +222,7 @@ def _matrix_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
         batch = gen_gaussian_design(n, d, design_seed)
     obs = simulate_observations(batch, theta, config.noise_std, noise_seed)
     estimate, state = run_iht(batch, obs, config.iht)
-    result = confidence_intervals(batch, obs, estimate, level=config.level,
-                                  two_sided_correct=config.two_sided_correct,
-                                  state=state)
+    result = confidence_intervals(batch, obs, estimate, level=config.level, state=state)
     return {
         **_estimate_metrics(cell, rep_idx, estimate, theta, state, start),
         "coverage": result.coverage_rate(theta),

@@ -140,7 +140,7 @@ def empirical_sigma(batch: DesignBatch, y, theta_hat) -> float:
 def upsilon_r(sigma: float, d: int, n: int, quantile: float = 0.90) -> float:
     """Noise term sigma * sqrt(d/n) * z_quantile with z the standard normal
     quantile function."""
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
@@ -151,7 +151,7 @@ def upsilon_r(sigma: float, d: int, n: int, quantile: float = 0.90) -> float:
 
 def threshold_step(t_prev: float, rho: float, upsilon: float) -> float:
     """One threshold recursion step rho * t_prev + upsilon."""
-    if t_prev < 0 or upsilon < 0:
+    if not (t_prev >= 0 and upsilon >= 0):
         raise ValueError("thresholds must be nonnegative")
     if not 0 < rho < 1:
         raise ValueError("rho must lie in (0, 1)")
@@ -171,7 +171,11 @@ def schedule_iteration_bound(t0: float, upsilon: float, rho: float) -> float:
     stopping line), and 1 when 10 (1-rho) T_0 <= upsilon, since then
     T_1 = rho T_0 + upsilon <= upsilon / (1-rho) already meets it.
     """
-    if upsilon <= 0:
+    if not (t0 >= 0 and upsilon >= 0):
+        raise ValueError("t0 and upsilon must be nonnegative")
+    if not 0 < rho < 1:
+        raise ValueError("rho must lie in (0, 1)")
+    if upsilon == 0:
         return math.inf
     seed_ratio = 10.0 * (1.0 - rho) * t0 / upsilon
     if seed_ratio <= 1.0:
@@ -205,9 +209,6 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     iteration that starts from y. With the data-driven first threshold
     sigma_1 + upsilon_1 the first estimate usually has rank 0, so a run of r
     iterations then makes r - 1 forward and r - 1 adjoint passes.
-
-    When a RipEstimate at rank 2K is supplied, the contraction validity
-    condition rho >= 4 sqrt(K) c(2K) is checked and recorded on the state.
     """
     values = _obs_values(y, batch.n)
     n, d = batch.n, batch.dim

@@ -62,7 +62,11 @@ class EntrywiseResult:
     half_width: np.ndarray
     sigma: float
     level: float
-    quantile: float
+
+    @property
+    def quantile(self) -> float:
+        """The two-sided quantile z_{(1+level)/2} behind the half-widths."""
+        return _two_sided_quantile(self.level, self.sigma)
 
     @property
     def lower(self) -> np.ndarray:
@@ -86,31 +90,35 @@ class EntrywiseResult:
         return float(np.mean(self.covers(truth)))
 
 
+def _two_sided_quantile(level: float, sigma: float, sigma_name: str = "sigma") -> float:
+    """The quantile q = z_{(1+level)/2} that gives two-sided coverage
+    ``level``, once level and the noise scale are checked: every interval in
+    the package takes its quantile from here."""
+    if not 0 < level < 1:
+        raise ValueError("level must lie in (0, 1)")
+    if not 0 <= sigma < np.inf:
+        raise ValueError(f"{sigma_name} must be finite and nonnegative")
+    return ndtri((1.0 + level) / 2.0)
+
+
 def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
                          sigma: float | None = None, level: float = 0.95,
-                         two_sided_correct: bool = False,
                          state: IhtState | None = None) -> EntrywiseResult:
     """Debias theta_hat and attach entrywise intervals with half-widths
-    sigma * Sigma_{m,m'} * q / sqrt(n).
+    sigma * Sigma_{m,m'} * q / sqrt(n), where q = z_{(1+level)/2}.
+
+    ``level`` is the two-sided coverage each interval aims at: the default
+    0.95 gives q = 1.95996..., and level=0.90 gives q = z_0.95 = 1.64485...
 
     sigma defaults to the last recorded iteration sigma when a state is
     given (the scale the stopping rule actually certified), else to the
     residual scale at theta_hat. When batch is the state's design, theta_hat
     its estimate and y bit for bit its observation vector, debiasing reuses
     the state's residual instead of a forward pass, with the same bits.
-
-    The default quantile is q = z_level, which for a two-sided interval at
-    level 0.95 actually delivers nominal 90% coverage; pass
-    two_sided_correct=True for q = z_{(1+level)/2} if the stated level should
-    be the two-sided one.
     """
-    if not 0 < level < 1:
-        raise ValueError("level must lie in (0, 1)")
     if sigma is None:
         sigma = state.final_sigma if state is not None else empirical_sigma(batch, y, theta_hat)
-    if not 0 <= sigma < np.inf:
-        raise ValueError("sigma must be finite and nonnegative")
-    q = ndtri((1.0 + level) / 2.0) if two_sided_correct else ndtri(level)
+    q = _two_sided_quantile(level, sigma)
     half = sigma * entry_scale_matrix(batch) * q / np.sqrt(batch.n)
     values = _obs_values(y, batch.n)
     if (state is not None and batch is state.batch and theta_hat is state.estimate
@@ -118,8 +126,7 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
         estimate = theta_hat + adjoint_apply(batch, state.residual)
     else:
         estimate = debias(batch, values, theta_hat)
-    return EntrywiseResult(estimate=estimate, half_width=half,
-                           sigma=sigma, level=level, quantile=q)
+    return EntrywiseResult(estimate=estimate, half_width=half, sigma=sigma, level=level)
 
 
 def decomposition_terms(batch: DesignBatch, y, theta_hat: np.ndarray,

@@ -135,7 +135,7 @@ def hard_threshold_entries(u, threshold: float):
     The comparison is closed: entries with ``|u_i| >= threshold`` survive.
     Works elementwise on arrays of any shape.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     u = np.asarray(u)
     return np.where(np.abs(u) >= threshold, u, np.zeros((), dtype=u.dtype))
@@ -148,7 +148,7 @@ def hard_threshold_singular(a, threshold: float) -> SvdFactors:
     set to zero; ``.reconstruct()`` is the thresholded matrix and ``.rank()``
     the count of singular values at or above the threshold.
     """
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError("threshold must be nonnegative")
     f = svd(a)
     kept = np.where(f.singular_values >= threshold, f.singular_values, 0.0)

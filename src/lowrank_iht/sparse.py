@@ -18,9 +18,8 @@ from functools import cached_property
 import numpy as np
 
 from ._checks import check_float, check_int
-from ._ndtri import ndtri
 from ._rng import make_rng
-from .inference import EntrywiseResult
+from .inference import EntrywiseResult, _two_sided_quantile
 from .linalg import hard_threshold_entries
 
 __all__ = [
@@ -362,15 +361,10 @@ def sparse_confidence_intervals(theta_hat: np.ndarray, instance: SparseInstance,
                                 dec: Decorrelator, sigma_hat: float,
                                 level: float = 0.95) -> EntrywiseResult:
     """Coordinate j gets half-width sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}."""
-    if not 0 < level < 1:
-        raise ValueError("level must lie in (0, 1)")
-    if not 0 <= sigma_hat < math.inf:
-        raise ValueError("sigma_hat must be finite and nonnegative")
+    z = _two_sided_quantile(level, sigma_hat, "sigma_hat")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    z = ndtri((1.0 + level) / 2.0)
     half = sigma_hat * np.sqrt(dec.vsv_diag / instance.n) * z
-    return EntrywiseResult(estimate=theta_hat, half_width=half,
-                           sigma=sigma_hat, level=level, quantile=z)
+    return EntrywiseResult(estimate=theta_hat, half_width=half, sigma=sigma_hat, level=level)
 
 
 def gen_sparse_instance(n: int, p: int, k: int, noise_std: float, seed) -> SparseInstance:

@@ -182,7 +182,8 @@ def test_criterion_6_coverage_floor():
         batch = gen_gaussian_design(n, d, design_seed)
         obs = simulate_observations(batch, theta, 1.0, noise_seed)
         est, state = run_iht(batch, obs)
-        result = confidence_intervals(batch, obs.values, est, state=state)
+        # two-sided 90% intervals, checked against an 0.85 floor
+        result = confidence_intervals(batch, obs.values, est, state=state, level=0.90)
         rates.append(result.coverage_rate(theta))
     mean_cov = float(np.mean(rates))
     elapsed = time.perf_counter() - start
@@ -327,6 +328,35 @@ def test_criterion_10_sparse_oracles():
           and mean_cov >= 0.85 and elapsed < 300)
     _report(10, ok, f"r_k_gap={r_k_gap:.2e} recovery_err={recovery_err:.2e} "
                     f"identity_gap={identity_gap:.2e} support_coverage={mean_cov:.3f} "
+                    f"elapsed={elapsed:.1f}s")
+
+
+def test_criterion_11_limiting_distribution():
+    # The paper's headline result: the debiased entries are asymptotically
+    # Gaussian around the truth with the estimated scale, so the standardized
+    # errors (theta_tilde - theta) / (sigma_hat Sigma / sqrt(n)) are close to
+    # N(0, 1) and two-sided 95% intervals cover close to 95%.
+    start = time.perf_counter()
+    d, k, n = 16, 2, 3000
+    root = np.random.SeedSequence(1111)
+    errors, rates = [], []
+    for rep in range(60):
+        theta_seed, design_seed, noise_seed = root.spawn(3)
+        theta = gen_low_rank_theta(d, k, theta_seed)
+        batch = gen_gaussian_design(n, d, design_seed)
+        obs = simulate_observations(batch, theta, 1.0, noise_seed)
+        est, state = run_iht(batch, obs)
+        result = confidence_intervals(batch, obs.values, est, state=state, level=0.95)
+        errors.append((result.estimate - theta) / (result.half_width / result.quantile))
+        rates.append(result.coverage_rate(theta))
+    errors = np.concatenate([e.ravel() for e in errors])
+    mean, sd = float(np.mean(errors)), float(np.std(errors))
+    mean_cov = float(np.mean(rates))
+    elapsed = time.perf_counter() - start
+    ok = (0.97 <= sd <= 1.03 and abs(mean) < 0.02 and 0.94 <= mean_cov <= 0.96
+          and elapsed < 120)
+    _report(11, ok, f"standardized error mean={mean:+.4f} sd={sd:.4f} "
+                    f"two-sided 95% coverage={mean_cov:.4f} over 60 replicates "
                     f"elapsed={elapsed:.1f}s")
 
 

@@ -108,6 +108,7 @@ _NAN, _INF = float("nan"), float("inf")
     ("simulate-sparse", {"sparse_estimator": {"k_cap": True}}),
     ("simulate-sparse", {"n_values": [1]}),
     ("simulate-matrix", {"two_sided_correct": "false"}),
+    ("simulate-matrix", {"two_sided_correct": True}),
     ("simulate-sparse", {"p_values": [20], "sparse_estimator": {"k_cap": 50}}),
 ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
 def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command, override):

@@ -17,7 +17,7 @@ from lowrank_iht.iht import (
     threshold_step,
     upsilon_r,
 )
-from lowrank_iht.linalg import hard_threshold_singular
+from lowrank_iht.linalg import hard_threshold_entries, hard_threshold_singular
 from lowrank_iht.quantum import gen_density_matrix, simulate_dataset
 from lowrank_iht.trace_model import (
     DesignBatch,
@@ -106,6 +106,25 @@ def test_schedule_iteration_bound_closed_form():
     expected = 1 + math.log2(5000)
     assert schedule_iteration_bound(1.0, 1e-3, 0.5) == pytest.approx(expected, rel=1e-12)
     assert schedule_iteration_bound(1.0, 0.0, 0.5) == math.inf
+
+
+@pytest.mark.parametrize("call", [
+    lambda: upsilon_r(math.nan, 4, 10),
+    lambda: threshold_step(math.nan, 0.5, 0.1),
+    lambda: threshold_step(1.0, 0.5, math.nan),
+    lambda: schedule_iteration_bound(1.0, 0.1, math.nan),
+    lambda: schedule_iteration_bound(math.nan, 0.1, 0.5),
+    lambda: schedule_iteration_bound(1.0, math.nan, 0.5),
+    lambda: hard_threshold_entries(np.ones(3), math.nan),
+    lambda: hard_threshold_singular(np.eye(3), math.nan),
+], ids=["upsilon_r", "threshold_step_t", "threshold_step_upsilon",
+        "bound_rho", "bound_t0", "bound_upsilon", "entries", "singular"])
+def test_nan_threshold_or_scale_is_refused(call):
+    # a NaN compares false both ways, so only a check written as
+    # "not x >= 0" refuses it; let through, it makes the schedule helpers
+    # return nan and the thresholding functions keep nothing
+    with pytest.raises(ValueError):
+        call()
 
 
 @pytest.mark.parametrize("t0", [0.0, 1e-3, 0.02])

@@ -207,12 +207,14 @@ def test_quantile_conventions():
     # oracle first, then the frozen values the code must reproduce
     assert _normal_quantile_oracle(0.95) == pytest.approx(1.6448536269514722, abs=2e-9)
     assert _normal_quantile_oracle(0.975) == pytest.approx(1.959963984540054, abs=2e-9)
+    # level is two-sided coverage: q = z_{(1+level)/2}, so the default 0.95
+    # gives z_0.975 and 0.90 gives z_0.95
     batch = gen_basis_design(3)
     res = confidence_intervals(batch, np.zeros(9), np.zeros((3, 3)), sigma=1.0)
-    assert res.quantile == pytest.approx(1.6448536269514722, rel=1e-12)
+    assert res.quantile == pytest.approx(1.959963984540054, rel=1e-12)
     res2 = confidence_intervals(batch, np.zeros(9), np.zeros((3, 3)), sigma=1.0,
-                                two_sided_correct=True)
-    assert res2.quantile == pytest.approx(1.959963984540054, rel=1e-12)
+                                level=0.90)
+    assert res2.quantile == pytest.approx(1.6448536269514722, rel=1e-12)
 
 
 def test_half_width_formula():
@@ -223,10 +225,10 @@ def test_half_width_formula():
     def half_width(sigma, **kwargs):
         return confidence_intervals(batch, y, theta_hat, sigma=sigma, **kwargs).half_width
 
-    expected = 2.0 * 1.6448536269514722 / math.sqrt(n)
+    expected = 2.0 * 1.959963984540054 / math.sqrt(n)
     assert np.allclose(half_width(2.0), np.full((4, 4), expected), atol=1e-13)
-    expected2 = 2.0 * 1.959963984540054 / math.sqrt(n)
-    assert np.allclose(half_width(2.0, two_sided_correct=True),
+    expected2 = 2.0 * 1.6448536269514722 / math.sqrt(n)
+    assert np.allclose(half_width(2.0, level=0.90),
                        np.full((4, 4), expected2), atol=1e-13)
     assert np.all(half_width(0.0) == 0.0)
     with pytest.raises(ValueError):
@@ -250,8 +252,9 @@ def test_confidence_intervals_rejects_bad_sigma_and_level(sigma, level):
 def test_result_bounds_and_covers():
     est = np.array([[1.0 + 0.5j, 0.0], [0.0, -2.0]])
     hw = np.full((2, 2), 0.6)
-    res = EntrywiseResult(estimate=est, half_width=hw, sigma=1.0, level=0.95,
-                          quantile=1.64)
+    res = EntrywiseResult(estimate=est, half_width=hw, sigma=1.0, level=0.95)
+    # the quantile is read off the level, so it cannot disagree with it
+    assert res.quantile == pytest.approx(1.959963984540054, rel=1e-12)
     assert res.lower[0, 0] == pytest.approx(0.4)
     assert res.upper[0, 0] == pytest.approx(1.6)
     # complex truth covered only when both parts sit inside the box
@@ -284,8 +287,8 @@ def test_sigma_defaults_to_final_state_sigma():
 
 
 def test_monte_carlo_coverage_is_in_a_sane_band():
-    # loose check: per-entry marginal coverage with the two-sided-correct
-    # quantile should land well above one-half and at/below one
+    # loose check: per-entry marginal coverage at the default two-sided 95%
+    # level should land well above one-half and at/below one
     d, n = 6, 1500
     theta = gen_low_rank_theta(d, 1, 21)
     rng = np.random.default_rng(22)
@@ -294,8 +297,7 @@ def test_monte_carlo_coverage_is_in_a_sane_band():
         batch = gen_gaussian_design(n, d, rng.integers(1 << 31))
         obs = simulate_observations(batch, theta, 1.0, rng.integers(1 << 31))
         est, state = run_iht(batch, obs)
-        res = confidence_intervals(batch, obs.values, est, state=state,
-                                   two_sided_correct=True)
+        res = confidence_intervals(batch, obs.values, est, state=state)
         hits.append(res.coverage_rate(theta))
     mean_cov = float(np.mean(hits))
     assert 0.8 <= mean_cov <= 1.0
