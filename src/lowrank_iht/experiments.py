@@ -119,16 +119,18 @@ class ExperimentConfig:
             if not all(0 < v < math.inf for v in vals):
                 raise ConfigError(f"{name} entries must be positive and finite")
             object.__setattr__(self, name, vals)
-        needed = {
-            "matrix_sim": ("d_values", "k_values"),
-            "quantum": ("m_values", "k_values", "alpha_values", "t_factors"),
-            "sparse": ("p_values", "k_values", "n_values"),
-        }[self.mode]
-        for name in needed:
-            if not getattr(self, name):
-                raise ConfigError(f"{self.mode} mode requires {name}")
-        if self.mode == "matrix_sim" and self.design == "gaussian" and not self.n_values:
-            raise ConfigError("matrix_sim with gaussian design requires n_values")
+        reads, reader = _MODE_TABLE[self.mode].reads, f"{self.mode} mode"
+        if self.mode == "matrix_sim" and self.design == "basis":
+            # a basis design has n = d * d observations
+            reads = tuple(name for name in reads if name != "n_values")
+            reader += " with a basis design"
+        for f in dc_fields(self):
+            value = getattr(self, f.name)
+            if f.name in reads:
+                if f.default == () and not value:
+                    raise ConfigError(f"{reader} requires {f.name}")
+            elif value != f.default and any(f.name in m.reads for m in _MODE_TABLE.values()):
+                raise ConfigError(f"{reader} does not read {f.name}; leave it unset")
         if self.mode == "sparse" and min(self.n_values) < 2:
             raise ConfigError(f"sparse mode needs every n >= 2, got {min(self.n_values)}")
         k_cap = self.sparse_estimator.k_cap
@@ -297,22 +299,32 @@ class _Mode(NamedTuple):
     """How one mode fills metrics.csv: rows from ``replicate``, with the cell
     columns before ``replicate`` and the metric columns after it. A sparse
     row also carries its ``coordinates`` for coordinates.csv: the arrays
-    theta_hat, ci_lower, ci_upper and in_support, indexed by j."""
+    theta_hat, ci_lower, ci_upper and in_support, indexed by j.
+
+    ``reads`` names the config fields the mode reads besides those every mode
+    reads; each grid among them must be nonempty, and a field that another
+    mode reads must keep its default."""
 
     replicate: Callable[..., dict]
     cell_cols: tuple
     metric_cols: tuple
+    reads: tuple
 
 
 _MATRIX_METRICS = ("frobenius_sq", "operator", "entrywise_inf", "schatten1",
                    "rank_hat", "r_hat", "coverage", "mean_ci_length")
 
 _MODE_TABLE = {
-    "matrix_sim": _Mode(_matrix_replicate, ("d", "k", "n"), _MATRIX_METRICS),
-    "quantum": _Mode(_quantum_replicate, ("m", "k", "alpha", "t_factor"), _MATRIX_METRICS),
+    "matrix_sim": _Mode(_matrix_replicate, ("d", "k", "n"), _MATRIX_METRICS,
+                        ("d_values", "k_values", "n_values", "noise_std", "level",
+                         "design", "iht")),
+    "quantum": _Mode(_quantum_replicate, ("m", "k", "alpha", "t_factor"), _MATRIX_METRICS,
+                     ("m_values", "k_values", "alpha_values", "t_factors", "iht")),
     "sparse": _Mode(_sparse_replicate, ("p", "k", "n"),
                     ("l2_sq", "linf", "support_size", "support_included",
-                     "iterations", "coverage", "mean_ci_length")),
+                     "iterations", "coverage", "mean_ci_length"),
+                    ("p_values", "k_values", "n_values", "noise_std", "level",
+                     "sparse_estimator")),
 }
 
 _COORD_COLS = ("j", "theta_hat", "ci_lower", "ci_upper", "in_support")

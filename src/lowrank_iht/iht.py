@@ -16,7 +16,7 @@ recursion takes over from the second iteration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,19 +96,13 @@ class IterationRecord:
 class IhtState:
     """The result of a finished run.
 
-    ``trace`` records one entry per performed iteration and is never empty;
-    ``iteration``, ``threshold``, ``rank`` and ``final_sigma`` read its last
-    record. ``batch`` is the run's design, ``y`` a copy of its observation
-    vector and ``residual`` is y - X(estimate), which
-    ``confidence_intervals`` reuses for the same batch, estimate and y
-    instead of recomputing it. ``estimate``, ``y`` and ``residual`` are
-    read-only, so the residual cannot go stale.
+    ``estimate`` is read-only. ``trace`` records one entry per performed
+    iteration and is never empty; ``iteration``, ``threshold``, ``rank`` and
+    ``final_sigma`` read its last record. The state holds neither the design
+    nor the observations, so keeping it does not keep the design in memory.
     """
 
     estimate: np.ndarray
-    batch: DesignBatch = field(repr=False)
-    y: np.ndarray = field(repr=False)
-    residual: np.ndarray = field(repr=False)
     trace: tuple[IterationRecord, ...]
     converged: bool
     iteration_bound: float
@@ -253,14 +247,9 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     fixed_seed = config.upsilon is not None and config.t0 is not None
     t_seed = config.t0 if fixed_seed else trace[0].threshold
     bound = schedule_iteration_bound(t_seed, ups_floor, config.rho)
-    # the state keeps its own read-only copy of y, which is also the residual
-    # of a rank-0 estimate
-    y_copy = values.copy()
-    residual = y_copy if resid is values else resid
-    for array in (estimate, y_copy, residual):
-        array.setflags(write=False)
-    state = IhtState(estimate=estimate, batch=batch, y=y_copy, residual=residual,
-                     trace=tuple(trace), converged=converged, iteration_bound=bound)
+    estimate.setflags(write=False)
+    state = IhtState(estimate=estimate, trace=tuple(trace), converged=converged,
+                     iteration_bound=bound)
     if (converged and fixed_seed and config.upsilon > 0 and config.e >= 0.1
             and state.iteration > bound):
         # fixed-upsilon schedules come with an exact iteration cap; tripping it

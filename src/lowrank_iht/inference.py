@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ndtri import ndtri
-from .iht import IhtState, empirical_sigma
+from .iht import IhtState
 from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
 
 __all__ = [
@@ -112,21 +112,18 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
 
     sigma defaults to the last recorded iteration sigma when a state is
     given (the scale the stopping rule actually certified), else to the
-    residual scale at theta_hat. When batch is the state's design, theta_hat
-    its estimate and y bit for bit its observation vector, debiasing reuses
-    the state's residual instead of a forward pass, with the same bits.
+    residual scale ||y - X(theta_hat)||_2 / sqrt(n). The state is read for
+    nothing else. Every call makes one forward and one adjoint pass: the
+    residual is formed once and serves both the default sigma and debiasing.
     """
+    resid = _obs_values(y, batch.n) - apply_design(batch, theta_hat)
     if sigma is None:
-        sigma = state.final_sigma if state is not None else empirical_sigma(batch, y, theta_hat)
+        sigma = (state.final_sigma if state is not None
+                 else float(np.linalg.norm(resid) / np.sqrt(batch.n)))
     q = _two_sided_quantile(level, sigma)
     half = sigma * entry_scale_matrix(batch) * q / np.sqrt(batch.n)
-    values = _obs_values(y, batch.n)
-    if (state is not None and batch is state.batch and theta_hat is state.estimate
-            and values.tobytes() == state.y.tobytes()):
-        estimate = theta_hat + adjoint_apply(batch, state.residual)
-    else:
-        estimate = debias(batch, values, theta_hat)
-    return EntrywiseResult(estimate=estimate, half_width=half, sigma=sigma, level=level)
+    return EntrywiseResult(estimate=theta_hat + adjoint_apply(batch, resid),
+                           half_width=half, sigma=sigma, level=level)
 
 
 def decomposition_terms(batch: DesignBatch, y, theta_hat: np.ndarray,

@@ -1,9 +1,7 @@
 """Dense matrix primitives: canonical SVD, hard thresholding, Schatten norms.
 
 Everything here is deterministic. The SVD wrapper fixes the phase ambiguity of
-each singular triplet so repeated calls on equal inputs are bit-identical, and
-rank-deficient inputs get a canonical basis completion for the zero part of the
-spectrum.
+each singular triplet so repeated calls on equal inputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -60,36 +58,12 @@ class SvdFactors:
         return int(np.count_nonzero(self.singular_values > tol))
 
 
-def _canonical_completion(kept: list, count: int, dim: int, dtype):
-    """Orthonormal vectors completing ``kept``, built from canonical basis
-    vectors in index order (deterministic, independent of LAPACK's null-space
-    choice)."""
-    cols = []
-    j = 0
-    while len(cols) < count and j < dim:
-        w = np.zeros(dim, dtype=dtype)
-        w[j] = 1.0
-        for _ in range(2):  # re-orthogonalize once for stability
-            for q in kept:
-                w = w - q * (np.conj(q) @ w)
-            for q in cols:
-                w = w - q * (np.conj(q) @ w)
-        nrm = np.linalg.norm(w)
-        if nrm > 1e-8:
-            cols.append(w / nrm)
-        j += 1
-    if len(cols) < count:
-        raise SvdConvergenceError("failed to complete an orthonormal basis")
-    return cols
-
-
 def svd(a) -> SvdFactors:
     """Thin SVD with deterministic factors.
 
     The phase of each singular triplet is rotated so the largest-modulus entry
     of the left singular vector is real and positive (ties broken by lowest
-    index). Singular values that are exactly zero get their columns replaced by
-    a canonical completion, so e.g. the zero matrix yields identity factors.
+    index).
     """
     a = _as_matrix(a)
     try:
@@ -97,8 +71,7 @@ def svd(a) -> SvdFactors:
     except np.linalg.LinAlgError as exc:
         raise SvdConvergenceError(f"SVD did not converge for shape {a.shape}") from exc
     v = vh.conj().T.copy()
-    # every column of u is a unit vector, so its pivot is nonzero; the columns
-    # of zero singular values are replaced by the completion below
+    # every column of u is a unit vector, so its pivot is nonzero
     pivot = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
     if np.iscomplexobj(pivot):
         # hypot, like abs() of a complex scalar; numpy's vectorised complex
@@ -109,16 +82,6 @@ def svd(a) -> SvdFactors:
         phase = np.sign(pivot)
     u *= phase
     v *= phase
-    nzero = int(np.count_nonzero(s == 0.0))
-    if nzero:
-        kept_u = [u[:, j] for j in range(s.size) if s[j] != 0.0]
-        kept_v = [v[:, j] for j in range(s.size) if s[j] != 0.0]
-        for col, q in zip(np.flatnonzero(s == 0.0),
-                          _canonical_completion(kept_u, nzero, u.shape[0], u.dtype)):
-            u[:, col] = q
-        for col, q in zip(np.flatnonzero(s == 0.0),
-                          _canonical_completion(kept_v, nzero, v.shape[0], v.dtype)):
-            v[:, col] = q
     return SvdFactors(left=u, singular_values=s, right=v)
 
 

@@ -363,6 +363,8 @@ def sparse_confidence_intervals(theta_hat: np.ndarray, instance: SparseInstance,
     """Coordinate j gets half-width sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}."""
     z = _two_sided_quantile(level, sigma_hat, "sigma_hat")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
+    if theta_hat.shape != (instance.p,):
+        raise ValueError(f"estimate must have length {instance.p}")
     half = sigma_hat * np.sqrt(dec.vsv_diag / instance.n) * z
     return EntrywiseResult(estimate=theta_hat, half_width=half, sigma=sigma_hat, level=level)
 
@@ -372,8 +374,8 @@ def gen_sparse_instance(n: int, p: int, k: int, noise_std: float, seed) -> Spars
     [1, 3] and random signs, Gaussian noise."""
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
+    if not 0 <= noise_std < math.inf:
+        raise ValueError("noise_std must be nonnegative and finite")
     rng = make_rng(seed)
     x = rng.standard_normal((n, p))
     support = rng.choice(p, size=k, replace=False)

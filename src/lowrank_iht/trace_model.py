@@ -222,8 +222,8 @@ def gen_low_rank_theta(d: int, k: int, seed) -> np.ndarray:
 def simulate_observations(batch: DesignBatch, theta, noise_std: float, seed) -> Observations:
     """Draw Y = X(theta) + noise_std * eps with standard Gaussian eps,
     retaining the realized noise vector."""
-    if noise_std < 0:
-        raise ValueError("noise_std must be nonnegative")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError("noise_std must be nonnegative and finite")
     eps = noise_std * make_rng(seed).standard_normal(batch.n)
     values = apply_design(batch, theta) + eps
     return Observations(values=values, noise=eps)

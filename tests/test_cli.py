@@ -122,6 +122,39 @@ def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command,
 
 
 @pytest.mark.parametrize("command, override", [
+    ("simulate-quantum", {"noise_std": 123}),
+    ("simulate-quantum", {"level": 0.5}),
+    ("simulate-quantum", {"design": "basis"}),
+    ("simulate-quantum", {"p_values": [10]}),
+    ("simulate-quantum", {"d_values": [4]}),
+    ("simulate-quantum", {"sparse_estimator": {"delta": 0.1}}),
+    ("simulate-sparse", {"iht": {"rho": 0.4}}),
+    ("simulate-sparse", {"design": "basis"}),
+    ("simulate-sparse", {"m_values": [2]}),
+    ("simulate-matrix", {"design": "basis", "n_values": [5000]}),
+    ("simulate-matrix", {"alpha_values": [2]}),
+    ("simulate-matrix", {"sparse_estimator": {"k_cap": 2}}),
+], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
+def test_a_field_the_mode_does_not_read_exits_2(tmp_path, capsys, command, override):
+    # a set field the run would ignore is refused, named, before anything is written
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**_TINY[command], **override}))
+    code = main([command, "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert f"does not read {list(override)[-1]};" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_field_the_mode_does_not_read_may_keep_its_default(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**_TINY["simulate-quantum"], "noise_std": 1, "level": 0.95,
+                                  "design": "gaussian", "p_values": [],
+                                  "sparse_estimator": {}}))
+    code = main(["simulate-quantum", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, override", [
     ("simulate-matrix", {"d_values": [4.7]}),
     ("simulate-matrix", {"n_values": [40.9]}),
     ("simulate-matrix", {"k_values": ["1"]}),

@@ -392,7 +392,7 @@ def _recomputing_loop(batch, y, config, iterations):
         residual = values - apply_design(batch, estimate)
         trace.append(IterationRecord(r, threshold, sigma, ups, factors.rank(),
                                      float(np.linalg.norm(residual)), clamped))
-    return estimate, residual, tuple(trace)
+    return estimate, tuple(trace)
 
 
 @pytest.mark.parametrize("run", list(_RUNS))
@@ -400,10 +400,8 @@ def test_run_iht_is_bitwise_equal_to_the_recomputing_loop(run):
     instance, config = _RUNS[run]
     batch, obs = instance()
     estimate, state = run_iht(batch, obs, config)
-    reference, residual, trace = _recomputing_loop(batch, obs, config, state.iteration)
+    reference, trace = _recomputing_loop(batch, obs, config, state.iteration)
     assert estimate.tobytes() == reference.tobytes()
-    assert state.residual.tobytes() == residual.tobytes()
-    assert state.residual is not obs.values
     # repr prints each float exactly, so equal reprs mean bitwise-equal records
     assert repr(state.trace) == repr(trace)
 

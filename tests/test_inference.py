@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lowrank_iht import inference, trace_model
+from lowrank_iht import iht, inference, trace_model
 from lowrank_iht.inference import (
     EntrywiseResult,
     confidence_intervals,
@@ -101,39 +101,38 @@ def _pauli_data():
 
 
 @pytest.mark.parametrize("data", [_gaussian_data, _pauli_data], ids=["gaussian", "pauli"])
-def test_confidence_intervals_reuse_the_residual_only_for_the_run_itself(monkeypatch, data):
+def test_confidence_intervals_make_one_forward_and_one_adjoint_pass(monkeypatch, data):
     batch, obs = data()
-    y = obs.values.copy()
-    estimate, state = run_iht(batch, y)
+    estimate, state = run_iht(batch, obs)
     assert state.rank > 0
-    assert state.residual.tobytes() == (y - apply_design(batch, estimate)).tobytes()
-    recomputed = debias(batch, y, estimate)
+    with pytest.raises(ValueError, match="read-only"):
+        estimate.flat[0] = 0.0
+    # every design pass the package makes, whichever module makes it
     calls = []
-    forward = inference.apply_design
-    monkeypatch.setattr(inference, "apply_design",
-                        lambda b, a: calls.append(1) or forward(b, a))
 
-    def debiased(b, values, theta):
-        return confidence_intervals(b, values, theta, state=state).estimate.tobytes()
+    def counted(name, original):
+        def call(b, a):
+            calls.append(name)
+            return original(b, a)
+        return call
 
-    # the run's own batch, estimate and y, in any container: no forward pass
-    # and the bits of recomputing the residual
-    for values in (y, obs, obs.values.copy(), list(y)):
-        assert debiased(batch, values, estimate) == recomputed.tobytes()
-    assert calls == []
-    # the state's arrays cannot be changed in place, the caller's y can
-    for array in (estimate, state.y, state.residual):
-        with pytest.raises(ValueError, match="read-only"):
-            array.flat[0] = 0.0
-    y += 1.0
-    other_batch = DesignBatch(2.0 * batch.matrices)
-    for b, values, theta in ((batch, obs, estimate.copy()), (batch, y, estimate),
-                             (DesignBatch(batch.matrices.copy()), obs, estimate),
-                             (other_batch, obs, estimate)):
-        assert debiased(b, values, theta) == debias(b, values, theta).tobytes()
-    # each of the four recomputed its residual
-    assert len(calls) == 2 * 4
-    assert debiased(batch, y, estimate) != recomputed.tobytes()
+    for module in (iht, inference):
+        for name in ("apply_design", "adjoint_apply"):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    results = {}
+    for form, kwargs in (("state", {"state": state}), ("sigma", {"sigma": state.final_sigma}),
+                         ("neither", {})):
+        calls.clear()
+        results[form] = confidence_intervals(batch, obs, estimate, **kwargs)
+        assert sorted(calls) == ["adjoint_apply", "apply_design"], form
+    monkeypatch.undo()
+    # every form debiases alike, and state= is sigma=state.final_sigma bit for bit
+    recomputed = debias(batch, obs, estimate).tobytes()
+    assert all(result.estimate.tobytes() == recomputed for result in results.values())
+    assert results["state"].half_width.tobytes() == results["sigma"].half_width.tobytes()
+    assert results["state"].sigma == results["sigma"].sigma == state.final_sigma
+    # without either, sigma is the residual scale
+    assert results["neither"].sigma == empirical_sigma(batch, obs, estimate)
 
 
 def test_entry_scale_is_one_for_basis_design():

@@ -415,6 +415,20 @@ def test_interval_half_width_formula():
         sparse_confidence_intervals(np.zeros(4), inst, dec, sigma_hat=1.0, level=0.0)
 
 
+@pytest.mark.parametrize("length", [1, 7, 11])
+def test_intervals_refuse_an_estimate_of_the_wrong_length(length):
+    # a length-1 estimate used to broadcast against the p half-widths, and a
+    # length-7 one built a result that failed only when read
+    rng = np.random.default_rng(68)
+    x = rng.standard_normal((50, 10))
+    inst = SparseInstance(x=x, y=rng.standard_normal(50))
+    dec = build_decorrelator(x)
+    with pytest.raises(ValueError, match="estimate must have length 10"):
+        sparse_confidence_intervals(np.zeros(length), inst, dec, sigma_hat=1.0)
+    with pytest.raises(ValueError, match="estimate must have length 10"):
+        sparse_confidence_intervals(np.zeros((10, 1)), inst, dec, sigma_hat=1.0)
+
+
 def test_interval_bounds_and_covers():
     res = sparse_confidence_intervals(
         np.array([1.0, -2.0]),
@@ -458,8 +472,9 @@ def test_gen_sparse_instance_shape_and_determinism():
         float(np.linalg.norm(inst.realized_noise)) / math.sqrt(50), rel=1e-12)
     with pytest.raises(ValueError):
         gen_sparse_instance(50, 20, 0, 0.3, 71)
-    with pytest.raises(ValueError):
-        gen_sparse_instance(50, 20, 4, -0.3, 71)
+    for noise_std in (-0.3, math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
+            gen_sparse_instance(50, 20, 4, noise_std, 71)
 
 
 def test_instance_and_config_validation():

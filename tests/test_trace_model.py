@@ -160,6 +160,14 @@ def test_simulate_observations_noiseless_and_noisy():
     np.testing.assert_array_equal(noisy.values, again.values)
 
 
+@pytest.mark.parametrize("noise_std", [np.nan, np.inf, -1.0])
+def test_simulate_observations_refuses_a_bad_noise_scale(noise_std):
+    # NaN passed a bare `< 0` check and surfaced as non-finite observations
+    batch = gen_gaussian_design(10, 3, 1)
+    with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
+        simulate_observations(batch, np.eye(3), noise_std, 7)
+
+
 def test_rip_deviation_shrinks_with_n():
     d = 8
     r_small = estimate_rip_constant(gen_gaussian_design(300, d, 1), 1, 60, 2)
