@@ -5,7 +5,6 @@ import numpy as np
 
 from lowrank_iht import (
     IhtConfig,
-    empirical_sigma,
     gen_basis_design,
     gen_low_rank_theta,
     run_iht,
@@ -18,8 +17,9 @@ theta = gen_low_rank_theta(d, k, seed=1)
 batch = gen_basis_design(d)
 obs = simulate_observations(batch, theta, noise_std=0.0, seed=2)
 
-# tiny fixed floor: the schedule halves the threshold until it crosses it
-sigma1 = empirical_sigma(batch, obs, np.zeros((d, d)))
+# tiny fixed floor: the schedule halves the threshold until it crosses it;
+# T_0 starts from the residual scale of the zero matrix, ||y|| / sqrt(n)
+sigma1 = np.linalg.norm(obs.values) / np.sqrt(batch.n)
 config = IhtConfig(upsilon=1e-9, t0=sigma1 + 1e-9)
 estimate, state = run_iht(batch, obs, config)
 

@@ -6,12 +6,10 @@ import numpy as np
 from lowrank_iht import (
     SparseConfig,
     build_decorrelator,
-    desparsify,
     gen_sparse_instance,
     largest_feasible_k,
     sparse_confidence_intervals,
     sparse_iht_run,
-    sparse_sigma,
 )
 
 n, p, k = 4000, 100, 3
@@ -28,9 +26,8 @@ print(f"{len(thresholds)} iterations, final threshold {thresholds[-1]:.3f}")
 print(f"true support {support_true.tolist()}, "
       f"recovered {support_hat.tolist()}")
 
-theta_hat = desparsify(theta_r, inst, dec)
-intervals = sparse_confidence_intervals(theta_hat, inst, dec,
-                                        sparse_sigma(inst, theta_r))
+# one call desparsifies theta_r and reads sigma off the same residual
+intervals = sparse_confidence_intervals(theta_r, inst, dec)
 print("coordinate intervals on the support:")
 for j in support_true:
     print(f"  j={j}: truth {inst.theta_truth[j]:+.3f}, "

@@ -32,7 +32,6 @@ from .iht import (
     IhtState,
     IterationRecord,
     StoppingBoundError,
-    empirical_sigma,
     run_iht,
     schedule_iteration_bound,
     stopping_check,
@@ -69,7 +68,6 @@ from .sparse import (
     largest_feasible_k,
     sparse_confidence_intervals,
     sparse_iht_run,
-    sparse_sigma,
 )
 from .experiments import (
     ConfigError,

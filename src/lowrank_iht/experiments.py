@@ -38,11 +38,9 @@ from .quantum import simulate_dataset, gen_density_matrix
 from .sparse import (
     SparseConfig,
     build_decorrelator,
-    desparsify,
     gen_sparse_instance,
     sparse_confidence_intervals,
     sparse_iht_run,
-    sparse_sigma,
 )
 from .trace_model import (
     gen_basis_design,
@@ -145,11 +143,14 @@ class ExperimentConfig:
                 if cell["k"] > d:
                     raise ConfigError(f"k={cell['k']} exceeds d={d} at m={cell['m']}")
                 n_settings = int(round(cell["alpha"] * cell["k"] * d))
+                asks = (f"cell m={cell['m']} k={cell['k']} alpha={cell['alpha']} asks "
+                        f"for {n_settings} settings")
+                if n_settings < 1:
+                    raise ConfigError(f"{asks}; alpha * k * 2^m must round to at least 1")
                 if n_settings > 3 ** cell["m"]:
                     warnings.warn(
-                        f"cell m={cell['m']} k={cell['k']} alpha={cell['alpha']} asks "
-                        f"for {n_settings} settings but only {3 ** cell['m']} distinct "
-                        "bases exist; settings will repeat", RuntimeWarning)
+                        f"{asks} but only {3 ** cell['m']} distinct bases exist; "
+                        "settings will repeat", RuntimeWarning)
             if self.mode == "sparse" and cell["k"] > cell["p"]:
                 raise ConfigError(f"k={cell['k']} exceeds p={cell['p']}")
 
@@ -270,14 +271,11 @@ def _sparse_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
     instance = gen_sparse_instance(n, p, k, config.noise_std, inst_seed)
     dec = build_decorrelator(instance.x, "identity")
     theta_r, thresholds = sparse_iht_run(instance, dec, config.sparse_estimator)
-    theta_hat = desparsify(theta_r, instance, dec)
-    sigma_hat = sparse_sigma(instance, theta_r)
-    intervals = sparse_confidence_intervals(theta_hat, instance, dec, sigma_hat,
-                                            config.level)
+    intervals = sparse_confidence_intervals(theta_r, instance, dec, level=config.level)
     truth = instance.theta_truth
     support_true = set(np.flatnonzero(truth).tolist())
     support_hat = set(np.flatnonzero(theta_r).tolist())
-    diff = theta_hat - truth
+    diff = intervals.estimate - truth
     covered = intervals.covers(truth)
     runtime_ms = (time.perf_counter() - start) * 1e3
     return {

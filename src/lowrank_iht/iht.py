@@ -30,7 +30,6 @@ __all__ = [
     "IterationRecord",
     "IhtState",
     "StoppingBoundError",
-    "empirical_sigma",
     "upsilon_r",
     "threshold_step",
     "stopping_check",
@@ -124,13 +123,6 @@ class IhtState:
         return self.trace[-1].sigma
 
 
-def empirical_sigma(batch: DesignBatch, y, theta_hat) -> float:
-    """Residual-based noise scale ||y - X(theta_hat)||_2 / sqrt(n)."""
-    values = _obs_values(y, batch.n)
-    resid = values - apply_design(batch, theta_hat)
-    return float(np.linalg.norm(resid) / np.sqrt(batch.n))
-
-
 def upsilon_r(sigma: float, d: int, n: int, quantile: float = 0.90) -> float:
     """Noise term sigma * sqrt(d/n) * z_quantile with z the standard normal
     quantile function."""
@@ -177,6 +169,12 @@ def schedule_iteration_bound(t0: float, upsilon: float, rho: float) -> float:
     return 1.0 + math.log(seed_ratio) / math.log(1.0 / rho)
 
 
+# sigma floor per unit of ||y|| / sqrt(n): an exact fit's residual scale
+# settles at 1 to 20 eps, and at 2^10 eps a noiseless d=64, k=3, n=4000 run
+# stops after 79 of its 83 iterations at relative error 4e-14
+_SIGMA_FLOOR = 2.0 ** 10 * np.finfo(np.float64).eps
+
+
 def _default_max_iters(n: int) -> int:
     return max(1, math.ceil(10.0 * math.log(n)))
 
@@ -188,7 +186,9 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     sigma_r is measured at the incoming estimate, so the recorded sigma of
     iteration r is the residual scale before that iteration updated the
     estimate. In data-driven mode the threshold recursion is clamped so the
-    sequence never increases.
+    sequence never increases, and upsilon_r reads max(sigma_r, floor) with a
+    rounding floor of 2^10 * eps * ||y||_2 / sqrt(n), so that a noiseless run
+    can meet its stopping line; the record keeps the measured sigma_r.
 
     The stopping rule is evaluated on each iteration's own threshold, so the
     spectrum is always thresholded one final time before the run stops. A run
@@ -208,6 +208,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     n, d = batch.n, batch.dim
     max_iters = config.max_iters if config.max_iters is not None else _default_max_iters(n)
     threshold = config.t0
+    sigma_floor = _SIGMA_FLOOR * float(np.linalg.norm(values) / np.sqrt(n))
     trace = []
     converged = False
     resid = values
@@ -215,7 +216,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     for iteration in range(1, max_iters + 1):
         sigma = float(np.linalg.norm(resid) / np.sqrt(n))
         ups = (config.upsilon if config.upsilon is not None
-               else upsilon_r(sigma, d, n, config.upsilon_quantile))
+               else upsilon_r(max(sigma, sigma_floor), d, n, config.upsilon_quantile))
         clamped = False
         if threshold is None:
             # data-driven start: first threshold is sigma_1 + upsilon_1

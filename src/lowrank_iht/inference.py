@@ -90,14 +90,14 @@ class EntrywiseResult:
         return float(np.mean(self.covers(truth)))
 
 
-def _two_sided_quantile(level: float, sigma: float, sigma_name: str = "sigma") -> float:
+def _two_sided_quantile(level: float, sigma: float) -> float:
     """The quantile q = z_{(1+level)/2} that gives two-sided coverage
     ``level``, once level and the noise scale are checked: every interval in
     the package takes its quantile from here."""
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
     if not 0 <= sigma < np.inf:
-        raise ValueError(f"{sigma_name} must be finite and nonnegative")
+        raise ValueError("sigma must be finite and nonnegative")
     return ndtri((1.0 + level) / 2.0)
 
 

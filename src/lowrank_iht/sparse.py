@@ -33,7 +33,6 @@ __all__ = [
     "largest_feasible_k",
     "sparse_iht_run",
     "desparsify",
-    "sparse_sigma",
     "sparse_confidence_intervals",
     "gen_sparse_instance",
 ]
@@ -352,21 +351,23 @@ def desparsify(theta_hat_r: np.ndarray, instance: SparseInstance,
     return theta_hat_r + dec.apply(instance.x.T @ resid) / instance.n
 
 
-def sparse_sigma(instance: SparseInstance, theta: np.ndarray) -> float:
-    resid = instance.y - instance.x @ theta
-    return float(np.linalg.norm(resid) / math.sqrt(instance.n))
-
-
-def sparse_confidence_intervals(theta_hat: np.ndarray, instance: SparseInstance,
-                                dec: Decorrelator, sigma_hat: float,
+def sparse_confidence_intervals(theta_r: np.ndarray, instance: SparseInstance,
+                                dec: Decorrelator, *, sigma: float | None = None,
                                 level: float = 0.95) -> EntrywiseResult:
-    """Coordinate j gets half-width sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}."""
-    z = _two_sided_quantile(level, sigma_hat, "sigma_hat")
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    if theta_hat.shape != (instance.p,):
+    """Desparsify theta_r (with the bits of ``desparsify``) and attach
+    half-widths sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}. The
+    residual Y - X theta_r is formed once; it also gives the default sigma
+    ||Y - X theta_r||_2 / sqrt(n)."""
+    theta_r = np.asarray(theta_r, dtype=np.float64)
+    if theta_r.shape != (instance.p,):
         raise ValueError(f"estimate must have length {instance.p}")
-    half = sigma_hat * np.sqrt(dec.vsv_diag / instance.n) * z
-    return EntrywiseResult(estimate=theta_hat, half_width=half, sigma=sigma_hat, level=level)
+    resid = instance.y - instance.x @ theta_r
+    if sigma is None:
+        sigma = float(np.linalg.norm(resid) / math.sqrt(instance.n))
+    z = _two_sided_quantile(level, sigma)
+    half = sigma * np.sqrt(dec.vsv_diag / instance.n) * z
+    estimate = theta_r + dec.apply(instance.x.T @ resid) / instance.n
+    return EntrywiseResult(estimate=estimate, half_width=half, sigma=sigma, level=level)
 
 
 def gen_sparse_instance(n: int, p: int, k: int, noise_std: float, seed) -> SparseInstance:

@@ -43,7 +43,7 @@ class DesignBatch:
     """A batch of n square design matrices, shape (n, d, d).
 
     The entries must not change after construction: ``entry_energy``, the
-    sums sum_i |X^i|^2, and a run's stored residual are computed from them once.
+    sums sum_i |X^i|^2, is computed from them once.
     """
 
     matrices: np.ndarray

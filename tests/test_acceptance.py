@@ -16,7 +16,6 @@ import pytest
 from lowrank_iht.experiments import ExperimentConfig, read_csv, run_experiment
 from lowrank_iht.iht import (
     IhtConfig,
-    empirical_sigma,
     run_iht,
     schedule_iteration_bound,
 )
@@ -34,13 +33,11 @@ from lowrank_iht.sparse import (
     SparseConfig,
     SparseInstance,
     build_decorrelator,
-    desparsify,
     empirical_covariance,
     gen_sparse_instance,
     largest_feasible_k,
     sparse_confidence_intervals,
     sparse_iht_run,
-    sparse_sigma,
 )
 from lowrank_iht.trace_model import (
     gen_basis_design,
@@ -70,7 +67,7 @@ def test_criterion_1_exact_recovery():
     theta = gen_low_rank_theta(d, k, 101)
     batch = gen_basis_design(d)
     obs = simulate_observations(batch, theta, 0.0, 102)
-    sigma1 = empirical_sigma(batch, obs, np.zeros((d, d)))
+    sigma1 = float(np.linalg.norm(obs.values) / d)
     ups = 1e-9
     t0 = sigma1 + ups
     est, state = run_iht(batch, obs, IhtConfig(upsilon=ups, t0=t0))
@@ -316,9 +313,7 @@ def test_criterion_10_sparse_oracles():
         dec3 = build_decorrelator(inst3.x)
         k_cap = largest_feasible_k(dec3, 10)
         theta_r, _ = sparse_iht_run(inst3, dec3, SparseConfig(k_cap=k_cap))
-        theta_hat = desparsify(theta_r, inst3, dec3)
-        intervals = sparse_confidence_intervals(
-            theta_hat, inst3, dec3, sparse_sigma(inst3, theta_r))
+        intervals = sparse_confidence_intervals(theta_r, inst3, dec3)
         support = np.flatnonzero(inst3.theta_truth)
         rates.append(float(np.mean(intervals.covers(inst3.theta_truth)[support])))
     mean_cov = float(np.mean(rates))

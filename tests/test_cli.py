@@ -205,6 +205,18 @@ def test_mode_mismatch_exits_2(tmp_path):
     assert "does not match subcommand" in proc.stderr
 
 
+def test_a_quantum_cell_with_no_settings_exits_2(tmp_path, capsys):
+    # alpha * k * 2^m = 0.08 rounds to 0 settings; such a cell passed the
+    # config and failed in the run with exit 3
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"m_values": [3], "k_values": [1],
+                                  "alpha_values": [0.01], "t_factors": [10]}))
+    code = main(["simulate-quantum", "--config", str(config), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "cell m=3 k=1 alpha=0.01 asks for 0 settings" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_output_dir_exits_2(tmp_path):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({"mode": "matrix_sim", "d_values": [4],

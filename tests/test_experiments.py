@@ -17,11 +17,9 @@ from lowrank_iht.experiments import _rep_seed
 from lowrank_iht.linalg import schatten_norm
 from lowrank_iht.sparse import (
     build_decorrelator,
-    desparsify,
     gen_sparse_instance,
     sparse_confidence_intervals,
     sparse_iht_run,
-    sparse_sigma,
 )
 
 
@@ -250,8 +248,7 @@ def test_sparse_experiment_outputs(tmp_path):
                                _rep_seed(config, 0, 1).spawn(1)[0])
     dec = build_decorrelator(inst.x)
     theta_r, _ = sparse_iht_run(inst, dec, config.sparse_estimator)
-    res = sparse_confidence_intervals(desparsify(theta_r, inst, dec), inst, dec,
-                                      sparse_sigma(inst, theta_r), config.level)
+    res = sparse_confidence_intervals(theta_r, inst, dec, level=config.level)
     rep1 = [c for c in coords if c["replicate"] == 1]
     assert [c["j"] for c in rep1] == list(range(30))
     assert [c["theta_hat"] for c in rep1] == res.estimate.tolist()

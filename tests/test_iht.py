@@ -10,7 +10,6 @@ from lowrank_iht.iht import (
     IhtConfig,
     IterationRecord,
     StoppingBoundError,
-    empirical_sigma,
     run_iht,
     schedule_iteration_bound,
     stopping_check,
@@ -20,7 +19,6 @@ from lowrank_iht.iht import (
 from lowrank_iht.linalg import hard_threshold_entries, hard_threshold_singular
 from lowrank_iht.quantum import gen_density_matrix, simulate_dataset
 from lowrank_iht.trace_model import (
-    DesignBatch,
     adjoint_apply,
     apply_design,
     gen_basis_design,
@@ -76,16 +74,6 @@ def test_ndtri_agrees_with_the_rational_oracle():
                              1.0 - np.logspace(-12, -2, 201)])
     for p in points:
         assert ndtri(p) == pytest.approx(_normal_quantile_oracle(p), rel=1.2e-9, abs=1e-12)
-
-
-def test_empirical_sigma_matches_hand_loop():
-    rng = np.random.default_rng(4)
-    batch = DesignBatch(rng.standard_normal((6, 3, 3)))
-    y = rng.standard_normal(6)
-    theta = rng.standard_normal((3, 3))
-    resid = [y[i] - np.trace(batch.matrices[i].T @ theta) for i in range(6)]
-    expected = math.sqrt(sum(r * r for r in resid) / 6)
-    assert empirical_sigma(batch, y, theta) == pytest.approx(expected, rel=1e-12)
 
 
 def test_threshold_step_and_stopping_boundary():
@@ -186,7 +174,7 @@ def test_data_driven_first_threshold_is_sigma_plus_upsilon():
     theta = gen_low_rank_theta(d, 1, 9)
     batch = gen_gaussian_design(n, d, 10)
     obs = simulate_observations(batch, theta, 1.0, 11)
-    sigma1 = empirical_sigma(batch, obs, np.zeros((d, d)))
+    sigma1 = float(np.linalg.norm(obs.values) / math.sqrt(n))
     t1 = sigma1 + upsilon_r(sigma1, d, n, 0.9)
     _, state = run_iht(batch, obs, IhtConfig())
     assert state.trace[0].threshold == pytest.approx(t1, rel=1e-12)
@@ -243,7 +231,7 @@ def test_exact_recovery_on_basis_design():
     theta = gen_low_rank_theta(d, k, 17)
     batch = gen_basis_design(d)
     obs = simulate_observations(batch, theta, 0.0, 18)
-    sigma1 = empirical_sigma(batch, obs, np.zeros((d, d)))
+    sigma1 = float(np.linalg.norm(obs.values) / d)
     ups = 1e-9
     config = IhtConfig(upsilon=ups, t0=sigma1 + ups)
     est, state = run_iht(batch, obs, config)
@@ -258,12 +246,33 @@ def test_run_exhausts_max_iters_without_convergence():
     theta = gen_low_rank_theta(d, 1, 19)
     batch = gen_gaussian_design(n, d, 20)
     obs = simulate_observations(batch, theta, 0.0, 21)
-    # noiseless data-driven: sigma shrinks toward zero so the stopping line
-    # keeps dropping; cap the iterations and expect an honest non-converged
+    # four iterations cannot bring the threshold down to the stopping line;
+    # the capped run is returned as an honest non-converged one
     _, state = run_iht(batch, obs, IhtConfig(max_iters=4))
     assert state.converged is False
     assert state.iteration == 4
     assert len(state.trace) == 4
+
+
+def test_noiseless_data_driven_run_meets_its_stopping_line():
+    # sigma_r falls with the threshold on noiseless data; if upsilon_r read
+    # it unfloored, the stopping line would fall as fast and this run would
+    # use all 83 iterations and report converged=False. The records keep the
+    # measured sigma below the floor.
+    d, k, n = 64, 3, 4000
+    theta = gen_low_rank_theta(d, k, 1)
+    batch = gen_gaussian_design(n, d, 2)
+    obs = simulate_observations(batch, theta, 0.0, 3)
+    est, state = run_iht(batch, obs)
+    assert state.converged
+    assert state.iteration < 83
+    assert np.linalg.norm(est - theta) / np.linalg.norm(theta) < 1e-12
+    floor = iht._SIGMA_FLOOR * float(np.linalg.norm(obs.values) / np.sqrt(n))
+    last = state.trace[-1]
+    assert last.sigma < floor
+    assert last.upsilon == upsilon_r(floor, d, n, 0.9)
+    above = [rec for rec in state.trace if rec.sigma >= floor]
+    assert all(rec.upsilon == upsilon_r(rec.sigma, d, n, 0.9) for rec in above)
 
 
 def test_iht_step_reduces_residual_on_plain_instance():

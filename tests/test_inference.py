@@ -12,7 +12,7 @@ from lowrank_iht.inference import (
     decomposition_terms,
     entry_scale_matrix,
 )
-from lowrank_iht.iht import empirical_sigma, run_iht
+from lowrank_iht.iht import run_iht
 from lowrank_iht.quantum import gen_density_matrix, simulate_dataset
 from lowrank_iht.trace_model import (
     DesignBatch,
@@ -72,7 +72,6 @@ def test_every_entry_point_refuses_a_malformed_observation_vector():
     batch = gen_gaussian_design(100, 4, 1)
     obs = simulate_observations(batch, theta, 1.0, 2)
     entry_points = [
-        lambda y: empirical_sigma(batch, y, theta),
         lambda y: debias(batch, y, theta),
         lambda y: confidence_intervals(batch, y, theta),
         lambda y: decomposition_terms(batch, y, theta, theta, obs.noise),
@@ -132,7 +131,8 @@ def test_confidence_intervals_make_one_forward_and_one_adjoint_pass(monkeypatch,
     assert results["state"].half_width.tobytes() == results["sigma"].half_width.tobytes()
     assert results["state"].sigma == results["sigma"].sigma == state.final_sigma
     # without either, sigma is the residual scale
-    assert results["neither"].sigma == empirical_sigma(batch, obs, estimate)
+    resid = obs.values - apply_design(batch, estimate)
+    assert results["neither"].sigma == float(np.linalg.norm(resid) / np.sqrt(batch.n))
 
 
 def test_entry_scale_is_one_for_basis_design():
@@ -281,8 +281,19 @@ def test_sigma_defaults_to_final_state_sigma():
     assert np.allclose(res.half_width, explicit.half_width, atol=1e-14)
     # with neither sigma nor state, falls back to the residual scale at theta_hat
     fallback = confidence_intervals(batch, obs.values, est)
-    assert fallback.sigma == pytest.approx(empirical_sigma(batch, obs.values, est),
+    resid = obs.values - apply_design(batch, est)
+    assert fallback.sigma == pytest.approx(float(np.linalg.norm(resid) / math.sqrt(n)),
                                            rel=1e-12)
+
+
+def test_default_sigma_matches_hand_loop():
+    rng = np.random.default_rng(4)
+    batch = DesignBatch(rng.standard_normal((6, 3, 3)))
+    y = rng.standard_normal(6)
+    theta = rng.standard_normal((3, 3))
+    resid = [y[i] - np.trace(batch.matrices[i].T @ theta) for i in range(6)]
+    expected = math.sqrt(sum(r * r for r in resid) / 6)
+    assert confidence_intervals(batch, y, theta).sigma == pytest.approx(expected, rel=1e-12)
 
 
 def test_monte_carlo_coverage_is_in_a_sane_band():

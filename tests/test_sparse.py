@@ -19,7 +19,6 @@ from lowrank_iht.sparse import (
     largest_feasible_k,
     sparse_confidence_intervals,
     sparse_iht_run,
-    sparse_sigma,
 )
 
 from _oracles import estimate_r_k, sparse_decomposition_terms
@@ -120,7 +119,7 @@ def test_decorrelator_computes_vsv_diag_once(monkeypatch):
     monkeypatch.setattr(np, "einsum", counting)
     theta, _ = sparse_iht_run(inst, dec)
     for level in (0.9, 0.95):
-        ci = sparse_confidence_intervals(theta, inst, dec, 1.0, level)
+        ci = sparse_confidence_intervals(theta, inst, dec, sigma=1.0, level=level)
         assert ci.half_width.tobytes() == (
             np.sqrt(expected / inst.n) * ci.quantile).tobytes()
     assert calls == ["ij,jk,ik->i"]
@@ -400,19 +399,19 @@ def test_interval_half_width_formula():
     x = rng.standard_normal((50, 4))
     inst = SparseInstance(x=x, y=rng.standard_normal(50))
     dec = build_decorrelator(x)
-    res = sparse_confidence_intervals(np.zeros(4), inst, dec, sigma_hat=2.0)
+    res = sparse_confidence_intervals(np.zeros(4), inst, dec, sigma=2.0)
     z = 1.959963984540054
     for j in range(4):
         expected = 2.0 * math.sqrt(dec.sigma_hat[j, j] / 50) * z
         assert res.half_width[j] == pytest.approx(expected, rel=1e-12)
-    zero = sparse_confidence_intervals(np.zeros(4), inst, dec, sigma_hat=0.0)
+    zero = sparse_confidence_intervals(np.zeros(4), inst, dec, sigma=0.0)
     assert np.all(zero.half_width == 0.0)
-    assert np.all(zero.covers(np.zeros(4)))
+    assert np.all(zero.covers(zero.estimate))
     for bad_sigma in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="sigma_hat must be finite and nonnegative"):
-            sparse_confidence_intervals(np.zeros(4), inst, dec, sigma_hat=bad_sigma)
+        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+            sparse_confidence_intervals(np.zeros(4), inst, dec, sigma=bad_sigma)
     with pytest.raises(ValueError):
-        sparse_confidence_intervals(np.zeros(4), inst, dec, sigma_hat=1.0, level=0.0)
+        sparse_confidence_intervals(np.zeros(4), inst, dec, sigma=1.0, level=0.0)
 
 
 @pytest.mark.parametrize("length", [1, 7, 11])
@@ -424,9 +423,9 @@ def test_intervals_refuse_an_estimate_of_the_wrong_length(length):
     inst = SparseInstance(x=x, y=rng.standard_normal(50))
     dec = build_decorrelator(x)
     with pytest.raises(ValueError, match="estimate must have length 10"):
-        sparse_confidence_intervals(np.zeros(length), inst, dec, sigma_hat=1.0)
+        sparse_confidence_intervals(np.zeros(length), inst, dec, sigma=1.0)
     with pytest.raises(ValueError, match="estimate must have length 10"):
-        sparse_confidence_intervals(np.zeros((10, 1)), inst, dec, sigma_hat=1.0)
+        sparse_confidence_intervals(np.zeros((10, 1)), inst, dec, sigma=1.0)
 
 
 def test_interval_bounds_and_covers():
@@ -434,13 +433,35 @@ def test_interval_bounds_and_covers():
         np.array([1.0, -2.0]),
         SparseInstance(x=np.eye(2), y=np.zeros(2)),
         build_decorrelator(np.eye(2) * math.sqrt(2)),
-        sigma_hat=1.0, level=0.9)
+        sigma=1.0, level=0.9)
     assert np.allclose(res.lower, res.estimate - res.half_width)
     assert np.allclose(res.upper, res.estimate + res.half_width)
     inside = res.estimate + 0.5 * res.half_width
     outside = res.estimate + 2.0 * res.half_width
     assert np.all(res.covers(inside))
     assert not np.any(res.covers(outside))
+
+
+@pytest.mark.parametrize("strategy", ["identity", "row_program"])
+def test_intervals_equal_desparsify_and_the_residual_scale(strategy):
+    # the one call debiases the thresholded estimate itself: its estimate,
+    # sigma and half-widths have the bits of desparsify(theta_r) with the
+    # residual scale ||Y - X theta_r|| / sqrt(n) as sigma
+    for seed in range(4):
+        inst = gen_sparse_instance(1000, 20, 3, 0.5, 900 + seed)
+        dec = build_decorrelator(inst.x, strategy)
+        theta_r, _ = sparse_iht_run(inst, dec, SparseConfig(k_cap=largest_feasible_k(dec, 3)))
+        assert np.count_nonzero(theta_r) > 0
+        sigma = float(np.linalg.norm(inst.y - inst.x @ theta_r) / math.sqrt(inst.n))
+        res = sparse_confidence_intervals(theta_r, inst, dec, level=0.9)
+        assert res.estimate.tobytes() == desparsify(theta_r, inst, dec).tobytes()
+        assert res.sigma == sigma
+        assert res.half_width.tobytes() == (
+            sigma * np.sqrt(dec.vsv_diag / inst.n) * res.quantile).tobytes()
+    # sigma and level are keyword-only, so a call in the old form (a
+    # desparsified estimate and sigma by position) cannot debias twice
+    with pytest.raises(TypeError):
+        sparse_confidence_intervals(res.estimate, inst, dec, sigma)
 
 
 def test_support_recovery_rate():
@@ -468,7 +489,8 @@ def test_gen_sparse_instance_shape_and_determinism():
     assert np.all((np.abs(nz) >= 1.0) & (np.abs(nz) <= 3.0))
     assert np.allclose(inst.y, inst.x @ inst.theta_truth + inst.realized_noise,
                        atol=1e-12)
-    assert sparse_sigma(inst, inst.theta_truth) == pytest.approx(
+    at_truth = sparse_confidence_intervals(inst.theta_truth, inst, build_decorrelator(inst.x))
+    assert at_truth.sigma == pytest.approx(
         float(np.linalg.norm(inst.realized_noise)) / math.sqrt(50), rel=1e-12)
     with pytest.raises(ValueError):
         gen_sparse_instance(50, 20, 0, 0.3, 71)
