@@ -7,10 +7,10 @@ that contracts geometrically toward the noise floor:
     T_r = rho * T_{r-1} + upsilon_r,
 
 stopping as soon as (after thresholding one last time) T_r falls below
-(1 + e) * upsilon_r / (1 - rho). Thresholds can be supplied directly (fixed
-mode) or calibrated from the running residual norm (data-driven mode), in
-which case the first threshold is set to sigma_1 + upsilon_1 and the
-recursion takes over from the second iteration.
+(1 + e) * upsilon_r / (1 - rho) with e = 0.1. Thresholds can be supplied
+directly (fixed mode) or calibrated from the running residual norm
+(data-driven mode), in which case the first threshold is set to
+sigma_1 + upsilon_1 and the recursion takes over from the second iteration.
 """
 
 from __future__ import annotations
@@ -42,22 +42,23 @@ __all__ = [
 class IhtConfig:
     """Estimator knobs.
 
-    upsilon=None selects the data-driven noise term
-    sigma_r * sqrt(d/n) * z_{upsilon_quantile}; a float fixes it. t0=None
-    selects the data-driven first threshold sigma_1 + upsilon_1; a float is
-    used as T_0 seeding the recursion at the first iteration. max_iters=None
-    resolves to ceil(10 * ln n) at run time.
+    upsilon=None selects the data-driven noise term sigma_r * sqrt(d/n) *
+    z_0.90 (see ``upsilon_r``); a float fixes it. t0=None selects the
+    data-driven first threshold sigma_1 + upsilon_1; a float is used as T_0
+    seeding the recursion at the first iteration. max_iters=None resolves to
+    ceil(10 * ln n) at run time. The stopping margin is not a knob: a run
+    stops once T_r <= (1 + e) upsilon / (1 - rho) with e = 0.1, and the
+    "10" in ``schedule_iteration_bound`` is 1/e, so the iteration bound a
+    run reports always matches its stopping line.
     """
 
     rho: float = 0.5
     upsilon: float | None = None
-    upsilon_quantile: float = 0.90
     t0: float | None = None
-    e: float = 0.1
     max_iters: int | None = None
 
     def __post_init__(self):
-        for name in ("rho", "upsilon", "upsilon_quantile", "t0", "e"):
+        for name in ("rho", "upsilon", "t0"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, check_float(value, name))
@@ -65,12 +66,8 @@ class IhtConfig:
             raise ValueError("rho must lie in (0, 1)")
         if self.upsilon is not None and not 0 <= self.upsilon < math.inf:
             raise ValueError("fixed upsilon must be nonnegative and finite")
-        if not 0.5 <= self.upsilon_quantile < 1:
-            raise ValueError("upsilon_quantile must lie in [0.5, 1)")
         if self.t0 is not None and not 0 <= self.t0 < math.inf:
             raise ValueError("t0 must be nonnegative and finite")
-        if not 0 <= self.e < math.inf:
-            raise ValueError("e must be nonnegative and finite")
         if self.max_iters is not None:
             check_int(self.max_iters, "max_iters")
 
@@ -123,16 +120,15 @@ class IhtState:
         return self.trace[-1].sigma
 
 
-def upsilon_r(sigma: float, d: int, n: int, quantile: float = 0.90) -> float:
-    """Noise term sigma * sqrt(d/n) * z_quantile with z the standard normal
-    quantile function."""
+def upsilon_r(sigma: float, d: int, n: int) -> float:
+    """Noise term sigma * sqrt(d/n) * z_0.90 with z the standard normal
+    quantile function. The quantile is fixed: 0.90 is the level every run
+    has used, and no run sets another."""
     if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
-    if not 0 < quantile < 1:
-        raise ValueError("quantile must lie in (0, 1)")
-    return sigma * math.sqrt(d / n) * ndtri(quantile)
+    return sigma * math.sqrt(d / n) * ndtri(0.90)
 
 
 def threshold_step(t_prev: float, rho: float, upsilon: float) -> float:
@@ -144,14 +140,20 @@ def threshold_step(t_prev: float, rho: float, upsilon: float) -> float:
     return rho * t_prev + upsilon
 
 
-def stopping_check(t_r: float, upsilon: float, rho: float = 0.5, e: float = 0.1) -> bool:
-    """Stop once T_r <= (1 + e) * upsilon / (1 - rho)."""
-    return t_r <= (1.0 + e) * upsilon / (1.0 - rho)
+def stopping_check(t_r: float, upsilon: float, rho: float = 0.5) -> bool:
+    """Stop once T_r <= (1 + e) * upsilon / (1 - rho) with e = 0.1, the
+    margin ``schedule_iteration_bound`` is derived for."""
+    return t_r <= (1.0 + 0.1) * upsilon / (1.0 - rho)
 
 
 def schedule_iteration_bound(t0: float, upsilon: float, rho: float) -> float:
     """Closed-form cap on the stopping iteration for a fixed-upsilon schedule
     seeded at T_0: 1 + log(10 (1-rho) T_0 / upsilon) / log(1/rho).
+
+    The "10" is 1/e for the stopping margin e = 0.1 of ``stopping_check``:
+    T_r - upsilon/(1-rho) = rho^r (T_0 - upsilon/(1-rho)), so the line
+    T_r <= (1 + e) upsilon/(1-rho) is met once rho^r T_0 <= e upsilon/(1-rho).
+    A smaller e would outrun the cap, which is why e is fixed.
 
     Infinite when upsilon is zero (the schedule then never meets a positive
     stopping line), and 1 when 10 (1-rho) T_0 <= upsilon, since then
@@ -216,7 +218,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     for iteration in range(1, max_iters + 1):
         sigma = float(np.linalg.norm(resid) / np.sqrt(n))
         ups = (config.upsilon if config.upsilon is not None
-               else upsilon_r(max(sigma, sigma_floor), d, n, config.upsilon_quantile))
+               else upsilon_r(max(sigma, sigma_floor), d, n))
         clamped = False
         if threshold is None:
             # data-driven start: first threshold is sigma_1 + upsilon_1
@@ -241,7 +243,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
         trace.append(IterationRecord(
             iteration=iteration, threshold=threshold, sigma=sigma, upsilon=ups,
             rank=rank, residual_l2=float(np.linalg.norm(resid)), clamped=clamped))
-        if stopping_check(threshold, ups, config.rho, config.e):
+        if stopping_check(threshold, ups, config.rho):
             converged = True
             break
     ups_floor = min(rec.upsilon for rec in trace)
@@ -251,8 +253,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     estimate.setflags(write=False)
     state = IhtState(estimate=estimate, trace=tuple(trace), converged=converged,
                      iteration_bound=bound)
-    if (converged and fixed_seed and config.upsilon > 0 and config.e >= 0.1
-            and state.iteration > bound):
+    if converged and fixed_seed and config.upsilon > 0 and state.iteration > bound:
         # fixed-upsilon schedules come with an exact iteration cap; tripping it
         # means the schedule arithmetic is broken
         raise StoppingBoundError(

@@ -54,8 +54,8 @@ class SvdFactors:
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singular_values) @ self.right.conj().T
 
-    def rank(self, tol: float = 0.0) -> int:
-        return int(np.count_nonzero(self.singular_values > tol))
+    def rank(self) -> int:
+        return int(np.count_nonzero(self.singular_values > 0.0))
 
 
 def svd(a) -> SvdFactors:

@@ -271,7 +271,7 @@ class TomographyDataset:
     setting i with the design matrix c_E * (Pauli word of the setting with
     identities at E), where c_E = sqrt(d) * 3^(-|E|/2) * (3/4)^(m/2). Rows are
     ordered by (setting index, subset mask). Only the settings and y are
-    stored; ``designs`` builds the dense rows from them on each access.
+    stored; ``to_trace_regression`` builds the dense rows from them.
     """
 
     m: int
@@ -299,34 +299,25 @@ class TomographyDataset:
     def n(self) -> int:
         return self.y.shape[0]
 
-    @property
-    def designs(self) -> np.ndarray:
-        """The (n, d, d) rows, freshly built: each word is a Kronecker product
-        taken one qubit at a time over all rows, qubit 1 leftmost, then the
-        rows are scaled by c_E."""
-        return self._rows(_subset_scales(self.m))
+    def to_trace_regression(self) -> tuple[DesignBatch, Observations]:
+        """Build the (n, d, d) design and repackage for the estimator, scaled
+        so 1/n is the right weight.
 
-    def _rows(self, scales: np.ndarray) -> np.ndarray:
+        Each word is a Kronecker product taken one qubit at a time over all
+        rows, qubit 1 leftmost. The subset rescaling makes each setting's 2^m
+        rows carry total unit energy on average, so the natural normalizer is
+        the number of settings. The estimator divides by the total row count
+        instead, which is 2^m times larger; multiplying y and the rows by
+        2^(m/2) makes the two conventions agree and restores the
+        near-isometry. Word entries are 0 or of unit modulus, so one multiply
+        by c_E * 2^(m/2) has the bits of scaling by c_E, then by 2^(m/2).
+        """
+        boost = 2.0 ** (self.m / 2.0)
         qubits = np.array([s.qubits for s in self.settings])
         words = np.where(_subset_drops(self.m), 0, qubits[:, None, :]).reshape(self.n, self.m)
         rows = _kron_rows(np.array(_PAULI)[words])
-        rows *= np.tile(scales, len(self.settings))[:, None, None]
-        return rows
-
-    def to_trace_regression(self) -> tuple[DesignBatch, Observations]:
-        """Repackage for the estimator, scaled so 1/n is the right weight.
-
-        The subset rescaling makes each setting's 2^m rows carry total unit
-        energy on average, so the natural normalizer is the number of
-        settings. The estimator divides by the total row count instead, which
-        is 2^m times larger; multiplying y and designs by 2^(m/2) makes the
-        two conventions agree and restores the near-isometry. Word entries
-        are 0 or of unit modulus, so one multiply by c_E * 2^(m/2) has the
-        bits of ``designs * 2^(m/2)``.
-        """
-        boost = 2.0 ** (self.m / 2.0)
-        return (DesignBatch(self._rows(_subset_scales(self.m) * boost)),
-                Observations(values=self.y * boost))
+        rows *= np.tile(_subset_scales(self.m) * boost, len(self.settings))[:, None, None]
+        return DesignBatch(rows), Observations(values=self.y * boost)
 
 
 def _subset_drops(m: int) -> np.ndarray:
@@ -388,6 +379,7 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     result has the bits of sampling each setting with ``sample_outcomes`` and
     assembling with ``build_rescaled_dataset``.
     """
+    n_settings = check_int(n_settings, "n_settings")
     repetitions = check_int(repetitions, "repetitions")
     theta = _check_density(theta)
     d = theta.shape[0]

@@ -91,15 +91,15 @@ class SparseConfig:
     """t0 seeds the threshold recursion (None picks a data-driven scale),
     k_cap is the sparsity level K certified against (None picks the largest
     feasible one), upsilon overrides the noise floor (None computes
-    2 sqrt(M log(p/delta) / n))."""
+    2 sqrt(M log(p/delta) / n) with delta = 0.05, the failure probability
+    every run has used; no run sets another, so it is not a knob)."""
 
     t0: float | None = None
     k_cap: int | None = None
-    delta: float = 0.05
     upsilon: float | None = None
 
     def __post_init__(self):
-        for name in ("t0", "delta", "upsilon"):
+        for name in ("t0", "upsilon"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, check_float(value, name))
@@ -107,8 +107,6 @@ class SparseConfig:
             raise ValueError("t0 must be nonnegative and finite")
         if self.k_cap is not None:
             check_int(self.k_cap, "k_cap")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
         if self.upsilon is not None and not 0 <= self.upsilon < math.inf:
             raise ValueError("upsilon must be nonnegative and finite")
 
@@ -290,9 +288,9 @@ def largest_feasible_k(dec: Decorrelator, k_max: int) -> int:
     return lo
 
 
-def _upsilon(dec: Decorrelator, n: int, delta: float) -> float:
+def _upsilon(dec: Decorrelator, n: int) -> float:
     m_big = float(dec.vsv_diag.max())
-    return 2.0 * math.sqrt(m_big * math.log(dec.p / delta) / n)
+    return 2.0 * math.sqrt(m_big * math.log(dec.p / 0.05) / n)
 
 
 def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
@@ -319,7 +317,7 @@ def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
     if gamma >= 1.0:
         raise AssumptionViolationError(
             f"2 r_K = {gamma:.4f} >= 1 at K = {k_cap}; no contraction")
-    ups = config.upsilon if config.upsilon is not None else _upsilon(dec, n, config.delta)
+    ups = config.upsilon if config.upsilon is not None else _upsilon(dec, n)
     if config.t0 is not None:
         t = config.t0
     else:
@@ -341,12 +339,19 @@ def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
     return theta, thresholds
 
 
+def _check_estimate(theta_r, p: int) -> np.ndarray:
+    theta_r = np.asarray(theta_r, dtype=np.float64)
+    if theta_r.shape != (p,):
+        raise ValueError(f"estimate must have length {p}")
+    if not np.all(np.isfinite(theta_r)):
+        raise ValueError("estimate must be finite")
+    return theta_r
+
+
 def desparsify(theta_hat_r: np.ndarray, instance: SparseInstance,
                dec: Decorrelator) -> np.ndarray:
     """One unthresholded correction theta + (1/n) V X^T (Y - X theta)."""
-    theta_hat_r = np.asarray(theta_hat_r, dtype=np.float64)
-    if theta_hat_r.shape != (instance.p,):
-        raise ValueError(f"estimate must have length {instance.p}")
+    theta_hat_r = _check_estimate(theta_hat_r, instance.p)
     resid = instance.y - instance.x @ theta_hat_r
     return theta_hat_r + dec.apply(instance.x.T @ resid) / instance.n
 
@@ -358,9 +363,7 @@ def sparse_confidence_intervals(theta_r: np.ndarray, instance: SparseInstance,
     half-widths sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}. The
     residual Y - X theta_r is formed once; it also gives the default sigma
     ||Y - X theta_r||_2 / sqrt(n)."""
-    theta_r = np.asarray(theta_r, dtype=np.float64)
-    if theta_r.shape != (instance.p,):
-        raise ValueError(f"estimate must have length {instance.p}")
+    theta_r = _check_estimate(theta_r, instance.p)
     resid = instance.y - instance.x @ theta_r
     if sigma is None:
         sigma = float(np.linalg.norm(resid) / math.sqrt(instance.n))

@@ -8,6 +8,7 @@ benchmark call. Reference implementations that only tests use live in
 import dataclasses
 import importlib
 import inspect
+import json
 import pkgutil
 import types
 
@@ -15,11 +16,12 @@ import numpy as np
 import pytest
 
 import lowrank_iht
+from lowrank_iht.cli import main
 from lowrank_iht.inference import confidence_intervals
-from lowrank_iht.iht import IhtState, run_iht
-from lowrank_iht.linalg import svd
+from lowrank_iht.iht import IhtConfig, IhtState, run_iht, stopping_check, upsilon_r
+from lowrank_iht.linalg import SvdFactors, svd
 from lowrank_iht.quantum import PauliSetting, gen_density_matrix, sample_outcomes, simulate_dataset
-from lowrank_iht.sparse import build_decorrelator, gen_sparse_instance
+from lowrank_iht.sparse import SparseConfig, build_decorrelator, gen_sparse_instance
 from lowrank_iht.trace_model import gen_gaussian_design, gen_low_rank_theta, simulate_observations
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(lowrank_iht.__path__)
@@ -68,6 +70,32 @@ def test_run_iht_takes_no_rip_probe():
     # below, so the estimator neither takes one nor reports a verdict from it
     assert "rip" not in inspect.signature(run_iht).parameters
     assert "rho_condition_ok" not in {f.name for f in dataclasses.fields(IhtState)}
+
+
+def test_estimator_knobs_and_signatures_are_pinned():
+    # the stopping margin e = 0.1, the noise quantile z_0.90 and the sparse
+    # delta = 0.05 are constants: e = 0.1 is what the iteration bound's "10"
+    # is derived for, and no run ever set the other two
+    assert [f.name for f in dataclasses.fields(IhtConfig)] == ["rho", "upsilon", "t0", "max_iters"]
+    assert [f.name for f in dataclasses.fields(SparseConfig)] == ["t0", "k_cap", "upsilon"]
+    assert list(inspect.signature(upsilon_r).parameters) == ["sigma", "d", "n"]
+    assert list(inspect.signature(stopping_check).parameters) == ["t_r", "upsilon", "rho"]
+    assert list(inspect.signature(SvdFactors.rank).parameters) == ["self"]
+
+
+@pytest.mark.parametrize("command, block, key", [
+    ("simulate-matrix", "iht", "e"),
+    ("simulate-matrix", "iht", "upsilon_quantile"),
+    ("simulate-sparse", "sparse_estimator", "delta"),
+])
+def test_a_removed_knob_exits_2_naming_it(tmp_path, capsys, command, block, key):
+    cell = ({"d_values": [4], "k_values": [1], "n_values": [40]} if command == "simulate-matrix"
+            else {"p_values": [10], "k_values": [1], "n_values": [60]})
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"replicates": 1, **cell, block: {key: 0.1}}))
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert f"argument '{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _array_holders():

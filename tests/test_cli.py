@@ -94,7 +94,7 @@ _NAN, _INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize("command, override", [
     ("simulate-matrix", {"iht": {"upsilon": _NAN}}),
-    ("simulate-matrix", {"iht": {"e": _NAN}}),
+    ("simulate-matrix", {"iht": {"rho": _NAN}}),
     ("simulate-matrix", {"iht": {"t0": _INF}}),
     ("simulate-sparse", {"sparse_estimator": {"t0": _NAN}}),
     ("simulate-sparse", {"sparse_estimator": {"upsilon": _INF}}),
@@ -127,7 +127,7 @@ def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command,
     ("simulate-quantum", {"design": "basis"}),
     ("simulate-quantum", {"p_values": [10]}),
     ("simulate-quantum", {"d_values": [4]}),
-    ("simulate-quantum", {"sparse_estimator": {"delta": 0.1}}),
+    ("simulate-quantum", {"sparse_estimator": {"t0": 1.0}}),
     ("simulate-sparse", {"iht": {"rho": 0.4}}),
     ("simulate-sparse", {"design": "basis"}),
     ("simulate-sparse", {"m_values": [2]}),
@@ -177,13 +177,14 @@ def test_non_integer_for_an_int_exits_2(tmp_path, capsys, command, override):
     ("simulate-matrix", {"level": "0.9"}),
     ("simulate-matrix", {"iht": {"rho": "0.5"}}),
     ("simulate-matrix", {"iht": {"upsilon": True}}),
-    ("simulate-matrix", {"iht": {"upsilon_quantile": "0.9"}}),
+    ("simulate-matrix", {"iht": {"upsilon": "0.9"}}),
     ("simulate-matrix", {"iht": {"t0": True}}),
-    ("simulate-matrix", {"iht": {"e": True}}),
+    ("simulate-matrix", {"iht": {"rho": True}}),
     ("simulate-quantum", {"alpha_values": [True, "2"]}),
     ("simulate-quantum", {"t_factors": ["10"]}),
     ("simulate-sparse", {"sparse_estimator": {"t0": True}}),
-    ("simulate-sparse", {"sparse_estimator": {"delta": "0.05"}}),
+    # a string t0 is refused even next to a valid k_cap
+    ("simulate-sparse", {"sparse_estimator": {"k_cap": 1, "t0": "0.05"}}),
     ("simulate-sparse", {"sparse_estimator": {"upsilon": True}}),
 ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
 def test_bool_or_string_for_a_float_exits_2(tmp_path, capsys, command, override):

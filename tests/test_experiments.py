@@ -189,7 +189,8 @@ def test_workers_do_not_change_outputs(tmp_path):
 def test_schema_line_and_parsed_types(tmp_path):
     config = _matrix_config(tmp_path)
     paths = run_experiment(config)
-    first = open(paths["metrics"]).readline().rstrip("\n")
+    with open(paths["metrics"]) as fh:
+        first = fh.readline().rstrip("\n")
     assert first == "# schema=1"
     columns, rows = read_csv(paths["metrics"])
     assert columns[:4] == ["d", "k", "n", "replicate"]

@@ -59,13 +59,11 @@ def test_upsilon_uses_the_right_quantile():
     # high-precision value it certifies
     z_oracle = _normal_quantile_oracle(0.9)
     assert z_oracle == pytest.approx(1.2815515655446004, abs=2e-9)
-    got = upsilon_r(2.0, 16, 1000, quantile=0.9)
+    got = upsilon_r(2.0, 16, 1000)
     assert got == pytest.approx(2.0 * math.sqrt(16 / 1000) * 1.2815515655446004, rel=1e-12)
     assert upsilon_r(0.0, 4, 100) == 0.0
     with pytest.raises(ValueError):
         upsilon_r(-1.0, 4, 100)
-    with pytest.raises(ValueError):
-        upsilon_r(1.0, 4, 100, quantile=1.0)
 
 
 def test_ndtri_agrees_with_the_rational_oracle():
@@ -175,7 +173,7 @@ def test_data_driven_first_threshold_is_sigma_plus_upsilon():
     batch = gen_gaussian_design(n, d, 10)
     obs = simulate_observations(batch, theta, 1.0, 11)
     sigma1 = float(np.linalg.norm(obs.values) / math.sqrt(n))
-    t1 = sigma1 + upsilon_r(sigma1, d, n, 0.9)
+    t1 = sigma1 + upsilon_r(sigma1, d, n)
     _, state = run_iht(batch, obs, IhtConfig())
     assert state.trace[0].threshold == pytest.approx(t1, rel=1e-12)
     assert state.trace[0].sigma == pytest.approx(sigma1, rel=1e-12)
@@ -191,7 +189,7 @@ def test_data_driven_recursion_and_clamp():
     _, state = run_iht(batch, obs)
     prev = None
     for rec in state.trace:
-        ups = upsilon_r(rec.sigma, d, n, 0.9)
+        ups = upsilon_r(rec.sigma, d, n)
         assert rec.upsilon == pytest.approx(ups, rel=1e-12)
         if prev is None:
             expected = rec.sigma + ups
@@ -270,9 +268,9 @@ def test_noiseless_data_driven_run_meets_its_stopping_line():
     floor = iht._SIGMA_FLOOR * float(np.linalg.norm(obs.values) / np.sqrt(n))
     last = state.trace[-1]
     assert last.sigma < floor
-    assert last.upsilon == upsilon_r(floor, d, n, 0.9)
+    assert last.upsilon == upsilon_r(floor, d, n)
     above = [rec for rec in state.trace if rec.sigma >= floor]
-    assert all(rec.upsilon == upsilon_r(rec.sigma, d, n, 0.9) for rec in above)
+    assert all(rec.upsilon == upsilon_r(rec.sigma, d, n) for rec in above)
 
 
 def test_iht_step_reduces_residual_on_plain_instance():
@@ -292,10 +290,6 @@ def test_config_validation():
         IhtConfig(rho=1.0)
     with pytest.raises(ValueError):
         IhtConfig(upsilon=-1.0)
-    with pytest.raises(ValueError):
-        IhtConfig(upsilon_quantile=0.3)
-    with pytest.raises(ValueError):
-        IhtConfig(e=-0.5)
     with pytest.raises(ValueError):
         IhtConfig(max_iters=0)
     with pytest.raises(ValueError, match="must be an integer"):
@@ -388,7 +382,7 @@ def _recomputing_loop(batch, y, config, iterations):
         resid = values - apply_design(batch, estimate)
         sigma = float(np.linalg.norm(resid) / np.sqrt(n))
         ups = (config.upsilon if config.upsilon is not None
-               else upsilon_r(sigma, d, n, config.upsilon_quantile))
+               else upsilon_r(sigma, d, n))
         clamped = False
         if threshold is None:
             threshold = sigma + ups

@@ -139,7 +139,6 @@ def test_svd_factors_rank():
     f = SvdFactors(left=np.eye(3), singular_values=np.array([2.0, 1e-12, 0.0]),
                    right=np.eye(3))
     assert f.rank() == 2
-    assert f.rank(tol=1e-10) == 1
 
 
 def test_hard_threshold_entries_closed_at_threshold():

@@ -288,8 +288,9 @@ def test_rescaled_rows_single_qubit_oracle():
     assert ds.n == 2
     c_keep = math.sqrt(3.0 / 2.0)
     c_all = math.sqrt(2.0) / 2.0
-    assert np.allclose(ds.designs[0], c_keep * SX, atol=1e-12)
-    assert np.allclose(ds.designs[1], c_all * np.eye(2), atol=1e-12)
+    rows = ds.to_trace_regression()[0].matrices / math.sqrt(2.0)
+    assert np.allclose(rows[0], c_keep * SX, atol=1e-12)
+    assert np.allclose(rows[1], c_all * np.eye(2), atol=1e-12)
     ybar = float(np.mean(batch.outcomes[:, 0]))
     assert ds.y[0] == pytest.approx(c_keep * ybar, rel=1e-12)
     assert ds.y[1] == pytest.approx(c_all * 1.0, rel=1e-12)
@@ -313,25 +314,36 @@ def test_rescaled_rows_two_qubit_ybar_oracle():
              3: 1.0}
     words = {0: np.kron(SY, SZ), 1: np.kron(np.eye(2), SZ),
              2: np.kron(SY, np.eye(2)), 3: np.eye(4)}
+    rows = ds.to_trace_regression()[0].matrices / 2.0
     for mask in range(4):
         assert ds.y[mask] == pytest.approx(scales[mask] * ybars[mask], rel=1e-12)
-        assert np.allclose(ds.designs[mask], scales[mask] * words[mask], atol=1e-12)
+        assert np.allclose(rows[mask], scales[mask] * words[mask], atol=1e-12)
+
+
+def _reference_rows(settings):
+    # the per-setting, per-mask loop the vectorised build replaced, kept as
+    # the bitwise reference for the design rows before the 2^(m/2) boost
+    m = settings[0].m
+    scales = _subset_scales(m)
+    rows = []
+    for setting in settings:
+        for mask in range(2 ** m):
+            word = [0 if (mask >> i) & 1 else s for i, s in enumerate(setting.qubits)]
+            rows.append(scales[mask] * reduce(np.kron, [pauli_matrix(q) for q in word]))
+    return np.array(rows)
 
 
 def _per_mask_reference(settings, batches):
-    # the per-setting, per-mask loop the vectorised build replaced, kept as
-    # the bitwise reference for y and the design rows
+    # the same loop for y, returned with the rows
     m = settings[0].m
     scales = _subset_scales(m)
-    ys, rows = [], []
-    for setting, batch in zip(settings, batches):
+    ys = []
+    for batch in batches:
         for mask in range(2 ** m):
             keep = [i for i in range(m) if not (mask >> i) & 1]
             ybar = float(batch.outcomes[:, keep].prod(axis=1).mean()) if keep else 1.0
-            word = [0 if (mask >> i) & 1 else s for i, s in enumerate(setting.qubits)]
             ys.append(scales[mask] * ybar)
-            rows.append(scales[mask] * reduce(np.kron, [pauli_matrix(q) for q in word]))
-    return np.array(ys), np.array(rows)
+    return np.array(ys), _reference_rows(settings)
 
 
 def test_rows_equal_the_per_mask_loop_bit_for_bit():
@@ -346,12 +358,10 @@ def test_rows_equal_the_per_mask_loop_bit_for_bit():
                    for i, s in enumerate(settings)]
         ds = build_rescaled_dataset(settings, batches)
         y, rows = _per_mask_reference(settings, batches)
-        designs = ds.designs
         batch, obs = ds.to_trace_regression()
         boost = 2.0 ** (m / 2.0)
-        assert designs.shape == rows.shape and designs.dtype == rows.dtype
+        assert batch.matrices.shape == rows.shape and batch.matrices.dtype == rows.dtype
         assert ds.y.tobytes() == y.tobytes()
-        assert designs.tobytes() == rows.tobytes()
         assert batch.matrices.tobytes() == (rows * boost).tobytes()
         assert obs.values.tobytes() == (y * boost).tobytes()
 
@@ -373,7 +383,8 @@ def test_rows_with_identity_qubits_equal_the_per_mask_loop_bit_for_bit():
         ds = build_rescaled_dataset(settings, batches)
         y, rows = _per_mask_reference(settings, batches)
         assert ds.y.tobytes() == y.tobytes()
-        assert ds.designs.tobytes() == rows.tobytes()
+        matrices = ds.to_trace_regression()[0].matrices
+        assert matrices.tobytes() == (rows * 2.0 ** (m / 2.0)).tobytes()
 
 
 def test_mixed_repetition_counts_are_rejected():
@@ -423,7 +434,7 @@ def test_to_trace_regression_boost():
     ds = simulate_dataset(theta, 3, 7, 60)
     batch, obs = ds.to_trace_regression()
     boost = 2.0 ** (ds.m / 2.0)
-    assert np.allclose(batch.matrices, ds.designs * boost, atol=1e-15)
+    assert batch.matrices.tobytes() == (_reference_rows(ds.settings) * boost).tobytes()
     assert np.allclose(obs.values, ds.y * boost, atol=1e-15)
     assert batch.n == ds.n == 3 * 4
 
@@ -433,7 +444,9 @@ def test_simulate_dataset_determinism():
     a = simulate_dataset(theta, 4, 6, 62)
     b = simulate_dataset(theta, 4, 6, 62)
     assert np.array_equal(a.y, b.y)
-    assert np.array_equal(a.designs, b.designs)
+    rows = _reference_rows(a.settings) * 2.0 ** (a.m / 2.0)
+    assert a.to_trace_regression()[0].matrices.tobytes() == rows.tobytes()
+    assert b.to_trace_regression()[0].matrices.tobytes() == rows.tobytes()
     assert [s.label for s in a.settings] == [s.label for s in b.settings]
     c = simulate_dataset(theta, 4, 6, 63)
     assert not np.array_equal(a.y, c.y)
@@ -461,6 +474,17 @@ def test_simulate_dataset_checks_theta_once(monkeypatch):
     assert tables == [3]
     monkeypatch.undo()
     assert np.array_equal(ds.y, simulate_dataset(theta, 7, 6, 62).y)
+
+
+def test_n_settings_must_be_a_positive_int(monkeypatch):
+    # -2 used to overflow in SeedSequence.spawn, and True or 2.0 raised a
+    # TypeError; each is refused, named, before any setting is sampled
+    theta = gen_density_matrix(2, 1, 65)
+    monkeypatch.setattr(quantum, "gen_random_settings",
+                        lambda *args: pytest.fail("settings were sampled"))
+    for bad in (0, -2, 2.5, 2.0, True, "4"):
+        with pytest.raises(ValueError, match="n_settings must be"):
+            simulate_dataset(theta, bad, 3, 66)
 
 
 def test_repetitions_must_be_a_positive_int(monkeypatch):
@@ -564,7 +588,8 @@ def test_save_load_round_trip(tmp_path):
         assert loaded.repetitions == ds.repetitions
         assert [s.label for s in loaded.settings] == [s.label for s in ds.settings]
         assert loaded.y.tobytes() == ds.y.tobytes()
-        assert loaded.designs.tobytes() == ds.designs.tobytes()
+        rows = _reference_rows(ds.settings) * 2.0 ** (ds.m / 2.0)
+        assert loaded.to_trace_regression()[0].matrices.tobytes() == rows.tobytes()
     assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
 
 

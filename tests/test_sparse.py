@@ -270,7 +270,7 @@ def _plain_sparse_loop(inst, dec, config):
     gamma = 2.0 * dec.r_k(k_cap)
     ups = config.upsilon
     if ups is None:
-        ups = 2.0 * math.sqrt(float(dec.vsv_diag.max()) * math.log(p / config.delta) / n)
+        ups = 2.0 * math.sqrt(float(dec.vsv_diag.max()) * math.log(p / 0.05) / n)
     t = config.t0
     if t is None:
         t = float(np.max(np.abs(dec.v @ (inst.x.T @ inst.y) / n))) + 2.0 * ups
@@ -428,6 +428,21 @@ def test_intervals_refuse_an_estimate_of_the_wrong_length(length):
         sparse_confidence_intervals(np.zeros((10, 1)), inst, dec, sigma=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_estimate_is_refused(bad):
+    # it used to come back as a NaN estimate (or, without sigma, as a
+    # misleading "sigma must be finite")
+    inst = gen_sparse_instance(60, 10, 2, 1.0, 1)
+    dec = build_decorrelator(inst.x)
+    theta_r = np.zeros(10)
+    theta_r[3] = bad
+    for call in (lambda: sparse_confidence_intervals(theta_r, inst, dec, sigma=1.0),
+                 lambda: sparse_confidence_intervals(theta_r, inst, dec),
+                 lambda: desparsify(theta_r, inst, dec)):
+        with pytest.raises(ValueError, match="estimate must be finite"):
+            call()
+
+
 def test_interval_bounds_and_covers():
     res = sparse_confidence_intervals(
         np.array([1.0, -2.0]),
@@ -508,8 +523,6 @@ def test_instance_and_config_validation():
         SparseInstance(x=np.ones((3, 2)), y=np.ones(3), theta_truth=np.ones(5))
     with pytest.raises(ValueError):
         SparseConfig(t0=-1.0)
-    with pytest.raises(ValueError):
-        SparseConfig(delta=0.0)
     with pytest.raises(ValueError):
         SparseConfig(k_cap=0)
     with pytest.raises(ValueError, match="must be an integer"):
