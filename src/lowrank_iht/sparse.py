@@ -310,6 +310,7 @@ def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
     backprojection is recomputed only after an iteration in which some entry
     survived.
     """
+    _check_decorrelator(dec, instance)
     n, p = instance.n, instance.p
     k_cap = config.k_cap if config.k_cap is not None else largest_feasible_k(dec, p)
     r_k = dec.r_k(k_cap)
@@ -339,6 +340,12 @@ def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
     return theta, thresholds
 
 
+def _check_decorrelator(dec: Decorrelator, instance: SparseInstance) -> None:
+    if dec.p != instance.p:
+        raise ValueError(
+            f"decorrelator has p={dec.p} but the instance has p={instance.p}")
+
+
 def _check_estimate(theta_r, p: int) -> np.ndarray:
     theta_r = np.asarray(theta_r, dtype=np.float64)
     if theta_r.shape != (p,):
@@ -351,6 +358,7 @@ def _check_estimate(theta_r, p: int) -> np.ndarray:
 def desparsify(theta_hat_r: np.ndarray, instance: SparseInstance,
                dec: Decorrelator) -> np.ndarray:
     """One unthresholded correction theta + (1/n) V X^T (Y - X theta)."""
+    _check_decorrelator(dec, instance)
     theta_hat_r = _check_estimate(theta_hat_r, instance.p)
     resid = instance.y - instance.x @ theta_hat_r
     return theta_hat_r + dec.apply(instance.x.T @ resid) / instance.n
@@ -363,6 +371,7 @@ def sparse_confidence_intervals(theta_r: np.ndarray, instance: SparseInstance,
     half-widths sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}. The
     residual Y - X theta_r is formed once; it also gives the default sigma
     ||Y - X theta_r||_2 / sqrt(n)."""
+    _check_decorrelator(dec, instance)
     theta_r = _check_estimate(theta_r, instance.p)
     resid = instance.y - instance.x @ theta_r
     if sigma is None:

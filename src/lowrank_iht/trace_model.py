@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._checks import check_int
 from ._rng import make_rng, standard_normal
 
 __all__ = [
@@ -186,11 +187,12 @@ def adjoint_apply(batch: DesignBatch, v) -> np.ndarray:
 def gen_gaussian_design(n: int, d: int, seed) -> DesignBatch:
     """n independent standard Gaussian d x d design matrices.
 
-    Exactly ``make_rng(seed).standard_normal((n, d, d))``; large designs are
-    drawn on two threads (see ``_rng.standard_normal``).
+    Exactly ``make_rng(seed).standard_normal((n, d, d))``; with two or more
+    usable CPUs, a design of 2**20 normals or more is drawn in three parts,
+    the caller and two threads each drawing one (see
+    ``_rng.standard_normal``).
     """
-    if n < 1 or d < 1:
-        raise ValueError("n and d must be positive")
+    n, d = check_int(n, "n"), check_int(d, "d")
     return DesignBatch(standard_normal(seed, (n, d, d)))
 
 
@@ -201,8 +203,7 @@ def gen_basis_design(d: int) -> DesignBatch:
     operator an exact isometry and the adjoint an exact inverse on noiseless
     data.
     """
-    if d < 1:
-        raise ValueError("d must be positive")
+    d = check_int(d, "d")
     arr = np.zeros((d * d, d, d))
     idx = np.arange(d * d)
     arr[idx, idx // d, idx % d] = float(d)
@@ -212,8 +213,8 @@ def gen_basis_design(d: int) -> DesignBatch:
 def gen_low_rank_theta(d: int, k: int, seed) -> np.ndarray:
     """Random rank-k symmetric PSD target: sum_{l<=k} N_l N_l^T with
     standard Gaussian N_l."""
-    if not 1 <= k <= d:
-        raise ValueError("need 1 <= k <= d")
+    d = check_int(d, "d")
+    k = check_int(k, "k", 1, d + 1)
     rng = make_rng(seed)
     factors = rng.standard_normal((k, d))
     return factors.T @ factors

@@ -170,7 +170,8 @@ def test_run_twice_is_byte_identical(tmp_path):
 
 def test_workers_do_not_change_outputs(tmp_path):
     # d=32, n=1100 draws 1,126,400 normals per design: above the size at
-    # which the design is drawn on two threads, here inside each pool worker
+    # which the design is drawn in parts on threads, here inside each pool
+    # worker
     assert 1100 * 32 * 32 >= _rng._SPLIT_MIN
     split = functools.partial(_matrix_config, d_values=(32,), n_values=(1100,))
     for name, make, files in (

@@ -37,14 +37,22 @@ def two_cpus(monkeypatch):
     monkeypatch.setattr(_rng, "_usable_cpus", lambda: 2)
 
 
+def _margin_bound(s, word):
+    # a part's generator enters 8 standard deviations and 256 words below
+    # where normal s is expected to start; each normal before the seam reads
+    # at least one word, so j stays under twice that margin unless numpy's
+    # ziggurat reads a different number of words per normal
+    return 2 * (s * _rng._WORDS_MEAN - word)
+
+
 @pytest.mark.parametrize("shape", _SHAPES + _ONE_CALL_SHAPES, ids=str)
 def test_split_draw_is_byte_identical_to_one_draw(two_cpus, monkeypatch, shape):
     seams = []
     seam = _rng._seam
 
-    def spy(*args):
-        seams.append(seam(*args))
-        return seams[-1]
+    def spy(seed, out, word, s, stop, state):
+        seams.append((s, word, seam(seed, out, word, s, stop, state)))
+        return seams[-1][2]
 
     monkeypatch.setattr(_rng, "_seam", spy)
     cases = 0
@@ -58,8 +66,11 @@ def test_split_draw_is_byte_identical_to_one_draw(two_cpus, monkeypatch, shape):
         assert np.prod(shape) < _SPLIT_MIN
         assert seams == []
     else:
-        # every case went through the threads and proved its seam
-        assert len(seams) == cases and None not in seams
+        # every case drew three parts and proved both of their seams close
+        # to the part's entry word
+        assert len(seams) == cases * (_rng._PARTS - 1)
+        assert None not in [j for _, _, j in seams]
+        assert all(j < _margin_bound(s, word) for s, word, j in seams), seams
 
 
 def test_generator_seed_advances_exactly_as_one_draw(two_cpus):
@@ -77,6 +88,26 @@ def test_unproved_seam_falls_back_to_the_head_generator(two_cpus, monkeypatch):
         for seed in _seeds(3):
             assert _rng.standard_normal(seed, shape).tobytes() == \
                 _single(seed, shape).tobytes()
+
+
+def test_an_unproved_later_seam_falls_back_to_the_part_before(two_cpus,
+                                                              monkeypatch):
+    # the last seam fails: the part before it, already joined to the
+    # sequential stream, draws everything from that seam on
+    seam, failed = _rng._seam, []
+
+    def last_fails(seed, out, word, s, stop, state):
+        if stop == out.size:
+            failed.append(s)
+            return None
+        return seam(seed, out, word, s, stop, state)
+
+    monkeypatch.setattr(_rng, "_seam", last_fails)
+    for seed in _seeds(3):
+        shape = (2000, 32, 32)
+        assert _rng.standard_normal(seed, shape).tobytes() == \
+            _single(seed, shape).tobytes()
+    assert failed == [2 * 2000 * 32 * 32 // 3] * 6
 
 
 class _NoThreads:

@@ -428,6 +428,19 @@ def test_intervals_refuse_an_estimate_of_the_wrong_length(length):
         sparse_confidence_intervals(np.zeros((10, 1)), inst, dec, sigma=1.0)
 
 
+def test_a_decorrelator_for_another_p_is_refused():
+    # a p=1 decorrelator on a p=10 instance used to return a length-1
+    # half_width and to run the iterations on the wrong certificate
+    inst = gen_sparse_instance(60, 10, 2, 1.0, 1)
+    dec = build_decorrelator(inst.x[:, :1])
+    for call in (lambda: sparse_iht_run(inst, dec, SparseConfig(k_cap=1)),
+                 lambda: desparsify(np.zeros(10), inst, dec),
+                 lambda: sparse_confidence_intervals(np.zeros(10), inst, dec),
+                 lambda: sparse_confidence_intervals(np.zeros(10), inst, dec, sigma=1.0)):
+        with pytest.raises(ValueError, match=r"decorrelator has p=1 but the instance has p=10"):
+            call()
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_estimate_is_refused(bad):
     # it used to come back as a NaN estimate (or, without sigma, as a

@@ -134,6 +134,34 @@ def test_gen_gaussian_design_seeded():
     assert not np.iscomplexobj(b1.matrices)
 
 
+@pytest.mark.parametrize("bad", [2.5, 3.0, True, "3", None], ids=repr)
+def test_generators_refuse_a_size_that_is_not_an_int(bad):
+    # a float used to reach numpy as "'float' object cannot be interpreted as
+    # an integer" and a bool as "an integer is required", naming no argument
+    for call, name in ((lambda: gen_gaussian_design(bad, 3, 0), "n"),
+                       (lambda: gen_gaussian_design(4, bad, 0), "d"),
+                       (lambda: gen_basis_design(bad), "d"),
+                       (lambda: gen_low_rank_theta(bad, 1, 0), "d"),
+                       (lambda: gen_low_rank_theta(4, bad, 0), "k")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+
+
+def test_generators_take_numpy_ints_and_refuse_sizes_below_one():
+    assert gen_gaussian_design(np.int64(2), np.uint8(3), 0).matrices.tobytes() == \
+        gen_gaussian_design(2, 3, 0).matrices.tobytes()
+    assert gen_basis_design(np.int32(2)).n == 4
+    np.testing.assert_array_equal(gen_low_rank_theta(np.int64(4), np.int8(2), 5),
+                                  gen_low_rank_theta(4, 2, 5))
+    for call, match in ((lambda: gen_gaussian_design(0, 3, 0), "n must be at least 1"),
+                        (lambda: gen_gaussian_design(2, 0, 0), "d must be at least 1"),
+                        (lambda: gen_basis_design(0), "d must be at least 1"),
+                        (lambda: gen_low_rank_theta(4, 0, 0), r"k must be in \[1, 5\)"),
+                        (lambda: gen_low_rank_theta(4, 5, 0), r"k must be in \[1, 5\)")):
+        with pytest.raises(ValueError, match=match):
+            call()
+
+
 def test_gen_low_rank_theta_is_symmetric_rank_k():
     theta = gen_low_rank_theta(8, 3, 1)
     np.testing.assert_allclose(theta, theta.T, atol=1e-12)
