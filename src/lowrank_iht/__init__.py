@@ -41,20 +41,16 @@ from .iht import (
 from .inference import (
     EntrywiseResult,
     confidence_intervals,
-    debias,
     decomposition_terms,
     entry_scale_matrix,
 )
 from .quantum import (
-    OutcomeBatch,
     PauliSetting,
     TomographyDataset,
-    build_rescaled_dataset,
     gen_density_matrix,
     gen_random_settings,
     outcome_distribution,
     parity,
-    sample_outcomes,
     simulate_dataset,
 )
 from .sparse import (
@@ -63,7 +59,6 @@ from .sparse import (
     SparseConfig,
     SparseInstance,
     build_decorrelator,
-    desparsify,
     gen_sparse_instance,
     largest_feasible_k,
     sparse_confidence_intervals,

@@ -8,12 +8,14 @@ import operator
 __all__ = ["check_float", "check_int"]
 
 
-def check_int(value, name: str, low: int = 1, high: int | None = None,
+def check_int(value, name: str, low: int | None = 1, high: int | None = None,
               error: type[ValueError] = ValueError) -> int:
     """``value`` as an int in [low, high), raising ``error`` otherwise.
 
     Anything that is not an integer is refused rather than truncated: floats,
-    strings and bools (which Python counts as ints) all raise.
+    strings and bools (which Python counts as ints) all raise. ``low=None``
+    checks the type alone, for a caller whose own range check names a bound
+    that depends on another argument.
     """
     if isinstance(value, bool):
         raise error(f"{name} must be an integer, not a boolean")
@@ -21,7 +23,7 @@ def check_int(value, name: str, low: int = 1, high: int | None = None,
         value = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
-    if value < low or (high is not None and value >= high):
+    if (low is not None and value < low) or (high is not None and value >= high):
         bounds = f"at least {low}" if high is None else f"in [{low}, {high})"
         raise error(f"{name} must be {bounds}, got {value}")
     return value

@@ -23,19 +23,11 @@ from .iht import IhtState
 from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
 
 __all__ = [
-    "debias",
     "entry_scale_matrix",
     "EntrywiseResult",
     "confidence_intervals",
     "decomposition_terms",
 ]
-
-
-def debias(batch: DesignBatch, y, theta_hat: np.ndarray) -> np.ndarray:
-    """One-step bias correction theta_hat + adjoint(y - X(theta_hat))."""
-    values = _obs_values(y, batch.n)
-    resid = values - apply_design(batch, theta_hat)
-    return theta_hat + adjoint_apply(batch, resid)
 
 
 def entry_scale_matrix(batch: DesignBatch) -> np.ndarray:
@@ -133,12 +125,13 @@ def decomposition_terms(batch: DesignBatch, y, theta_hat: np.ndarray,
     The noise term is sqrt(n) * adjoint(eps); the remainder is
     sqrt(n) * [(theta_hat - theta_true) - adjoint(X(theta_hat - theta_true))].
     Their sum reproduces the debiased error exactly (up to floating point),
-    which the estimator's tests pin down.
+    which the estimator's tests pin down. The debiased estimate in ``total``
+    has the bits of ``confidence_intervals(batch, y, theta_hat).estimate``.
     """
-    values = _obs_values(y, batch.n)
+    resid = _obs_values(y, batch.n) - apply_design(batch, theta_hat)
     root_n = np.sqrt(batch.n)
     diff = theta_hat - theta_true
     remainder = root_n * (diff - adjoint_apply(batch, apply_design(batch, diff)))
     noise_term = root_n * adjoint_apply(batch, np.asarray(noise, dtype=np.float64))
-    total = root_n * (debias(batch, values, theta_hat) - theta_true)
+    total = root_n * (theta_hat + adjoint_apply(batch, resid) - theta_true)
     return remainder, noise_term, total

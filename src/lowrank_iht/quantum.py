@@ -30,15 +30,12 @@ from .trace_model import DesignBatch, Observations
 
 __all__ = [
     "PauliSetting",
-    "OutcomeBatch",
     "TomographyDataset",
     "outcome_table",
     "outcome_distribution",
-    "sample_outcomes",
     "parity",
     "gen_random_settings",
     "gen_density_matrix",
-    "build_rescaled_dataset",
     "simulate_dataset",
     "save_dataset",
     "load_dataset",
@@ -96,29 +93,6 @@ class PauliSetting:
             return cls(tuple(_INDEX[ch] for ch in label.upper()))
         except KeyError as exc:
             raise ValueError(f"unknown Pauli letter in {label!r}") from exc
-
-
-@dataclass(frozen=True, eq=False)
-class OutcomeBatch:
-    """T repeated sign vectors observed under one setting."""
-
-    setting: PauliSetting
-    outcomes: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.outcomes, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != self.setting.m:
-            raise ValueError("outcomes must be (T, m) for the setting's m")
-        if arr.shape[0] < 1:
-            raise ValueError("need at least one repetition")
-        if not np.all(np.abs(arr) == 1):
-            raise ValueError("outcome entries must be +1 or -1")
-        arr.setflags(write=False)
-        object.__setattr__(self, "outcomes", arr)
-
-    @property
-    def repetitions(self) -> int:
-        return self.outcomes.shape[0]
 
 
 def outcome_table(m: int) -> np.ndarray:
@@ -229,14 +203,6 @@ def _draw_outcomes(p: np.ndarray, repetitions: int, seed) -> np.ndarray:
     return np.minimum(idx, p.size - 1, out=idx)
 
 
-def sample_outcomes(setting: PauliSetting, theta, repetitions: int, seed) -> OutcomeBatch:
-    """T i.i.d. outcome vectors drawn by inverse CDF over the ordered table."""
-    repetitions = check_int(repetitions, "repetitions")
-    p = _outcome_distributions((setting,), _check_density(theta))[0]
-    idx = _draw_outcomes(p, repetitions, seed)
-    return OutcomeBatch(setting=setting, outcomes=outcome_table(setting.m)[idx])
-
-
 def parity(outcome) -> np.ndarray:
     """Product of the per-qubit signs; last axis is the qubit axis."""
     arr = np.asarray(outcome)
@@ -245,8 +211,7 @@ def parity(outcome) -> np.ndarray:
 
 def gen_random_settings(count: int, m: int, seed) -> list[PauliSetting]:
     """count settings with i.i.d. uniform X/Y/Z per qubit."""
-    if count < 1:
-        raise ValueError("count must be at least 1")
+    count, m = check_int(count, "count"), check_int(m, "m")
     rng = make_rng(seed)
     draws = rng.integers(1, 4, size=(count, m))
     return [PauliSetting(tuple(int(q) for q in row)) for row in draws]
@@ -254,6 +219,7 @@ def gen_random_settings(count: int, m: int, seed) -> list[PauliSetting]:
 
 def gen_density_matrix(d: int, k: int, seed) -> np.ndarray:
     """Random rank-k density matrix G G^H / tr(G G^H), G complex Gaussian d x k."""
+    d, k = check_int(d, "d", None), check_int(k, "k", None)
     if not 1 <= k <= d:
         raise ValueError(f"need 1 <= k <= d, got k={k}, d={d}")
     rng = make_rng(seed)
@@ -343,31 +309,6 @@ def _rescaled_y(m: int, counts: np.ndarray, repetitions: int) -> np.ndarray:
     return (counts @ parities.T / repetitions * _subset_scales(m)).ravel()
 
 
-def build_rescaled_dataset(settings, batches) -> TomographyDataset:
-    """Assemble the trace-regression rows from raw per-setting outcomes."""
-    settings = tuple(settings)
-    batches = tuple(batches)
-    if len(settings) != len(batches):
-        raise ValueError("one outcome batch per setting required")
-    if not settings:
-        raise ValueError("need at least one setting")
-    m = settings[0].m
-    repetitions = batches[0].repetitions
-    # outcome_table row index of each outcome: bit m - q set when qubit q read -1
-    weights = 1 << np.arange(m - 1, -1, -1)
-    counts = np.empty((len(settings), 2 ** m), dtype=np.int64)
-    for row, setting, batch in zip(counts, settings, batches):
-        if batch.setting != setting:
-            raise ValueError("outcome batch does not belong to its setting")
-        if setting.m != m:
-            raise ValueError("all settings must share the same qubit count")
-        if batch.repetitions != repetitions:
-            raise ValueError("all settings must be measured the same number of times")
-        row[:] = np.bincount((batch.outcomes < 0) @ weights, minlength=2 ** m)
-    return TomographyDataset(m=m, settings=settings, repetitions=repetitions,
-                             y=_rescaled_y(m, counts, repetitions))
-
-
 def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> TomographyDataset:
     """Sample settings, measure, and assemble the dataset in one call.
 
@@ -376,8 +317,9 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     validated once here, not once per setting. The settings' outcome
     distributions come from batched rotations, each setting keeps only the
     count of each outcome, and the rows' y are formed from the counts; the
-    result has the bits of sampling each setting with ``sample_outcomes`` and
-    assembling with ``build_rescaled_dataset``.
+    result has the bits of drawing each setting's T outcome vectors by
+    inverse CDF and averaging their marginalized parities one setting at a
+    time.
     """
     n_settings = check_int(n_settings, "n_settings")
     repetitions = check_int(repetitions, "repetitions")
@@ -422,8 +364,8 @@ def load_dataset(path) -> TomographyDataset:
     from 0, masks 0..2^m-1 under each, one label of m qubits per setting.
     Each y_value must be a finite float literal equal to c_E * k / T for an
     integer k with |k| <= T and k = T mod 2: c_E times a mean of T parities,
-    rounded as build_rescaled_dataset rounds it, so a hand-edited value is
-    caught too. This holds when every setting was measured T times, as in
+    rounded as simulate_dataset rounds it, so a hand-edited value is caught
+    too. This holds when every setting was measured T times, as in
     simulate_dataset. Any violation raises ValueError naming the line.
     """
     with open(path) as fh:

@@ -28,11 +28,9 @@ __all__ = [
     "SparseInstance",
     "SparseConfig",
     "Decorrelator",
-    "empirical_covariance",
     "build_decorrelator",
     "largest_feasible_k",
     "sparse_iht_run",
-    "desparsify",
     "sparse_confidence_intervals",
     "gen_sparse_instance",
 ]
@@ -109,11 +107,6 @@ class SparseConfig:
             check_int(self.k_cap, "k_cap")
         if self.upsilon is not None and not 0 <= self.upsilon < math.inf:
             raise ValueError("upsilon must be nonnegative and finite")
-
-
-def empirical_covariance(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    return x.T @ x / x.shape[0]
 
 
 def _top_k_row_sum(absm: np.ndarray, k: int) -> float:
@@ -244,14 +237,15 @@ def build_decorrelator(x: np.ndarray, strategy: str = "identity",
                        mu: float | None = None) -> Decorrelator:
     """Identity V, or one l1-minimizing row program per coordinate.
 
-    The row program looks for v with small l1 norm satisfying
-    ||Sigma v - e_j||_inf <= mu; mu defaults to sqrt(log(p) / n).
+    Sigma is the empirical covariance X^T X / n. The row program looks for
+    v with small l1 norm satisfying ||Sigma v - e_j||_inf <= mu; mu defaults
+    to sqrt(log(p) / n).
     """
     x = np.asarray(x, dtype=np.float64)
     n, p = x.shape
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
-    sigma_hat = empirical_covariance(x)
+    sigma_hat = x.T @ x / n
     if strategy == "identity":
         return Decorrelator(v=np.eye(p), sigma_hat=sigma_hat, construction="identity")
     if strategy == "row_program":
@@ -275,7 +269,7 @@ def largest_feasible_k(dec: Decorrelator, k_max: int) -> int:
     though it holds at smaller K; running with the largest certified level
     keeps the contraction argument honest.
     """
-    lo, hi = 1, min(k_max, dec.p)
+    lo, hi = 1, min(check_int(k_max, "k_max"), dec.p)
     if 2.0 * dec.r_k(lo) >= 1.0:
         raise AssumptionViolationError(
             f"2 r_K >= 1 for every K <= {k_max}: r_1 = {dec.r_k(1):.4f}")
@@ -355,21 +349,13 @@ def _check_estimate(theta_r, p: int) -> np.ndarray:
     return theta_r
 
 
-def desparsify(theta_hat_r: np.ndarray, instance: SparseInstance,
-               dec: Decorrelator) -> np.ndarray:
-    """One unthresholded correction theta + (1/n) V X^T (Y - X theta)."""
-    _check_decorrelator(dec, instance)
-    theta_hat_r = _check_estimate(theta_hat_r, instance.p)
-    resid = instance.y - instance.x @ theta_hat_r
-    return theta_hat_r + dec.apply(instance.x.T @ resid) / instance.n
-
-
 def sparse_confidence_intervals(theta_r: np.ndarray, instance: SparseInstance,
                                 dec: Decorrelator, *, sigma: float | None = None,
                                 level: float = 0.95) -> EntrywiseResult:
-    """Desparsify theta_r (with the bits of ``desparsify``) and attach
-    half-widths sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}. The
-    residual Y - X theta_r is formed once; it also gives the default sigma
+    """Desparsify theta_r by one unthresholded correction
+    theta_r + (1/n) V X^T (Y - X theta_r) and attach half-widths
+    sigma * sqrt((V Sigma V^T)_jj / n) * z_{(1+level)/2}. The residual
+    Y - X theta_r is formed once; it also gives the default sigma
     ||Y - X theta_r||_2 / sqrt(n)."""
     _check_decorrelator(dec, instance)
     theta_r = _check_estimate(theta_r, instance.p)
@@ -385,6 +371,7 @@ def sparse_confidence_intervals(theta_r: np.ndarray, instance: SparseInstance,
 def gen_sparse_instance(n: int, p: int, k: int, noise_std: float, seed) -> SparseInstance:
     """Gaussian design, k random coordinates with amplitudes uniform in
     [1, 3] and random signs, Gaussian noise."""
+    n, p, k = check_int(n, "n"), check_int(p, "p", None), check_int(k, "k", None)
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
     if not 0 <= noise_std < math.inf:

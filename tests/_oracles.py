@@ -2,9 +2,11 @@
 
 Each function here is a direct, unoptimised statement of a definition the
 estimator relies on: Pauli matrices and their eigenprojectors, outcome
-marginalization, tomography sampled one setting at a time, the restricted
-singular-value bound, the Monte-Carlo restricted-isometry probe, the sparse
-r_K supremum and the desparsified error split. Tests compare the package's
+marginalization, tomography sampled one setting at a time (as one-line
+parity means, and as outcome batches assembled into a dataset), the
+restricted singular-value bound, the Monte-Carlo restricted-isometry probe,
+the one-step debiasing of both estimators on its own, the sparse r_K
+supremum and the desparsified error split. Tests compare the package's
 production code against them, or measure its designs with them; the package
 itself never calls them, so they are kept out of its public surface.
 """
@@ -17,18 +19,30 @@ from functools import reduce
 
 import numpy as np
 
+from lowrank_iht._checks import check_int
 from lowrank_iht.linalg import _as_matrix, _singular_values, schatten_norm
 from lowrank_iht._rng import make_rng
 from lowrank_iht.quantum import (
     _EIGVECS,
     _PAULI,
     PauliSetting,
+    TomographyDataset,
+    _check_density,
+    _draw_outcomes,
+    _outcome_distributions,
+    _rescaled_y,
     _subset_scales,
     gen_random_settings,
     outcome_table,
 )
-from lowrank_iht.sparse import Decorrelator, SparseInstance, _top_k_row_sum, desparsify
-from lowrank_iht.trace_model import DesignBatch, apply_design
+from lowrank_iht.sparse import (
+    Decorrelator,
+    SparseInstance,
+    _check_decorrelator,
+    _check_estimate,
+    _top_k_row_sum,
+)
+from lowrank_iht.trace_model import DesignBatch, _obs_values, adjoint_apply, apply_design
 
 
 # -- quantum ---------------------------------------------------------------
@@ -126,6 +140,62 @@ def simulate_dataset_per_setting(theta, n_settings: int, repetitions: int, seed)
             ybar = float(outcomes[:, keep].prod(axis=1).mean()) if keep else 1.0
             y.append(scales[mask] * ybar)
     return settings, np.array(y)
+
+
+@dataclass(frozen=True, eq=False)
+class OutcomeBatch:
+    """T repeated sign vectors observed under one setting."""
+
+    setting: PauliSetting
+    outcomes: np.ndarray
+
+    def __post_init__(self):
+        arr = np.asarray(self.outcomes, dtype=np.int64)
+        if arr.ndim != 2 or arr.shape[1] != self.setting.m:
+            raise ValueError("outcomes must be (T, m) for the setting's m")
+        if arr.shape[0] < 1:
+            raise ValueError("need at least one repetition")
+        if not np.all(np.abs(arr) == 1):
+            raise ValueError("outcome entries must be +1 or -1")
+        arr.setflags(write=False)
+        object.__setattr__(self, "outcomes", arr)
+
+    @property
+    def repetitions(self) -> int:
+        return self.outcomes.shape[0]
+
+
+def sample_outcomes(setting: PauliSetting, theta, repetitions: int, seed) -> OutcomeBatch:
+    """T i.i.d. outcome vectors drawn by inverse CDF over the ordered table."""
+    repetitions = check_int(repetitions, "repetitions")
+    p = _outcome_distributions((setting,), _check_density(theta))[0]
+    idx = _draw_outcomes(p, repetitions, seed)
+    return OutcomeBatch(setting=setting, outcomes=outcome_table(setting.m)[idx])
+
+
+def build_rescaled_dataset(settings, batches) -> TomographyDataset:
+    """Assemble the trace-regression rows from raw per-setting outcomes."""
+    settings = tuple(settings)
+    batches = tuple(batches)
+    if len(settings) != len(batches):
+        raise ValueError("one outcome batch per setting required")
+    if not settings:
+        raise ValueError("need at least one setting")
+    m = settings[0].m
+    repetitions = batches[0].repetitions
+    # outcome_table row index of each outcome: bit m - q set when qubit q read -1
+    weights = 1 << np.arange(m - 1, -1, -1)
+    counts = np.empty((len(settings), 2 ** m), dtype=np.int64)
+    for row, setting, batch in zip(counts, settings, batches):
+        if batch.setting != setting:
+            raise ValueError("outcome batch does not belong to its setting")
+        if setting.m != m:
+            raise ValueError("all settings must share the same qubit count")
+        if batch.repetitions != repetitions:
+            raise ValueError("all settings must be measured the same number of times")
+        row[:] = np.bincount((batch.outcomes < 0) @ weights, minlength=2 ** m)
+    return TomographyDataset(m=m, settings=settings, repetitions=repetitions,
+                             y=_rescaled_y(m, counts, repetitions))
 
 
 # -- linalg ----------------------------------------------------------------
@@ -226,6 +296,15 @@ def estimate_rip_constant(batch: DesignBatch, k: int, trials: int, seed,
                        deviations=devs)
 
 
+# -- inference -------------------------------------------------------------
+
+def debias(batch: DesignBatch, y, theta_hat: np.ndarray) -> np.ndarray:
+    """One-step bias correction theta_hat + adjoint(y - X(theta_hat))."""
+    values = _obs_values(y, batch.n)
+    resid = values - apply_design(batch, theta_hat)
+    return theta_hat + adjoint_apply(batch, resid)
+
+
 # -- sparse ----------------------------------------------------------------
 
 def estimate_r_k(v: np.ndarray, sigma_hat: np.ndarray, k: int) -> float:
@@ -238,6 +317,15 @@ def estimate_r_k(v: np.ndarray, sigma_hat: np.ndarray, k: int) -> float:
     v = np.asarray(v, dtype=np.float64)
     sigma_hat = np.asarray(sigma_hat, dtype=np.float64)
     return _top_k_row_sum(np.abs(v @ sigma_hat - np.eye(sigma_hat.shape[0])), k)
+
+
+def desparsify(theta_hat_r: np.ndarray, instance: SparseInstance,
+               dec: Decorrelator) -> np.ndarray:
+    """One unthresholded correction theta + (1/n) V X^T (Y - X theta)."""
+    _check_decorrelator(dec, instance)
+    theta_hat_r = _check_estimate(theta_hat_r, instance.p)
+    resid = instance.y - instance.x @ theta_hat_r
+    return theta_hat_r + dec.apply(instance.x.T @ resid) / instance.n
 
 
 def sparse_decomposition_terms(theta_hat_r: np.ndarray, instance: SparseInstance,

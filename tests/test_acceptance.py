@@ -33,7 +33,6 @@ from lowrank_iht.sparse import (
     SparseConfig,
     SparseInstance,
     build_decorrelator,
-    empirical_covariance,
     gen_sparse_instance,
     largest_feasible_k,
     sparse_confidence_intervals,
@@ -279,7 +278,7 @@ def test_criterion_10_sparse_oracles():
     r_k_gap = 0.0
     for _ in range(50):
         x = rng.standard_normal((25, 6))
-        s = empirical_covariance(x)
+        s = build_decorrelator(x).sigma_hat
         v = np.eye(6) + 0.15 * rng.standard_normal((6, 6))
         for k in (1, 2, 3):
             r_k = Decorrelator(v, s, "perturbed").r_k(k)

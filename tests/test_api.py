@@ -20,22 +20,56 @@ from lowrank_iht.cli import main
 from lowrank_iht.inference import confidence_intervals
 from lowrank_iht.iht import IhtConfig, IhtState, run_iht, stopping_check, upsilon_r
 from lowrank_iht.linalg import SvdFactors, svd
-from lowrank_iht.quantum import PauliSetting, gen_density_matrix, sample_outcomes, simulate_dataset
-from lowrank_iht.sparse import SparseConfig, build_decorrelator, gen_sparse_instance
+from lowrank_iht.quantum import (
+    PauliSetting,
+    gen_density_matrix,
+    gen_random_settings,
+    simulate_dataset,
+)
+from lowrank_iht.sparse import (
+    SparseConfig,
+    build_decorrelator,
+    gen_sparse_instance,
+    largest_feasible_k,
+)
 from lowrank_iht.trace_model import gen_gaussian_design, gen_low_rank_theta, simulate_observations
+
+from _oracles import sample_outcomes
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(lowrank_iht.__path__)
                  if info.name != "__main__")
 
+# every name the package exports, so a removal shows which names left
+EXPORTED = {
+    "AssumptionViolationError", "ConfigError", "Decorrelator", "DesignBatch",
+    "EntrywiseResult", "ExperimentConfig", "IhtConfig", "IhtState", "IterationRecord",
+    "Observations", "PauliSetting", "SparseConfig", "SparseInstance",
+    "StoppingBoundError", "SvdConvergenceError", "SvdFactors", "TomographyDataset",
+    "adjoint_apply", "apply_design", "build_decorrelator", "compute_metrics",
+    "confidence_intervals", "decomposition_terms", "entry_scale_matrix",
+    "entrywise_inf_norm", "gen_basis_design", "gen_density_matrix",
+    "gen_gaussian_design", "gen_low_rank_theta", "gen_random_settings",
+    "gen_sparse_instance", "hard_threshold_entries", "hard_threshold_singular",
+    "largest_feasible_k", "outcome_distribution", "parity", "run_experiment", "run_iht",
+    "schatten_norm", "schedule_iteration_bound", "simulate_dataset",
+    "simulate_observations", "sparse_confidence_intervals", "sparse_iht_run",
+    "stopping_check", "svd", "threshold_step", "upsilon_r",
+}
+
 # names the package must not define, by module: test-only references that
-# live in tests/_oracles.py, the unused trace writer, and the residual scales
-# that the interval calls now form from their own residual
+# live in tests/_oracles.py (among them the per-setting tomography path and
+# the stand-alone debiasers, whose estimates the interval calls return), the
+# unused trace writer, the residual scales that the interval calls now form
+# from their own residual, and the covariance build_decorrelator forms inline
 REMOVED = {
-    "quantum": ("pauli_matrix", "eigenprojector", "setting_projector", "marginalize"),
+    "quantum": ("pauli_matrix", "eigenprojector", "setting_projector", "marginalize",
+                "OutcomeBatch", "sample_outcomes", "build_rescaled_dataset"),
     "linalg": ("restricted_singular_bound", "restricted_singular_bound_check"),
-    "sparse": ("estimate_r_k", "sparse_decomposition_terms", "sparse_sigma"),
+    "sparse": ("estimate_r_k", "sparse_decomposition_terms", "sparse_sigma",
+               "desparsify", "empirical_covariance"),
     "iht": ("write_trace_csv", "empirical_sigma"),
     "trace_model": ("RipEstimate", "estimate_rip_constant", "isometry_deviation"),
+    "inference": ("debias",),
 }
 
 
@@ -50,7 +84,7 @@ def test_every_all_entry_exists(name):
 def test_every_package_name_is_in_its_modules_all():
     exported = {name: value for name, value in vars(lowrank_iht).items()
                 if not name.startswith("_") and not isinstance(value, types.ModuleType)}
-    assert len(exported) == 53
+    assert set(exported) == EXPORTED
     for name, value in exported.items():
         module = importlib.import_module(value.__module__)
         assert name in module.__all__, f"{name} is not in {module.__name__}.__all__"
@@ -63,6 +97,49 @@ def test_removed_names_are_gone(module_name):
         assert not hasattr(lowrank_iht, name)
         assert not hasattr(module, name)
         assert name not in module.__all__
+
+
+def _sparse_decorrelator():
+    return build_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: gen_density_matrix(4.0, 1, 0), "d"),
+    (lambda: gen_density_matrix(True, 1, 0), "d"),
+    (lambda: gen_density_matrix(4, 1.0, 0), "k"),
+    (lambda: gen_random_settings(2.0, 2, 0), "count"),
+    (lambda: gen_random_settings(2, "2", 0), "m"),
+    (lambda: gen_random_settings(2, 0, 0), "m"),
+    (lambda: gen_sparse_instance(40.0, 10, 2, 1.0, 0), "n"),
+    (lambda: gen_sparse_instance(40, 10.0, 2, 1.0, 0), "p"),
+    (lambda: gen_sparse_instance(40, 10, 2.5, 1.0, 0), "k"),
+    (lambda: largest_feasible_k(_sparse_decorrelator(), True), "k_max"),
+    (lambda: largest_feasible_k(_sparse_decorrelator(), 3.0), "k_max"),
+    (lambda: largest_feasible_k(_sparse_decorrelator(), 0), "k_max"),
+], ids=["density-d-float", "density-d-bool", "density-k-float", "settings-count-float",
+        "settings-m-str", "settings-m-zero", "sparse-n-float", "sparse-p-float",
+        "sparse-k-float", "feasible-k-bool", "feasible-k-float", "feasible-k-zero"])
+def test_generators_refuse_a_non_integer_size_naming_it(call, name):
+    # numpy would raise a TypeError naming no argument, or quietly accept a
+    # bool; every generator checks its sizes as gen_gaussian_design does
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+def test_generators_keep_their_range_messages_and_take_numpy_integers():
+    with pytest.raises(ValueError, match="need 1 <= k <= d, got k=0, d=4"):
+        gen_density_matrix(4, 0, 0)
+    with pytest.raises(ValueError, match="count must be at least 1"):
+        gen_random_settings(0, 2, 0)
+    with pytest.raises(ValueError, match="need 1 <= k <= p, got k=11"):
+        gen_sparse_instance(40, 10, 11, 1.0, 0)
+    assert (gen_density_matrix(np.int64(4), np.int64(2), 3).tobytes()
+            == gen_density_matrix(4, 2, 3).tobytes())
+    assert gen_random_settings(np.int64(3), np.int64(2), 1) == gen_random_settings(3, 2, 1)
+    assert (gen_sparse_instance(np.int64(40), np.int64(10), np.int64(2), 1.0, 0).y.tobytes()
+            == gen_sparse_instance(40, 10, 2, 1.0, 0).y.tobytes())
+    dec = _sparse_decorrelator()
+    assert largest_feasible_k(dec, np.int64(8)) == largest_feasible_k(dec, 8)
 
 
 def test_run_iht_takes_no_rip_probe():
@@ -100,7 +177,8 @@ def test_a_removed_knob_exits_2_naming_it(tmp_path, capsys, command, block, key)
 
 def _array_holders():
     # (name, build) with build() returning a fresh object of that class from
-    # fixed inputs, so two calls give equal contents in distinct objects
+    # fixed inputs, so two calls give equal contents in distinct objects;
+    # OutcomeBatch is the per-setting reference path's, in tests/_oracles.py
     def design():
         return gen_gaussian_design(60, 3, 1)
 

@@ -8,7 +8,6 @@ from lowrank_iht import iht, inference, trace_model
 from lowrank_iht.inference import (
     EntrywiseResult,
     confidence_intervals,
-    debias,
     decomposition_terms,
     entry_scale_matrix,
 )
@@ -23,6 +22,8 @@ from lowrank_iht.trace_model import (
     gen_low_rank_theta,
     simulate_observations,
 )
+
+from _oracles import debias
 
 
 def test_debias_matches_hand_computation():
@@ -63,6 +64,27 @@ def test_decomposition_is_an_exact_identity():
         # noise term is sqrt(n) times the backprojected noise
         assert np.allclose(noise, math.sqrt(n) * adjoint_apply(batch, obs.noise),
                            atol=1e-10)
+
+
+@pytest.mark.parametrize("data", ["gaussian", "pauli"])
+def test_decomposition_total_is_the_interval_estimate_bit_for_bit(data):
+    # the identity and the interval call debias one way: total is
+    # sqrt(n) (confidence_intervals(...).estimate - theta) byte for byte
+    for seed in range(4):
+        if data == "gaussian":
+            theta = gen_low_rank_theta(6, 2, seed)
+            batch = gen_gaussian_design(200, 6, 10 + seed)
+            y = simulate_observations(batch, theta, 0.7, 20 + seed).values
+        else:
+            theta = gen_density_matrix(8, 1, seed)
+            batch, obs = simulate_dataset(theta, 16, 50, 10 + seed).to_trace_regression()
+            y = obs.values
+        estimate, _ = run_iht(batch, y)
+        eps = y - apply_design(batch, theta)
+        total = decomposition_terms(batch, y, estimate, theta, eps)[2]
+        want = np.sqrt(batch.n) * (confidence_intervals(batch, y, estimate).estimate - theta)
+        assert total.dtype == want.dtype
+        assert total.tobytes() == want.tobytes()
 
 
 def test_every_entry_point_refuses_a_malformed_observation_vector():

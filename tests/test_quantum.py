@@ -7,28 +7,28 @@ import pytest
 
 from lowrank_iht import quantum
 from lowrank_iht.quantum import (
-    OutcomeBatch,
     PauliSetting,
     TomographyDataset,
     _subset_scales,
-    build_rescaled_dataset,
     gen_density_matrix,
     gen_random_settings,
     load_dataset,
     outcome_distribution,
     outcome_table,
     parity,
-    sample_outcomes,
     save_dataset,
     simulate_dataset,
 )
 from lowrank_iht.trace_model import DesignBatch, apply_design
 
 from _oracles import (
+    OutcomeBatch,
+    build_rescaled_dataset,
     eigenprojector,
     isometry_deviation,
     marginalize,
     pauli_matrix,
+    sample_outcomes,
     setting_projector,
     simulate_dataset_per_setting,
 )

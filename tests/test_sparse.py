@@ -13,15 +13,13 @@ from lowrank_iht.sparse import (
     SparseConfig,
     SparseInstance,
     build_decorrelator,
-    desparsify,
-    empirical_covariance,
     gen_sparse_instance,
     largest_feasible_k,
     sparse_confidence_intervals,
     sparse_iht_run,
 )
 
-from _oracles import estimate_r_k, sparse_decomposition_terms
+from _oracles import desparsify, estimate_r_k, sparse_decomposition_terms
 
 
 def _r_k_oracle(v, sigma_hat, k):
@@ -41,7 +39,7 @@ def test_r_k_matches_brute_force():
     rng = np.random.default_rng(3)
     for trial in range(6):
         x = rng.standard_normal((30, 6))
-        sigma_hat = empirical_covariance(x)
+        sigma_hat = build_decorrelator(x).sigma_hat
         v = np.eye(6) + 0.1 * rng.standard_normal((6, 6))
         for k in (1, 2, 3):
             assert estimate_r_k(v, sigma_hat, k) == pytest.approx(
@@ -51,7 +49,7 @@ def test_r_k_matches_brute_force():
 def test_r_k_monotone_and_full_row_sum():
     rng = np.random.default_rng(7)
     x = rng.standard_normal((50, 5))
-    sigma_hat = empirical_covariance(x)
+    sigma_hat = build_decorrelator(x).sigma_hat
     v = np.eye(5)
     vals = [estimate_r_k(v, sigma_hat, k) for k in range(1, 6)]
     assert all(a <= b + 1e-15 for a, b in zip(vals, vals[1:]))
@@ -81,7 +79,7 @@ def test_gaussian_covariance_concentrates():
     rng = np.random.default_rng(11)
     for _ in range(50):
         x = rng.standard_normal((n, p))
-        dev = float(np.max(np.abs(empirical_covariance(x) - np.eye(p))))
+        dev = float(np.max(np.abs(x.T @ x / n - np.eye(p))))
         hits += dev <= bound
     assert hits >= 48
 
@@ -101,7 +99,7 @@ def test_certificates_cannot_be_passed_in():
     # a passed-in r_k would be trusted unchecked and set the contraction factor
     x = np.random.default_rng(14).standard_normal((40, 5))
     with pytest.raises(TypeError):
-        Decorrelator(np.eye(5), empirical_covariance(x), "identity", certified_r={1: 0.0})
+        Decorrelator(np.eye(5), x.T @ x / 40, "identity", certified_r={1: 0.0})
 
 
 def test_decorrelator_computes_vsv_diag_once(monkeypatch):
