@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_float
 from ._ndtri import ndtri
 from .iht import IhtState
 from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
@@ -58,7 +59,7 @@ class EntrywiseResult:
     @property
     def quantile(self) -> float:
         """The two-sided quantile z_{(1+level)/2} behind the half-widths."""
-        return _two_sided_quantile(self.level, self.sigma)
+        return _two_sided_quantile(self.level, self.sigma)[2]
 
     @property
     def lower(self) -> np.ndarray:
@@ -82,15 +83,16 @@ class EntrywiseResult:
         return float(np.mean(self.covers(truth)))
 
 
-def _two_sided_quantile(level: float, sigma: float) -> float:
-    """The quantile q = z_{(1+level)/2} that gives two-sided coverage
-    ``level``, once level and the noise scale are checked: every interval in
-    the package takes its quantile from here."""
+def _two_sided_quantile(level: float, sigma: float) -> tuple[float, float, float]:
+    """``(level, sigma, q)``: level and the noise scale checked as floats, and
+    the quantile q = z_{(1+level)/2} that gives two-sided coverage ``level``.
+    Every interval in the package takes all three from here."""
+    level, sigma = check_float(level, "level"), check_float(sigma, "sigma")
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
     if not 0 <= sigma < np.inf:
         raise ValueError("sigma must be finite and nonnegative")
-    return ndtri((1.0 + level) / 2.0)
+    return level, sigma, ndtri((1.0 + level) / 2.0)
 
 
 def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
@@ -112,7 +114,7 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
     if sigma is None:
         sigma = (state.final_sigma if state is not None
                  else float(np.linalg.norm(resid) / np.sqrt(batch.n)))
-    q = _two_sided_quantile(level, sigma)
+    level, sigma, q = _two_sided_quantile(level, sigma)
     half = sigma * entry_scale_matrix(batch) * q / np.sqrt(batch.n)
     return EntrywiseResult(estimate=theta_hat + adjoint_apply(batch, resid),
                            half_width=half, sigma=sigma, level=level)

@@ -362,7 +362,7 @@ def sparse_confidence_intervals(theta_r: np.ndarray, instance: SparseInstance,
     resid = instance.y - instance.x @ theta_r
     if sigma is None:
         sigma = float(np.linalg.norm(resid) / math.sqrt(instance.n))
-    z = _two_sided_quantile(level, sigma)
+    level, sigma, z = _two_sided_quantile(level, sigma)
     half = sigma * np.sqrt(dec.vsv_diag / instance.n) * z
     estimate = theta_r + dec.apply(instance.x.T @ resid) / instance.n
     return EntrywiseResult(estimate=estimate, half_width=half, sigma=sigma, level=level)
@@ -374,6 +374,7 @@ def gen_sparse_instance(n: int, p: int, k: int, noise_std: float, seed) -> Spars
     n, p, k = check_int(n, "n"), check_int(p, "p", None), check_int(k, "k", None)
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
+    noise_std = check_float(noise_std, "noise_std")
     if not 0 <= noise_std < math.inf:
         raise ValueError("noise_std must be nonnegative and finite")
     rng = make_rng(seed)

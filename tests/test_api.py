@@ -31,6 +31,7 @@ from lowrank_iht.sparse import (
     build_decorrelator,
     gen_sparse_instance,
     largest_feasible_k,
+    sparse_confidence_intervals,
 )
 from lowrank_iht.trace_model import gen_gaussian_design, gen_low_rank_theta, simulate_observations
 
@@ -68,7 +69,8 @@ REMOVED = {
     "sparse": ("estimate_r_k", "sparse_decomposition_terms", "sparse_sigma",
                "desparsify", "empirical_covariance"),
     "iht": ("write_trace_csv", "empirical_sigma"),
-    "trace_model": ("RipEstimate", "estimate_rip_constant", "isometry_deviation"),
+    "trace_model": ("RipEstimate", "estimate_rip_constant", "isometry_deviation",
+                    "IMAG_RESIDUE_TOL"),
     "inference": ("debias",),
 }
 
@@ -103,6 +105,16 @@ def _sparse_decorrelator():
     return build_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x)
 
 
+def _matrix_fit():
+    batch = gen_gaussian_design(60, 3, 1)
+    return batch, simulate_observations(batch, np.eye(3), 1.0, 2), np.eye(3)
+
+
+def _sparse_fit():
+    inst = gen_sparse_instance(60, 8, 2, 1.0, 5)
+    return np.zeros(8), inst, build_decorrelator(inst.x)
+
+
 @pytest.mark.parametrize("call, name", [
     (lambda: gen_density_matrix(4.0, 1, 0), "d"),
     (lambda: gen_density_matrix(True, 1, 0), "d"),
@@ -116,14 +128,32 @@ def _sparse_decorrelator():
     (lambda: largest_feasible_k(_sparse_decorrelator(), True), "k_max"),
     (lambda: largest_feasible_k(_sparse_decorrelator(), 3.0), "k_max"),
     (lambda: largest_feasible_k(_sparse_decorrelator(), 0), "k_max"),
+    (lambda: gen_sparse_instance(40, 10, 2, True, 0), "noise_std"),
+    (lambda: gen_sparse_instance(40, 10, 2, "1.0", 0), "noise_std"),
+    (lambda: confidence_intervals(*_matrix_fit(), sigma=True), "sigma"),
+    (lambda: confidence_intervals(*_matrix_fit(), level="0.9"), "level"),
+    (lambda: sparse_confidence_intervals(*_sparse_fit(), sigma=True), "sigma"),
+    (lambda: sparse_confidence_intervals(*_sparse_fit(), level="0.9"), "level"),
 ], ids=["density-d-float", "density-d-bool", "density-k-float", "settings-count-float",
         "settings-m-str", "settings-m-zero", "sparse-n-float", "sparse-p-float",
-        "sparse-k-float", "feasible-k-bool", "feasible-k-float", "feasible-k-zero"])
+        "sparse-k-float", "feasible-k-bool", "feasible-k-float", "feasible-k-zero",
+        "sparse-noise-bool", "sparse-noise-str", "intervals-sigma-bool",
+        "intervals-level-str", "sparse-intervals-sigma-bool", "sparse-intervals-level-str"])
 def test_generators_refuse_a_non_integer_size_naming_it(call, name):
     # numpy would raise a TypeError naming no argument, or quietly accept a
-    # bool; every generator checks its sizes as gen_gaussian_design does
+    # bool; every generator checks its sizes as gen_gaussian_design does, and
+    # its noise scale, like the interval calls' sigma and level, as a float
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
+
+
+def test_interval_calls_keep_their_checked_floats():
+    # sigma and level come back as the floats the calls checked, not as the
+    # int or numpy scalar passed in
+    for res in (confidence_intervals(*_matrix_fit(), sigma=2, level=np.float64(0.9)),
+                sparse_confidence_intervals(*_sparse_fit(), sigma=2, level=np.float64(0.9))):
+        assert type(res.sigma) is float and res.sigma == 2.0
+        assert type(res.level) is float and res.level == 0.9
 
 
 def test_generators_keep_their_range_messages_and_take_numpy_integers():

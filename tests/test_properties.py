@@ -31,7 +31,6 @@ _FIXED = settings(max_examples=40, deadline=None, derandomize=True, database=Non
 @_FIXED
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), d=st.integers(1, 6),
        complex_design=st.booleans())
-@pytest.mark.filterwarnings("ignore:.*imaginary:RuntimeWarning")
 def test_adjoint_identity(seed, n, d, complex_design):
     # (1/n) <X(A), v> = Re <A, X*(v)> under <A, B> = tr(A^H B)
     rng = np.random.default_rng(seed)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lowrank_iht import quantum
+from lowrank_iht.iht import run_iht
 from lowrank_iht.quantum import (
     PauliSetting,
     TomographyDataset,
@@ -437,6 +438,20 @@ def test_to_trace_regression_boost():
     assert batch.matrices.tobytes() == (_reference_rows(ds.settings) * boost).tobytes()
     assert np.allclose(obs.values, ds.y * boost, atol=1e-15)
     assert batch.n == ds.n == 3 * 4
+
+
+@pytest.mark.parametrize("m, k, alpha", [(3, 1, 2), (3, 1, 5), (4, 2, 2)])
+def test_run_iht_estimate_on_tomography_data_is_hermitian(m, k, alpha):
+    # Pauli words are Hermitian, so Re tr(P^H theta) is the whole trace for a
+    # Hermitian theta; every backprojection and so every estimate stays
+    # Hermitian (cells as in the CLI's quantum grid: alpha * k * d settings,
+    # 10 d repetitions each)
+    d = 2 ** m
+    for seed in range(4):
+        theta = gen_density_matrix(d, k, 70 + seed)
+        dataset = simulate_dataset(theta, alpha * k * d, 10 * d, 80 + seed)
+        estimate, _ = run_iht(*dataset.to_trace_regression())
+        assert np.max(np.abs(estimate - estimate.conj().T)) <= 1e-10
 
 
 def test_simulate_dataset_determinism():

@@ -45,25 +45,36 @@ def test_apply_design_matches_trace_oracle_complex():
 
 
 def test_apply_design_real_design_complex_argument():
-    # taking the real part is the documented semantics, and the discarded
-    # imaginary component is reported
+    # the forward operator is the real part of the trace by definition, so a
+    # complex argument against a real design is valid input, not a loss
     rng = np.random.default_rng(16)
     batch = DesignBatch(rng.standard_normal((6, 3, 3)))
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    with pytest.warns(RuntimeWarning):
-        values = apply_design(batch, a)
-    np.testing.assert_allclose(values, _apply_oracle(batch.matrices, a), atol=1e-12)
+    np.testing.assert_allclose(apply_design(batch, a),
+                               _apply_oracle(batch.matrices, a), atol=1e-12)
 
 
 def test_apply_design_warns_on_large_imaginary_residue():
-    # a non-Hermitian complex design against a complex argument gives a trace
-    # with a genuine imaginary part, which the real-valued model discards
+    # a non-Hermitian complex design against a complex argument gives
+    # tr(x^H a) = 1j, whose real part, exactly 0, is the model's value
     x = np.zeros((1, 2, 2), dtype=np.complex128)
     x[0, 0, 1] = 1.0
     a = np.zeros((2, 2), dtype=np.complex128)
     a[0, 1] = 1.0j
-    with pytest.warns(RuntimeWarning):
-        apply_design(DesignBatch(x), a)
+    values = apply_design(DesignBatch(x), a)
+    assert values.dtype == np.float64
+    assert values.tolist() == [0.0]
+
+
+def test_apply_design_complex64_design_matches_trace_oracle():
+    # the interleaved view takes the design's own component type, so a
+    # single-precision complex design is read as pairs of float32
+    rng = np.random.default_rng(17)
+    mats = (rng.standard_normal((4, 3, 3))
+            + 1j * rng.standard_normal((4, 3, 3))).astype(np.complex64)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    np.testing.assert_allclose(apply_design(DesignBatch(mats), a),
+                               _apply_oracle(mats, a), atol=1e-12)
 
 
 def test_adjoint_apply_is_the_adjoint():
@@ -188,11 +199,14 @@ def test_simulate_observations_noiseless_and_noisy():
     np.testing.assert_array_equal(noisy.values, again.values)
 
 
-@pytest.mark.parametrize("noise_std", [np.nan, np.inf, -1.0])
+@pytest.mark.parametrize("noise_std", [np.nan, np.inf, -1.0, True, "1.0"])
 def test_simulate_observations_refuses_a_bad_noise_scale(noise_std):
-    # NaN passed a bare `< 0` check and surfaced as non-finite observations
+    # NaN passed a bare `< 0` check and surfaced as non-finite observations;
+    # True was taken as 1.0, and a string raised a TypeError naming nothing
     batch = gen_gaussian_design(10, 3, 1)
-    with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
+    message = ("noise_std must be a number" if isinstance(noise_std, (bool, str))
+               else "noise_std must be nonnegative and finite")
+    with pytest.raises(ValueError, match=message):
         simulate_observations(batch, np.eye(3), noise_std, 7)
 
 
