@@ -1,7 +1,10 @@
-"""Validation of integer and float configuration fields."""
+"""Validation of integer and float arguments: the one place that decides a
+number's type, range, NaN handling and refusal message, which reads
+``<name> must be in [low, high), got <value>`` wherever it is raised."""
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 
@@ -29,12 +32,19 @@ def check_int(value, name: str, low: int | None = 1, high: int | None = None,
     return value
 
 
-def check_float(value, name: str, error: type[ValueError] = ValueError) -> float:
-    """``value`` as a float, raising ``error`` unless it is a real number.
+def check_float(value, name: str, low: float = 0.0, high: float = math.inf,
+                error: type[ValueError] = ValueError, *, strict: bool = False) -> float:
+    """``value`` as a float in [low, high), or in (low, high) when ``strict``,
+    raising ``error`` otherwise.
 
-    Strings are refused rather than parsed, and bools rather than read as 0
-    and 1. Range checks are left to the caller.
+    Any real number is taken, numpy scalars included; strings are refused
+    rather than parsed, and bools rather than read as 0 and 1. The default
+    [0, inf) admits every finite value >= 0, and NaN lies in no range.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise error(f"{name} must be a number, got {value!r}")
-    return float(value)
+    value = float(value)
+    if not ((low < value if strict else low <= value) and value < high):
+        bounds = f"{'(' if strict else '['}{low:g}, {high:g})"
+        raise error(f"{name} must be in {bounds}, got {value!r}")
+    return value

@@ -46,14 +46,12 @@ import numpy as np
 
 from ._checks import check_int
 
-__all__ = ["make_rng", "standard_normal"]
+__all__ = ["make_rng", "seed_sequence", "standard_normal"]
 
 # below this many normals one sequential call is drawn (see above)
 _SPLIT_MIN = 2 ** 20
 # parts a split draw is made in, the caller's and two threads' (see above)
 _PARTS = 3
-# float64 entries (1 MiB) moved per slice while closing a seam
-_SHIFT_CHUNK = 2 ** 17
 # Philox words numpy's ziggurat reads per standard normal, mean and variance
 # (numpy 2.4): a normal reads more than one when the fast path rejects it
 _WORDS_MEAN, _WORDS_VAR = 1.022, 0.037
@@ -69,10 +67,14 @@ def make_rng(seed) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
+    return np.random.Generator(np.random.Philox(seed_sequence(seed)))
+
+
+def seed_sequence(seed) -> np.random.SeedSequence:
+    """A SeedSequence as-is, or a nonnegative int (numpy ints too) wrapped."""
     if isinstance(seed, np.random.SeedSequence):
-        return np.random.Generator(np.random.Philox(seed))
-    seed = check_int(seed, "seed", 0)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        return seed
+    return np.random.SeedSequence(check_int(seed, "seed", 0))
 
 
 def _usable_cpus() -> int:
@@ -138,10 +140,9 @@ def standard_normal(seed, shape: tuple) -> np.ndarray:
         if j is None:
             parts[c - 1].standard_normal(out=out[s:])
             break
-        # ascending slices never overwrite a source entry before it is read
-        for start in range(s, stop - j, _SHIFT_CHUNK):
-            end = min(start + _SHIFT_CHUNK, stop - j)
-            out[start:end] = out[start + j:end + j]
+        # a 1-D copy to a lower address reads each entry before overwriting
+        # it, so numpy makes no temporary for this overlapping shift
+        out[s:stop - j] = out[s + j:stop]
         parts[c].standard_normal(out=out[stop - j:stop])
     return out.reshape(shape)
 

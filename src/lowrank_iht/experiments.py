@@ -21,7 +21,6 @@ workers can run in any order without changing a single byte.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 import time
 import warnings
@@ -98,13 +97,10 @@ class ExperimentConfig:
                                                      error=ConfigError))
         object.__setattr__(self, "seed", check_int(self.seed, "seed", 0, 2 ** 64,
                                                    ConfigError))
-        for name in ("noise_std", "level"):
-            object.__setattr__(self, name, check_float(getattr(self, name), name,
-                                                       ConfigError))
-        if not 0 <= self.noise_std < math.inf:
-            raise ConfigError("noise_std must be nonnegative and finite")
-        if not 0 < self.level < 1:
-            raise ConfigError("level must lie in (0, 1)")
+        object.__setattr__(self, "noise_std", check_float(self.noise_std, "noise_std",
+                                                          error=ConfigError))
+        object.__setattr__(self, "level", check_float(self.level, "level", 0.0, 1.0,
+                                                      ConfigError, strict=True))
         if self.design not in ("gaussian", "basis"):
             raise ConfigError(f"design must be gaussian or basis, got {self.design!r}")
         for name in ("d_values", "k_values", "n_values", "m_values", "p_values"):
@@ -112,10 +108,8 @@ class ExperimentConfig:
                          for v in getattr(self, name))
             object.__setattr__(self, name, vals)
         for name in ("alpha_values", "t_factors"):
-            vals = tuple(check_float(v, f"{name} entries", ConfigError)
+            vals = tuple(check_float(v, f"{name} entries", error=ConfigError, strict=True)
                          for v in getattr(self, name))
-            if not all(0 < v < math.inf for v in vals):
-                raise ConfigError(f"{name} entries must be positive and finite")
             object.__setattr__(self, name, vals)
         reads, reader = _MODE_TABLE[self.mode].reads, f"{self.mode} mode"
         if self.mode == "matrix_sim" and self.design == "basis":

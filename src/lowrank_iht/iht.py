@@ -58,16 +58,11 @@ class IhtConfig:
     max_iters: int | None = None
 
     def __post_init__(self):
-        for name in ("rho", "upsilon", "t0"):
+        object.__setattr__(self, "rho", check_float(self.rho, "rho", 0.0, 1.0, strict=True))
+        for name in ("upsilon", "t0"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, check_float(value, name))
-        if not 0 < self.rho < 1:
-            raise ValueError("rho must lie in (0, 1)")
-        if self.upsilon is not None and not 0 <= self.upsilon < math.inf:
-            raise ValueError("fixed upsilon must be nonnegative and finite")
-        if self.t0 is not None and not 0 <= self.t0 < math.inf:
-            raise ValueError("t0 must be nonnegative and finite")
         if self.max_iters is not None:
             check_int(self.max_iters, "max_iters")
 
@@ -124,20 +119,14 @@ def upsilon_r(sigma: float, d: int, n: int) -> float:
     """Noise term sigma * sqrt(d/n) * z_0.90 with z the standard normal
     quantile function. The quantile is fixed: 0.90 is the level every run
     has used, and no run sets another."""
-    if not sigma >= 0:
-        raise ValueError("sigma must be nonnegative")
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be positive")
+    sigma, d, n = check_float(sigma, "sigma"), check_int(d, "d"), check_int(n, "n")
     return sigma * math.sqrt(d / n) * ndtri(0.90)
 
 
 def threshold_step(t_prev: float, rho: float, upsilon: float) -> float:
     """One threshold recursion step rho * t_prev + upsilon."""
-    if not (t_prev >= 0 and upsilon >= 0):
-        raise ValueError("thresholds must be nonnegative")
-    if not 0 < rho < 1:
-        raise ValueError("rho must lie in (0, 1)")
-    return rho * t_prev + upsilon
+    t_prev, upsilon = check_float(t_prev, "t_prev"), check_float(upsilon, "upsilon")
+    return check_float(rho, "rho", 0.0, 1.0, strict=True) * t_prev + upsilon
 
 
 def stopping_check(t_r: float, upsilon: float, rho: float = 0.5) -> bool:
@@ -159,10 +148,8 @@ def schedule_iteration_bound(t0: float, upsilon: float, rho: float) -> float:
     stopping line), and 1 when 10 (1-rho) T_0 <= upsilon, since then
     T_1 = rho T_0 + upsilon <= upsilon / (1-rho) already meets it.
     """
-    if not (t0 >= 0 and upsilon >= 0):
-        raise ValueError("t0 and upsilon must be nonnegative")
-    if not 0 < rho < 1:
-        raise ValueError("rho must lie in (0, 1)")
+    t0, upsilon = check_float(t0, "t0"), check_float(upsilon, "upsilon")
+    rho = check_float(rho, "rho", 0.0, 1.0, strict=True)
     if upsilon == 0:
         return math.inf
     seed_ratio = 10.0 * (1.0 - rho) * t0 / upsilon

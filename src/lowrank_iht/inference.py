@@ -87,11 +87,8 @@ def _two_sided_quantile(level: float, sigma: float) -> tuple[float, float, float
     """``(level, sigma, q)``: level and the noise scale checked as floats, and
     the quantile q = z_{(1+level)/2} that gives two-sided coverage ``level``.
     Every interval in the package takes all three from here."""
-    level, sigma = check_float(level, "level"), check_float(sigma, "sigma")
-    if not 0 < level < 1:
-        raise ValueError("level must lie in (0, 1)")
-    if not 0 <= sigma < np.inf:
-        raise ValueError("sigma must be finite and nonnegative")
+    level = check_float(level, "level", 0.0, 1.0, strict=True)
+    sigma = check_float(sigma, "sigma")
     return level, sigma, ndtri((1.0 + level) / 2.0)
 
 

@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._checks import check_float
+
 __all__ = [
     "SvdConvergenceError",
     "SvdFactors",
@@ -98,8 +100,7 @@ def hard_threshold_entries(u, threshold: float):
     The comparison is closed: entries with ``|u_i| >= threshold`` survive.
     Works elementwise on arrays of any shape.
     """
-    if not threshold >= 0:
-        raise ValueError("threshold must be nonnegative")
+    threshold = check_float(threshold, "threshold")
     u = np.asarray(u)
     return np.where(np.abs(u) >= threshold, u, np.zeros((), dtype=u.dtype))
 
@@ -111,8 +112,7 @@ def hard_threshold_singular(a, threshold: float) -> SvdFactors:
     set to zero; ``.reconstruct()`` is the thresholded matrix and ``.rank()``
     the count of singular values at or above the threshold.
     """
-    if not threshold >= 0:
-        raise ValueError("threshold must be nonnegative")
+    threshold = check_float(threshold, "threshold")
     f = svd(a)
     kept = np.where(f.singular_values >= threshold, f.singular_values, 0.0)
     return SvdFactors(left=f.left, singular_values=kept, right=f.right)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._checks import check_int
-from ._rng import make_rng
+from ._rng import make_rng, seed_sequence
 from .trace_model import DesignBatch, Observations
 
 __all__ = [
@@ -72,11 +72,9 @@ class PauliSetting:
     qubits: tuple[int, ...]
 
     def __post_init__(self):
-        qubits = tuple(int(q) for q in self.qubits)
+        qubits = tuple(check_int(q, "qubits entries", 0, 4) for q in self.qubits)
         if len(qubits) < 1:
             raise ValueError("a setting needs at least one qubit")
-        if any(q not in (0, 1, 2, 3) for q in qubits):
-            raise ValueError(f"qubit indices must be 0..3: {qubits}")
         object.__setattr__(self, "qubits", qubits)
 
     @property
@@ -101,8 +99,7 @@ def outcome_table(m: int) -> np.ndarray:
     Row i spells out the bits of i from qubit 1 down, bit 0 meaning +1, so
     row 0 is all +1 and row 2^m - 1 is all -1.
     """
-    if m < 1:
-        raise ValueError("m must be at least 1")
+    m = check_int(m, "m")
     idx = np.arange(2 ** m)
     bits = (idx[:, None] >> np.arange(m - 1, -1, -1)[None, :]) & 1
     return (1 - 2 * bits).astype(np.int64)
@@ -214,7 +211,7 @@ def gen_random_settings(count: int, m: int, seed) -> list[PauliSetting]:
     count, m = check_int(count, "count"), check_int(m, "m")
     rng = make_rng(seed)
     draws = rng.integers(1, 4, size=(count, m))
-    return [PauliSetting(tuple(int(q) for q in row)) for row in draws]
+    return [PauliSetting(tuple(row)) for row in draws]
 
 
 def gen_density_matrix(d: int, k: int, seed) -> np.ndarray:
@@ -246,6 +243,7 @@ class TomographyDataset:
     y: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "m", check_int(self.m, "m"))
         settings = tuple(self.settings)
         if not settings or any(s.m != self.m for s in settings):
             raise ValueError(f"need at least one setting, each with m={self.m} qubits")
@@ -328,8 +326,10 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     m = int(round(math.log2(d)))
     if 2 ** m != d:
         raise ValueError(f"density matrix dimension {d} is not a power of two")
-    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    setting_seed, *sample_seeds = root.spawn(n_settings + 1)
+    if isinstance(seed, np.random.Generator):
+        raise ValueError("seed must be an int or SeedSequence, not a Generator: "
+                         "simulate_dataset spawns one stream per setting from it")
+    setting_seed, *sample_seeds = seed_sequence(seed).spawn(n_settings + 1)
     settings = tuple(gen_random_settings(n_settings, m, setting_seed))
     counts = np.empty((n_settings, d), dtype=np.int64)
     for row, p, child in zip(counts, _outcome_distributions(settings, theta), sample_seeds):

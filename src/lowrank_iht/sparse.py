@@ -37,7 +37,7 @@ __all__ = [
 
 
 class AssumptionViolationError(RuntimeError):
-    """The decorrelator certificate 2 r_K < 1 fails, so thresholds would grow."""
+    """The certificate 2 r_K < 1 fails (as a NaN r_K does): thresholds would grow."""
 
 
 class RowProgramInfeasibleError(ValueError):
@@ -101,12 +101,8 @@ class SparseConfig:
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, check_float(value, name))
-        if self.t0 is not None and not 0 <= self.t0 < math.inf:
-            raise ValueError("t0 must be nonnegative and finite")
         if self.k_cap is not None:
             check_int(self.k_cap, "k_cap")
-        if self.upsilon is not None and not 0 <= self.upsilon < math.inf:
-            raise ValueError("upsilon must be nonnegative and finite")
 
 
 def _top_k_row_sum(absm: np.ndarray, k: int) -> float:
@@ -237,20 +233,24 @@ def build_decorrelator(x: np.ndarray, strategy: str = "identity",
                        mu: float | None = None) -> Decorrelator:
     """Identity V, or one l1-minimizing row program per coordinate.
 
-    Sigma is the empirical covariance X^T X / n. The row program looks for
-    v with small l1 norm satisfying ||Sigma v - e_j||_inf <= mu; mu defaults
-    to sqrt(log(p) / n).
+    Sigma is the empirical covariance X^T X / n of a finite X. The row
+    program looks for v with small l1 norm satisfying
+    ||Sigma v - e_j||_inf <= mu, for a positive mu that defaults to
+    sqrt(log(p) / n); the identity reads no mu, so passing one is refused.
     """
     x = np.asarray(x, dtype=np.float64)
     n, p = x.shape
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     sigma_hat = x.T @ x / n
     if strategy == "identity":
+        if mu is not None:
+            raise ValueError("mu must be left unset: the identity strategy reads none")
         return Decorrelator(v=np.eye(p), sigma_hat=sigma_hat, construction="identity")
     if strategy == "row_program":
-        if mu is None:
-            mu = math.sqrt(math.log(p) / n)
+        mu = math.sqrt(math.log(p) / n) if mu is None else check_float(mu, "mu", strict=True)
         rows = []
         for j in range(p):
             v_row = _solve_row(sigma_hat, j, mu)
@@ -270,7 +270,7 @@ def largest_feasible_k(dec: Decorrelator, k_max: int) -> int:
     keeps the contraction argument honest.
     """
     lo, hi = 1, min(check_int(k_max, "k_max"), dec.p)
-    if 2.0 * dec.r_k(lo) >= 1.0:
+    if not 2.0 * dec.r_k(lo) < 1.0:
         raise AssumptionViolationError(
             f"2 r_K >= 1 for every K <= {k_max}: r_1 = {dec.r_k(1):.4f}")
     while lo < hi:
@@ -309,7 +309,7 @@ def sparse_iht_run(instance: SparseInstance, dec: Decorrelator,
     k_cap = config.k_cap if config.k_cap is not None else largest_feasible_k(dec, p)
     r_k = dec.r_k(k_cap)
     gamma = 2.0 * r_k
-    if gamma >= 1.0:
+    if not gamma < 1.0:
         raise AssumptionViolationError(
             f"2 r_K = {gamma:.4f} >= 1 at K = {k_cap}; no contraction")
     ups = config.upsilon if config.upsilon is not None else _upsilon(dec, n)
@@ -375,8 +375,6 @@ def gen_sparse_instance(n: int, p: int, k: int, noise_std: float, seed) -> Spars
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
     noise_std = check_float(noise_std, "noise_std")
-    if not 0 <= noise_std < math.inf:
-        raise ValueError("noise_std must be nonnegative and finite")
     rng = make_rng(seed)
     x = rng.standard_normal((n, p))
     support = rng.choice(p, size=k, replace=False)

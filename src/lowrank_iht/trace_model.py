@@ -195,8 +195,6 @@ def simulate_observations(batch: DesignBatch, theta, noise_std: float, seed) -> 
     """Draw Y = X(theta) + noise_std * eps with standard Gaussian eps,
     retaining the realized noise vector."""
     noise_std = check_float(noise_std, "noise_std")
-    if not 0 <= noise_std < np.inf:
-        raise ValueError("noise_std must be nonnegative and finite")
     eps = noise_std * make_rng(seed).standard_normal(batch.n)
     values = apply_design(batch, theta) + eps
     return Observations(values=values, noise=eps)

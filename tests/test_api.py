@@ -18,12 +18,22 @@ import pytest
 import lowrank_iht
 from lowrank_iht.cli import main
 from lowrank_iht.inference import confidence_intervals
-from lowrank_iht.iht import IhtConfig, IhtState, run_iht, stopping_check, upsilon_r
-from lowrank_iht.linalg import SvdFactors, svd
+from lowrank_iht.iht import (
+    IhtConfig,
+    IhtState,
+    run_iht,
+    schedule_iteration_bound,
+    stopping_check,
+    threshold_step,
+    upsilon_r,
+)
+from lowrank_iht.linalg import SvdFactors, hard_threshold_entries, hard_threshold_singular, svd
 from lowrank_iht.quantum import (
     PauliSetting,
+    TomographyDataset,
     gen_density_matrix,
     gen_random_settings,
+    outcome_table,
     simulate_dataset,
 )
 from lowrank_iht.sparse import (
@@ -101,8 +111,8 @@ def test_removed_names_are_gone(module_name):
         assert name not in module.__all__
 
 
-def _sparse_decorrelator():
-    return build_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x)
+def _sparse_decorrelator(**kwargs):
+    return build_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x, **kwargs)
 
 
 def _matrix_fit():
@@ -113,6 +123,14 @@ def _matrix_fit():
 def _sparse_fit():
     inst = gen_sparse_instance(60, 8, 2, 1.0, 5)
     return np.zeros(8), inst, build_decorrelator(inst.x)
+
+
+def _one_qubit_dataset(m):
+    return TomographyDataset(m=m, settings=(PauliSetting((3,)),), repetitions=1, y=np.zeros(2))
+
+
+def _simulate_one_qubit(seed):
+    return simulate_dataset(gen_density_matrix(2, 1, 0), 2, 3, seed)
 
 
 @pytest.mark.parametrize("call, name", [
@@ -134,15 +152,60 @@ def _sparse_fit():
     (lambda: confidence_intervals(*_matrix_fit(), level="0.9"), "level"),
     (lambda: sparse_confidence_intervals(*_sparse_fit(), sigma=True), "sigma"),
     (lambda: sparse_confidence_intervals(*_sparse_fit(), level="0.9"), "level"),
+    (lambda: upsilon_r(True, 4, 40), "sigma"),
+    (lambda: upsilon_r("1.0", 4, 40), "sigma"),
+    (lambda: upsilon_r(1.0, 4.0, 40), "d"),
+    (lambda: upsilon_r(1.0, 4, True), "n"),
+    (lambda: threshold_step(True, 0.5, 0.0), "t_prev"),
+    (lambda: threshold_step(np.nan, 0.5, 0.0), "t_prev"),
+    (lambda: threshold_step(1.0, 0.5, "1.0"), "upsilon"),
+    (lambda: threshold_step(1.0, np.nan, 0.0), "rho"),
+    (lambda: schedule_iteration_bound(True, 1.0, 0.5), "t0"),
+    (lambda: schedule_iteration_bound(np.inf, 1.0, 0.5), "t0"),
+    (lambda: schedule_iteration_bound(1.0, "1.0", 0.5), "upsilon"),
+    (lambda: schedule_iteration_bound(1.0, 1.0, np.nan), "rho"),
+    (lambda: hard_threshold_entries(np.ones(3), True), "threshold"),
+    (lambda: hard_threshold_entries(np.ones(3), "1.0"), "threshold"),
+    (lambda: hard_threshold_entries(np.ones(3), np.inf), "threshold"),
+    (lambda: hard_threshold_singular(np.eye(3), True), "threshold"),
+    (lambda: hard_threshold_singular(np.eye(3), "1.0"), "threshold"),
+    (lambda: hard_threshold_singular(np.eye(3), np.inf), "threshold"),
+    (lambda: PauliSetting((1.7, 2)), "qubits entries"),
+    (lambda: PauliSetting(("3",)), "qubits entries"),
+    (lambda: PauliSetting((True,)), "qubits entries"),
+    (lambda: _one_qubit_dataset(1.0), "m"),
+    (lambda: _one_qubit_dataset(True), "m"),
+    (lambda: outcome_table(True), "m"),
+    (lambda: outcome_table(2.0), "m"),
+    (lambda: _simulate_one_qubit(True), "seed"),
+    (lambda: _simulate_one_qubit(1.5), "seed"),
+    (lambda: _simulate_one_qubit("3"), "seed"),
+    (lambda: _simulate_one_qubit(np.random.default_rng(3)), "seed"),
+    (lambda: _sparse_decorrelator(strategy="row_program", mu=True), "mu"),
+    (lambda: _sparse_decorrelator(strategy="row_program", mu=-1.0), "mu"),
+    (lambda: _sparse_decorrelator(strategy="row_program", mu=np.nan), "mu"),
+    (lambda: _sparse_decorrelator(strategy="row_program", mu="0.1"), "mu"),
+    (lambda: _sparse_decorrelator(mu=0.1), "mu"),
 ], ids=["density-d-float", "density-d-bool", "density-k-float", "settings-count-float",
         "settings-m-str", "settings-m-zero", "sparse-n-float", "sparse-p-float",
         "sparse-k-float", "feasible-k-bool", "feasible-k-float", "feasible-k-zero",
         "sparse-noise-bool", "sparse-noise-str", "intervals-sigma-bool",
-        "intervals-level-str", "sparse-intervals-sigma-bool", "sparse-intervals-level-str"])
+        "intervals-level-str", "sparse-intervals-sigma-bool", "sparse-intervals-level-str",
+        "upsilon-sigma-bool", "upsilon-sigma-str", "upsilon-d-float", "upsilon-n-bool",
+        "step-t-bool", "step-t-nan", "step-upsilon-str", "step-rho-nan",
+        "bound-t0-bool", "bound-t0-inf", "bound-upsilon-str", "bound-rho-nan",
+        "entries-threshold-bool", "entries-threshold-str", "entries-threshold-inf",
+        "singular-threshold-bool", "singular-threshold-str", "singular-threshold-inf",
+        "pauli-qubit-float", "pauli-qubit-str", "pauli-qubit-bool",
+        "dataset-m-float", "dataset-m-bool", "outcome-table-m-bool", "outcome-table-m-float",
+        "simulate-seed-bool", "simulate-seed-float", "simulate-seed-str",
+        "simulate-seed-generator", "row-program-mu-bool", "row-program-mu-negative",
+        "row-program-mu-nan", "row-program-mu-str", "identity-mu"])
 def test_generators_refuse_a_non_integer_size_naming_it(call, name):
     # numpy would raise a TypeError naming no argument, or quietly accept a
     # bool; every generator checks its sizes as gen_gaussian_design does, and
-    # its noise scale, like the interval calls' sigma and level, as a float
+    # its noise scale, like the interval calls' sigma and level, as a float;
+    # the schedule helpers, thresholds, qubit indices, seeds and mu likewise
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
 

@@ -406,7 +406,7 @@ def test_interval_half_width_formula():
     assert np.all(zero.half_width == 0.0)
     assert np.all(zero.covers(zero.estimate))
     for bad_sigma in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=r"sigma must be in \[0, inf\)"):
             sparse_confidence_intervals(np.zeros(4), inst, dec, sigma=bad_sigma)
     with pytest.raises(ValueError):
         sparse_confidence_intervals(np.zeros(4), inst, dec, sigma=1.0, level=0.0)
@@ -452,6 +452,30 @@ def test_a_non_finite_estimate_is_refused(bad):
                  lambda: desparsify(theta_r, inst, dec)):
         with pytest.raises(ValueError, match="estimate must be finite"):
             call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_design_is_refused_by_the_decorrelator(bad):
+    # its covariance used to come back NaN, which then certified K = 1
+    x = gen_sparse_instance(60, 10, 2, 1.0, 1).x.copy()
+    x[4, 3] = bad
+    for strategy in ("identity", "row_program"):
+        with pytest.raises(ValueError, match="x must be finite"):
+            build_decorrelator(x, strategy)
+
+
+def test_a_nan_r_k_fails_the_certificate():
+    # 2 r_K >= 1 is False for a NaN r_K, so largest_feasible_k used to return
+    # 1 and sparse_iht_run to die on ceil(NaN) iterations
+    inst = gen_sparse_instance(60, 10, 2, 1.0, 1)
+    sigma_hat = inst.x.T @ inst.x / inst.n
+    sigma_hat[3, 5] = sigma_hat[5, 3] = math.nan
+    dec = Decorrelator(v=np.eye(10), sigma_hat=sigma_hat, construction="identity")
+    assert math.isnan(dec.r_k(1))
+    with pytest.raises(AssumptionViolationError):
+        largest_feasible_k(dec, 5)
+    with pytest.raises(AssumptionViolationError):
+        sparse_iht_run(inst, dec, SparseConfig(k_cap=1))
 
 
 def test_interval_bounds_and_covers():
@@ -521,7 +545,7 @@ def test_gen_sparse_instance_shape_and_determinism():
     with pytest.raises(ValueError):
         gen_sparse_instance(50, 20, 0, 0.3, 71)
     for noise_std in (-0.3, math.nan, math.inf):
-        with pytest.raises(ValueError, match="noise_std must be nonnegative and finite"):
+        with pytest.raises(ValueError, match=r"noise_std must be in \[0, inf\)"):
             gen_sparse_instance(50, 20, 4, noise_std, 71)
 
 

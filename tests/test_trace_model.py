@@ -205,7 +205,7 @@ def test_simulate_observations_refuses_a_bad_noise_scale(noise_std):
     # True was taken as 1.0, and a string raised a TypeError naming nothing
     batch = gen_gaussian_design(10, 3, 1)
     message = ("noise_std must be a number" if isinstance(noise_std, (bool, str))
-               else "noise_std must be nonnegative and finite")
+               else r"noise_std must be in \[0, inf\)")
     with pytest.raises(ValueError, match=message):
         simulate_observations(batch, np.eye(3), noise_std, 7)
 
