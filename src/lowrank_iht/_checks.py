@@ -1,6 +1,8 @@
-"""Validation of integer and float arguments: the one place that decides a
-number's type, range, NaN handling and refusal message, which reads
-``<name> must be in [low, high), got <value>`` wherever it is raised."""
+"""Validation of integer, float and array arguments: the one place that
+decides a number's type, range and NaN handling, and an array's dtype, shape
+and finiteness. Refusals read ``<name> must be in [low, high), got <value>``,
+``<name> must have shape (4000,), got (3,)``, ``<name> must be finite`` or
+``<name> must hold numbers, got dtype <U3`` wherever they are raised."""
 
 from __future__ import annotations
 
@@ -8,7 +10,9 @@ import math
 import numbers
 import operator
 
-__all__ = ["check_float", "check_int"]
+import numpy as np
+
+__all__ = ["as_numbers", "check_array", "check_float", "check_int"]
 
 
 def check_int(value, name: str, low: int | None = 1, high: int | None = None,
@@ -48,3 +52,39 @@ def check_float(value, name: str, low: float = 0.0, high: float = math.inf,
         bounds = f"{'(' if strict else '['}{low:g}, {high:g})"
         raise error(f"{name} must be in {bounds}, got {value!r}")
     return value
+
+
+def as_numbers(value, name: str, dtype=np.float64) -> np.ndarray:
+    """``value`` as an array of ``dtype``, or with ``dtype=None`` of its own
+    float or complex dtype (any other numbers become float64).
+
+    Strings, objects and bools are refused rather than parsed or read as 0
+    and 1, as ``check_float`` refuses them, and so are complex numbers where
+    ``dtype`` is real. Shape and finiteness are left to ``check_array``.
+    """
+    arr = np.asarray(value)
+    kind = arr.dtype.kind
+    if kind not in "iufc" or (kind == "c" and dtype is not None and np.dtype(dtype).kind != "c"):
+        raise ValueError(f"{name} must hold {'real ' if kind == 'c' else ''}numbers, "
+                         f"got dtype {arr.dtype}")
+    if dtype is None:
+        return arr if kind in "fc" else arr.astype(np.float64)
+    return np.asarray(arr, dtype=dtype)
+
+
+def check_array(value, name: str, shape, dtype=np.float64) -> np.ndarray:
+    """``value`` as a finite array of ``shape`` and of ``dtype`` as
+    ``as_numbers`` takes it, raising ValueError otherwise.
+
+    A ``None`` entry of ``shape`` matches any length, and ``shape=None`` any
+    shape. An array that already fits comes back as the same object.
+    """
+    arr = as_numbers(value, name, dtype)
+    if shape is not None and (arr.ndim != len(shape) or any(
+            want is not None and want != got for want, got in zip(shape, arr.shape))):
+        want = ", ".join("*" if s is None else str(s) for s in shape)
+        want += "," if len(shape) == 1 else ""
+        raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return arr

@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._checks import check_float, check_int
+from ._checks import check_array, check_float, check_int
 from .iht import IhtConfig, run_iht
 from .inference import confidence_intervals
 from .linalg import _singular_values, entrywise_inf_norm
@@ -185,10 +185,8 @@ class ExperimentConfig:
 
 def compute_metrics(theta_hat, theta):
     """(squared Frobenius, operator, entrywise sup, nuclear) of the difference."""
-    theta_hat = np.asarray(theta_hat)
-    theta = np.asarray(theta)
-    if theta_hat.shape != theta.shape:
-        raise ValueError("shapes differ")
+    theta_hat = check_array(theta_hat, "theta_hat", (None, None), dtype=None)
+    theta = check_array(theta, "theta", theta_hat.shape, dtype=None)
     diff = theta_hat - theta
     # one singular-value computation serves both Schatten norms, with the
     # bits of schatten_norm(diff, "operator") and schatten_norm(diff, 1.0)

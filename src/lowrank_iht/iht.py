@@ -132,7 +132,8 @@ def threshold_step(t_prev: float, rho: float, upsilon: float) -> float:
 def stopping_check(t_r: float, upsilon: float, rho: float = 0.5) -> bool:
     """Stop once T_r <= (1 + e) * upsilon / (1 - rho) with e = 0.1, the
     margin ``schedule_iteration_bound`` is derived for."""
-    return t_r <= (1.0 + 0.1) * upsilon / (1.0 - rho)
+    t_r, upsilon = check_float(t_r, "t_r"), check_float(upsilon, "upsilon")
+    return t_r <= (1.0 + 0.1) * upsilon / (1.0 - check_float(rho, "rho", 0.0, 1.0, strict=True))
 
 
 def schedule_iteration_bound(t0: float, upsilon: float, rho: float) -> float:

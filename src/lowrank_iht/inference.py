@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_float
+from ._checks import check_array, check_float
 from ._ndtri import ndtri
 from .iht import IhtState
 from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
@@ -70,9 +70,7 @@ class EntrywiseResult:
         return self.estimate.real + self.half_width
 
     def covers(self, truth: np.ndarray) -> np.ndarray:
-        truth = np.asarray(truth)
-        if truth.shape != self.estimate.shape:
-            raise ValueError("truth shape does not match estimate")
+        truth = check_array(truth, "truth", self.estimate.shape, dtype=None)
         re_ok = np.abs(self.estimate.real - truth.real) <= self.half_width
         if np.iscomplexobj(self.estimate) or np.iscomplexobj(truth):
             im_ok = np.abs(np.imag(self.estimate) - np.imag(truth)) <= self.half_width
@@ -107,6 +105,7 @@ def confidence_intervals(batch: DesignBatch, y, theta_hat: np.ndarray,
     nothing else. Every call makes one forward and one adjoint pass: the
     residual is formed once and serves both the default sigma and debiasing.
     """
+    theta_hat = check_array(theta_hat, "theta_hat", (batch.dim, batch.dim), dtype=None)
     resid = _obs_values(y, batch.n) - apply_design(batch, theta_hat)
     if sigma is None:
         sigma = (state.final_sigma if state is not None
@@ -131,6 +130,6 @@ def decomposition_terms(batch: DesignBatch, y, theta_hat: np.ndarray,
     root_n = np.sqrt(batch.n)
     diff = theta_hat - theta_true
     remainder = root_n * (diff - adjoint_apply(batch, apply_design(batch, diff)))
-    noise_term = root_n * adjoint_apply(batch, np.asarray(noise, dtype=np.float64))
+    noise_term = root_n * adjoint_apply(batch, noise)
     total = root_n * (theta_hat + adjoint_apply(batch, resid) - theta_true)
     return remainder, noise_term, total

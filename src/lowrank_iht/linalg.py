@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_float
+from ._checks import check_array, check_float
 
 __all__ = [
     "SvdConvergenceError",
@@ -28,15 +28,9 @@ class SvdConvergenceError(RuntimeError):
 
 
 def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {a.shape}")
+    a = check_array(a, "a", (None, None), dtype=None)
     if a.size == 0:
         raise ValueError("empty matrices are not supported")
-    if not (np.issubdtype(a.dtype, np.floating) or np.issubdtype(a.dtype, np.complexfloating)):
-        a = a.astype(np.float64)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
     return a
 
 
@@ -98,10 +92,10 @@ def hard_threshold_entries(u, threshold: float):
     """Zero out entries with modulus strictly below ``threshold``.
 
     The comparison is closed: entries with ``|u_i| >= threshold`` survive.
-    Works elementwise on arrays of any shape.
+    Works elementwise on finite arrays of any shape.
     """
     threshold = check_float(threshold, "threshold")
-    u = np.asarray(u)
+    u = check_array(u, "u", None, dtype=None)
     return np.where(np.abs(u) >= threshold, u, np.zeros((), dtype=u.dtype))
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_int
+from ._checks import check_array, check_int
 from ._rng import make_rng, seed_sequence
 from .trace_model import DesignBatch, Observations
 
@@ -106,9 +106,9 @@ def outcome_table(m: int) -> np.ndarray:
 
 
 def _check_density(theta: np.ndarray) -> np.ndarray:
-    theta = np.asarray(theta, dtype=np.complex128)
-    if theta.ndim != 2 or theta.shape[0] != theta.shape[1]:
-        raise ValueError("density matrix must be square")
+    theta = check_array(theta, "theta", (None, None), np.complex128)
+    if theta.shape[0] != theta.shape[1]:
+        raise ValueError(f"density matrix must be square, got shape {theta.shape}")
     herm_gap = float(np.max(np.abs(theta - theta.conj().T)))
     if herm_gap > 1e-10:
         raise ValueError(f"density matrix not Hermitian (max asymmetry {herm_gap:.3e})")
@@ -247,9 +247,7 @@ class TomographyDataset:
         settings = tuple(self.settings)
         if not settings or any(s.m != self.m for s in settings):
             raise ValueError(f"need at least one setting, each with m={self.m} qubits")
-        y = np.asarray(self.y, dtype=np.float64)
-        if y.shape != (len(settings) * 2 ** self.m,):
-            raise ValueError("row count must be settings x 2^m")
+        y = check_array(self.y, "y", (len(settings) * 2 ** self.m,))
         y.setflags(write=False)
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "settings", settings)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._checks import check_float, check_int
+from ._checks import check_array, check_float, check_int
 from ._rng import make_rng
 from .inference import EntrywiseResult, _two_sided_quantile
 from .linalg import hard_threshold_entries
@@ -59,21 +59,13 @@ class SparseInstance:
     realized_noise: np.ndarray | None = None
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.float64)
-        y = np.asarray(self.y, dtype=np.float64)
-        if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
-            raise ValueError("need X of shape (n, p) and Y of shape (n,)")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValueError("design and response must be finite")
+        x = check_array(self.x, "x", (None, None))
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", check_array(self.y, "y", x.shape[:1]))
         for name, length in (("theta_truth", x.shape[1]), ("realized_noise", x.shape[0])):
-            v = getattr(self, name)
-            if v is not None:
-                v = np.asarray(v, dtype=np.float64)
-                if v.shape != (length,):
-                    raise ValueError(f"{name} must have length {length}")
-                object.__setattr__(self, name, v)
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, check_array(value, name, (length,)))
 
     @property
     def n(self) -> int:
@@ -130,17 +122,14 @@ class Decorrelator:
 
     v: np.ndarray
     sigma_hat: np.ndarray
-    construction: str
-    mu: float | None = None
     certified_r: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        v = np.asarray(self.v, dtype=np.float64)
-        s = np.asarray(self.sigma_hat, dtype=np.float64)
-        if v.shape != s.shape or v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError("V and Sigma must be square with equal shapes")
+        v = check_array(self.v, "v", (None, None))
+        if v.shape[0] != v.shape[1]:
+            raise ValueError(f"v must be square, got shape {v.shape}")
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "sigma_hat", s)
+        object.__setattr__(self, "sigma_hat", check_array(self.sigma_hat, "sigma_hat", v.shape))
 
     @property
     def p(self) -> int:
@@ -238,17 +227,15 @@ def build_decorrelator(x: np.ndarray, strategy: str = "identity",
     ||Sigma v - e_j||_inf <= mu, for a positive mu that defaults to
     sqrt(log(p) / n); the identity reads no mu, so passing one is refused.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = check_array(x, "x", (None, None))
     n, p = x.shape
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
     sigma_hat = x.T @ x / n
     if strategy == "identity":
         if mu is not None:
             raise ValueError("mu must be left unset: the identity strategy reads none")
-        return Decorrelator(v=np.eye(p), sigma_hat=sigma_hat, construction="identity")
+        return Decorrelator(v=np.eye(p), sigma_hat=sigma_hat)
     if strategy == "row_program":
         mu = math.sqrt(math.log(p) / n) if mu is None else check_float(mu, "mu", strict=True)
         rows = []
@@ -257,8 +244,7 @@ def build_decorrelator(x: np.ndarray, strategy: str = "identity",
             if v_row is None:
                 raise RowProgramInfeasibleError(j, _smallest_feasible_mu(sigma_hat, j, mu))
             rows.append(v_row)
-        return Decorrelator(v=np.array(rows), sigma_hat=sigma_hat,
-                            construction="row_program", mu=mu)
+        return Decorrelator(v=np.array(rows), sigma_hat=sigma_hat)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -340,15 +326,6 @@ def _check_decorrelator(dec: Decorrelator, instance: SparseInstance) -> None:
             f"decorrelator has p={dec.p} but the instance has p={instance.p}")
 
 
-def _check_estimate(theta_r, p: int) -> np.ndarray:
-    theta_r = np.asarray(theta_r, dtype=np.float64)
-    if theta_r.shape != (p,):
-        raise ValueError(f"estimate must have length {p}")
-    if not np.all(np.isfinite(theta_r)):
-        raise ValueError("estimate must be finite")
-    return theta_r
-
-
 def sparse_confidence_intervals(theta_r: np.ndarray, instance: SparseInstance,
                                 dec: Decorrelator, *, sigma: float | None = None,
                                 level: float = 0.95) -> EntrywiseResult:
@@ -358,7 +335,7 @@ def sparse_confidence_intervals(theta_r: np.ndarray, instance: SparseInstance,
     Y - X theta_r is formed once; it also gives the default sigma
     ||Y - X theta_r||_2 / sqrt(n)."""
     _check_decorrelator(dec, instance)
-    theta_r = _check_estimate(theta_r, instance.p)
+    theta_r = check_array(theta_r, "estimate", (instance.p,))
     resid = instance.y - instance.x @ theta_r
     if sigma is None:
         sigma = float(np.linalg.norm(resid) / math.sqrt(instance.n))

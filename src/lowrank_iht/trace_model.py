@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import check_float, check_int
+from ._checks import as_numbers, check_array, check_float, check_int
 from ._rng import make_rng, standard_normal
 
 __all__ = [
@@ -48,15 +48,11 @@ class DesignBatch:
     entry_energy: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        arr = np.asarray(self.matrices)
+        arr = np.ascontiguousarray(as_numbers(self.matrices, "matrices", dtype=None))
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected shape (n, d, d), got {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("a design batch needs at least one matrix")
-        if not (np.issubdtype(arr.dtype, np.floating)
-                or np.issubdtype(arr.dtype, np.complexfloating)):
-            arr = arr.astype(np.float64)
-        arr = np.ascontiguousarray(arr)
         # Blocks of rows, each reduced from the running total added into its
         # row 0: the bits of np.sum(np.abs(arr) ** 2, axis=0), and NaN or inf
         # propagate, so finite energies prove every entry finite.
@@ -71,8 +67,8 @@ class DesignBatch:
                 block[0] += energy
                 np.add.reduce(block, axis=0, out=energy)
         energy.setflags(write=False)
-        if not np.all(np.isfinite(energy)) and not np.all(np.isfinite(arr)):
-            raise ValueError("design entries must be finite")
+        if not np.all(np.isfinite(energy)):
+            check_array(arr, "matrices", None, dtype=None)
         object.__setattr__(self, "matrices", arr)
         object.__setattr__(self, "entry_energy", energy)
 
@@ -97,17 +93,10 @@ class Observations:
     noise: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ValueError("observation values must be a 1-D vector")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("observation values must be finite")
+        vals = check_array(self.values, "values", (None,))
         object.__setattr__(self, "values", vals)
         if self.noise is not None:
-            noise = np.asarray(self.noise, dtype=np.float64)
-            if noise.shape != vals.shape:
-                raise ValueError("noise vector must match values in length")
-            object.__setattr__(self, "noise", noise)
+            object.__setattr__(self, "noise", check_array(self.noise, "noise", vals.shape))
 
     @property
     def n(self) -> int:
@@ -115,12 +104,8 @@ class Observations:
 
 
 def _obs_values(y, n: int) -> np.ndarray:
-    """``y`` (an Observations or a vector) as checked by Observations, of length n."""
-    values = (y if isinstance(y, Observations) else Observations(values=y)).values
-    if values.shape[0] != n:
-        raise ValueError(f"observation length {values.shape[0]} does not match "
-                         f"design batch n={n}")
-    return values
+    """``y`` (an Observations or a vector) as a finite float64 vector of length n."""
+    return check_array(y.values if isinstance(y, Observations) else y, "y", (n,))
 
 
 def apply_design(batch: DesignBatch, a) -> np.ndarray:
@@ -128,9 +113,7 @@ def apply_design(batch: DesignBatch, a) -> np.ndarray:
     the real part by definition, so complex designs and ``a`` lose nothing."""
     x = batch.matrices
     n, d = batch.n, batch.dim
-    a = np.asarray(a)
-    if a.shape != (d, d):
-        raise ValueError(f"matrix shape {a.shape} does not match design dim {d}")
+    a = check_array(a, "a", (d, d), dtype=None)
     if x.dtype.kind != "c":
         return x.reshape(n, d * d) @ np.ascontiguousarray(a.real, dtype=np.float64).ravel()
     # Re(conj(x) a) = Re x Re a + Im x Im a: one gemv of the interleaved view
@@ -145,11 +128,7 @@ def adjoint_apply(batch: DesignBatch, v) -> np.ndarray:
     Satisfies (1/n) <apply_design(X, A), v> = Re <A, adjoint_apply(X, v)>
     under the trace inner product <A, B> = tr(A^H B).
     """
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (batch.n,):
-        raise ValueError(f"weight vector length {v.shape} does not match n={batch.n}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("weights must be finite")
+    v = check_array(v, "v", (batch.n,))
     n, d = batch.n, batch.dim
     # one gemv over the flattened rows: the bits of np.tensordot(v, X, 1)
     return (v @ batch.matrices.reshape(n, d * d)).reshape(d, d) / n

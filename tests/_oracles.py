@@ -19,7 +19,7 @@ from functools import reduce
 
 import numpy as np
 
-from lowrank_iht._checks import check_int
+from lowrank_iht._checks import check_array, check_int
 from lowrank_iht.linalg import _as_matrix, _singular_values, schatten_norm
 from lowrank_iht._rng import make_rng
 from lowrank_iht.quantum import (
@@ -39,7 +39,6 @@ from lowrank_iht.sparse import (
     Decorrelator,
     SparseInstance,
     _check_decorrelator,
-    _check_estimate,
     _top_k_row_sum,
 )
 from lowrank_iht.trace_model import DesignBatch, _obs_values, adjoint_apply, apply_design
@@ -323,7 +322,7 @@ def desparsify(theta_hat_r: np.ndarray, instance: SparseInstance,
                dec: Decorrelator) -> np.ndarray:
     """One unthresholded correction theta + (1/n) V X^T (Y - X theta)."""
     _check_decorrelator(dec, instance)
-    theta_hat_r = _check_estimate(theta_hat_r, instance.p)
+    theta_hat_r = check_array(theta_hat_r, "estimate", (instance.p,))
     resid = instance.y - instance.x @ theta_hat_r
     return theta_hat_r + dec.apply(instance.x.T @ resid) / instance.n
 

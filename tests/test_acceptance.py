@@ -281,7 +281,7 @@ def test_criterion_10_sparse_oracles():
         s = build_decorrelator(x).sigma_hat
         v = np.eye(6) + 0.15 * rng.standard_normal((6, 6))
         for k in (1, 2, 3):
-            r_k = Decorrelator(v, s, "perturbed").r_k(k)
+            r_k = Decorrelator(v, s).r_k(k)
             r_k_gap = max(r_k_gap, abs(r_k - brute(v, s, k)))
 
     # orthogonal noiseless recovery

@@ -17,6 +17,7 @@ import pytest
 
 import lowrank_iht
 from lowrank_iht.cli import main
+from lowrank_iht.experiments import compute_metrics
 from lowrank_iht.inference import confidence_intervals
 from lowrank_iht.iht import (
     IhtConfig,
@@ -33,17 +34,28 @@ from lowrank_iht.quantum import (
     TomographyDataset,
     gen_density_matrix,
     gen_random_settings,
+    outcome_distribution,
     outcome_table,
     simulate_dataset,
 )
 from lowrank_iht.sparse import (
+    Decorrelator,
     SparseConfig,
+    SparseInstance,
     build_decorrelator,
     gen_sparse_instance,
     largest_feasible_k,
     sparse_confidence_intervals,
 )
-from lowrank_iht.trace_model import gen_gaussian_design, gen_low_rank_theta, simulate_observations
+from lowrank_iht.trace_model import (
+    DesignBatch,
+    Observations,
+    adjoint_apply,
+    apply_design,
+    gen_gaussian_design,
+    gen_low_rank_theta,
+    simulate_observations,
+)
 
 from _oracles import sample_outcomes
 
@@ -125,8 +137,8 @@ def _sparse_fit():
     return np.zeros(8), inst, build_decorrelator(inst.x)
 
 
-def _one_qubit_dataset(m):
-    return TomographyDataset(m=m, settings=(PauliSetting((3,)),), repetitions=1, y=np.zeros(2))
+def _one_qubit_dataset(m, y=(0.0, 0.0)):
+    return TomographyDataset(m=m, settings=(PauliSetting((3,)),), repetitions=1, y=y)
 
 
 def _simulate_one_qubit(seed):
@@ -164,6 +176,10 @@ def _simulate_one_qubit(seed):
     (lambda: schedule_iteration_bound(np.inf, 1.0, 0.5), "t0"),
     (lambda: schedule_iteration_bound(1.0, "1.0", 0.5), "upsilon"),
     (lambda: schedule_iteration_bound(1.0, 1.0, np.nan), "rho"),
+    (lambda: stopping_check(1.0, 1.0, 1.0), "rho"),
+    (lambda: stopping_check(1.0, True, 0.5), "upsilon"),
+    (lambda: stopping_check(1.0, np.nan, 0.5), "upsilon"),
+    (lambda: stopping_check(np.nan, 1.0, 0.5), "t_r"),
     (lambda: hard_threshold_entries(np.ones(3), True), "threshold"),
     (lambda: hard_threshold_entries(np.ones(3), "1.0"), "threshold"),
     (lambda: hard_threshold_entries(np.ones(3), np.inf), "threshold"),
@@ -194,6 +210,7 @@ def _simulate_one_qubit(seed):
         "upsilon-sigma-bool", "upsilon-sigma-str", "upsilon-d-float", "upsilon-n-bool",
         "step-t-bool", "step-t-nan", "step-upsilon-str", "step-rho-nan",
         "bound-t0-bool", "bound-t0-inf", "bound-upsilon-str", "bound-rho-nan",
+        "stop-rho-one", "stop-upsilon-bool", "stop-upsilon-nan", "stop-t-nan",
         "entries-threshold-bool", "entries-threshold-str", "entries-threshold-inf",
         "singular-threshold-bool", "singular-threshold-str", "singular-threshold-inf",
         "pauli-qubit-float", "pauli-qubit-str", "pauli-qubit-bool",
@@ -205,8 +222,67 @@ def test_generators_refuse_a_non_integer_size_naming_it(call, name):
     # numpy would raise a TypeError naming no argument, or quietly accept a
     # bool; every generator checks its sizes as gen_gaussian_design does, and
     # its noise scale, like the interval calls' sigma and level, as a float;
-    # the schedule helpers, thresholds, qubit indices, seeds and mu likewise
+    # the schedule helpers and the stopping rule, thresholds, qubit indices,
+    # seeds and mu likewise
     with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+_NAN_3X3 = np.full((3, 3), np.nan)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: Decorrelator(np.eye(3), _NAN_3X3), "sigma_hat"),
+    (lambda: hard_threshold_entries([np.nan, 2.0], 1.0), "u"),
+    (lambda: apply_design(_matrix_fit()[0], _NAN_3X3), "a"),
+    (lambda: Observations(values=[0.0, 1.0, 2.0], noise=[0.0, np.nan, 1.0]), "noise"),
+    (lambda: SparseInstance(x=np.ones((2, 2)), y=np.zeros(2), theta_truth=[np.nan, 1.0]),
+     "theta_truth"),
+    (lambda: _one_qubit_dataset(1, y=[np.nan, 1.0]), "y"),
+    (lambda: outcome_distribution(PauliSetting((3,)), np.full((2, 2), np.nan)), "theta"),
+    (lambda: simulate_dataset(np.full((2, 2), np.nan), 2, 3, 0), "theta"),
+    (lambda: confidence_intervals(*_matrix_fit()[:2], _NAN_3X3), "theta_hat"),
+    (lambda: compute_metrics(np.zeros((3, 3)), _NAN_3X3), "theta"),
+    (lambda: build_decorrelator(np.ones(5)), "x"),
+    (lambda: apply_design(_matrix_fit()[0], np.eye(2)), "a"),
+    (lambda: adjoint_apply(_matrix_fit()[0], np.ones(5)), "v"),
+    (lambda: run_iht(_matrix_fit()[0], np.ones(5)), "y"),
+    (lambda: confidence_intervals(*_matrix_fit()).covers(np.zeros(2)), "truth"),
+    (lambda: compute_metrics(np.zeros((2, 2)), np.zeros((3, 3))), "theta"),
+    (lambda: svd(np.ones(3)), "a"),
+    (lambda: sparse_confidence_intervals(np.zeros(3), *_sparse_fit()[1:]), "estimate"),
+    (lambda: SparseInstance(x=np.ones((3, 2)), y=np.zeros(2)), "y"),
+    (lambda: Decorrelator(np.eye(3), np.eye(4)), "sigma_hat"),
+    (lambda: _one_qubit_dataset(1, y=np.zeros(3)), "y"),
+    (lambda: Observations(values=[[1.0]]), "values"),
+    (lambda: Observations(values=["1.0", "2.0"]), "values"),
+    (lambda: Observations(values=[True, False]), "values"),
+    (lambda: Observations(values=[1j, 2.0]), "values"),
+    (lambda: DesignBatch(np.full((2, 2, 2), "1")), "matrices"),
+    (lambda: DesignBatch(np.ones((2, 2, 2), dtype=bool)), "matrices"),
+    (lambda: SparseInstance(x=np.full((2, 2), "1"), y=np.zeros(2)), "x"),
+    (lambda: build_decorrelator(np.ones((4, 2), dtype=bool)), "x"),
+    (lambda: hard_threshold_entries(np.array(["1", "2"]), 1.0), "u"),
+    (lambda: apply_design(_matrix_fit()[0], np.eye(3, dtype=bool)), "a"),
+    (lambda: adjoint_apply(_matrix_fit()[0], np.full(60, "1")), "v"),
+    (lambda: outcome_distribution(PauliSetting((3,)), np.array([["1", "0"], ["0", "0"]])),
+     "theta"),
+], ids=["decorrelator-sigma-nan", "entries-nan", "apply-design-nan", "observations-noise-nan",
+        "sparse-truth-nan", "dataset-y-nan", "density-nan", "simulate-density-nan",
+        "intervals-estimate-nan", "metrics-theta-nan", "decorrelator-x-vector",
+        "apply-design-shape", "adjoint-shape", "run-iht-y-shape", "covers-shape",
+        "metrics-theta-shape", "svd-vector", "sparse-intervals-shape", "sparse-y-shape",
+        "decorrelator-sigma-shape", "dataset-y-shape", "observations-matrix",
+        "observations-str", "observations-bool", "observations-complex", "design-str",
+        "design-bool", "sparse-x-str", "decorrelator-x-bool", "entries-str",
+        "apply-design-bool", "adjoint-str", "density-str"])
+def test_every_array_input_is_refused_naming_it(call, name):
+    # every array argument is checked by _checks.check_array: NaNs used to be
+    # zeroed, passed on or reported under another name, strings were parsed
+    # and bools read as 0 and 1, and each module worded its shape refusal
+    # its own way
+    with pytest.raises(ValueError, match=rf"^{name} must (have shape \(|be finite$|"
+                                         r"hold (real )?numbers, got dtype )"):
         call()
 
 

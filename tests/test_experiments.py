@@ -37,7 +37,7 @@ def test_compute_metrics_hand_example():
     # the input checks of schatten_norm still apply
     with pytest.raises(ValueError, match="finite"):
         compute_metrics(np.full((2, 2), np.nan), np.zeros((2, 2)))
-    with pytest.raises(ValueError, match="2-D"):
+    with pytest.raises(ValueError, match=r"theta_hat must have shape \(\*, \*\)"):
         compute_metrics(np.zeros(3), np.zeros(3))
 
 

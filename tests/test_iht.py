@@ -411,7 +411,7 @@ def test_run_iht_is_bitwise_equal_to_the_recomputing_loop(run):
 
 def test_run_iht_rejects_mismatched_observation_length():
     batch, obs = _gaussian_instance()
-    with pytest.raises(ValueError, match="observation length"):
+    with pytest.raises(ValueError, match=r"y must have shape \(\d+,\)"):
         run_iht(batch, obs.values[:-1])
 
 

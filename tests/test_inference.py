@@ -99,9 +99,11 @@ def test_every_entry_point_refuses_a_malformed_observation_vector():
         lambda y: decomposition_terms(batch, y, theta, theta, obs.noise),
         lambda y: run_iht(batch, y),
     ]
-    malformed = [([5.0], "observation length"), (obs.values[:-1], "observation length"),
-                 (obs.values[:, None], "1-D"), (np.full(100, np.nan), "finite"),
-                 (np.r_[obs.values[:-1], np.inf], "finite")]
+    malformed = [([5.0], r"y must have shape \(100,\)"),
+                 (obs.values[:-1], r"y must have shape \(100,\)"),
+                 (obs.values[:, None], r"y must have shape \(100,\)"),
+                 (np.full(100, np.nan), "y must be finite"),
+                 (np.r_[obs.values[:-1], np.inf], "y must be finite")]
     for call in entry_points:
         for y, message in malformed:
             with pytest.raises(ValueError, match=message):
