@@ -14,7 +14,6 @@ from .linalg import (
     entrywise_inf_norm,
     hard_threshold_entries,
     hard_threshold_singular,
-    schatten_norm,
     svd,
 )
 from .trace_model import (

@@ -1,8 +1,9 @@
 """Validation of integer, float and array arguments: the one place that
-decides a number's type, range and NaN handling, and an array's dtype, shape
-and finiteness. Refusals read ``<name> must be in [low, high), got <value>``,
-``<name> must have shape (4000,), got (3,)``, ``<name> must be finite`` or
-``<name> must hold numbers, got dtype <U3`` wherever they are raised."""
+decides a number's type, range and NaN handling, and an array's precision
+(float64 or complex128), shape and finiteness. Refusals read ``<name> must be
+in [low, high), got <value>``, ``<name> must have shape (4000,), got (3,)``,
+``<name> must be finite`` or ``<name> must hold numbers, got dtype <U3`` (or
+``got a ragged sequence``) wherever they are raised."""
 
 from __future__ import annotations
 
@@ -55,26 +56,29 @@ def check_float(value, name: str, low: float = 0.0, high: float = math.inf,
 
 
 def as_numbers(value, name: str, dtype=np.float64) -> np.ndarray:
-    """``value`` as an array of ``dtype``, or with ``dtype=None`` of its own
-    float or complex dtype (any other numbers become float64).
+    """``value`` as an array of ``dtype``; ``dtype=None`` gives complex128
+    for complex numbers and float64 for any other, whatever their precision.
 
-    Strings, objects and bools are refused rather than parsed or read as 0
-    and 1, as ``check_float`` refuses them, and so are complex numbers where
-    ``dtype`` is real. Shape and finiteness are left to ``check_array``.
+    Strings, objects, bools and ragged sequences are refused rather than
+    parsed or read as 0 and 1, and complex numbers where ``dtype`` is real.
+    Shape and finiteness are left to ``check_array``.
     """
-    arr = np.asarray(value)
+    try:
+        arr = np.asarray(value)
+    except ValueError:
+        raise ValueError(f"{name} must hold numbers, got a ragged sequence") from None
     kind = arr.dtype.kind
     if kind not in "iufc" or (kind == "c" and dtype is not None and np.dtype(dtype).kind != "c"):
         raise ValueError(f"{name} must hold {'real ' if kind == 'c' else ''}numbers, "
                          f"got dtype {arr.dtype}")
     if dtype is None:
-        return arr if kind in "fc" else arr.astype(np.float64)
+        dtype = np.complex128 if kind == "c" else np.float64
     return np.asarray(arr, dtype=dtype)
 
 
 def check_array(value, name: str, shape, dtype=np.float64) -> np.ndarray:
-    """``value`` as a finite array of ``shape`` and of ``dtype`` as
-    ``as_numbers`` takes it, raising ValueError otherwise.
+    """``value`` as a finite array of ``shape`` and of ``dtype`` (``None``:
+    float64, or complex128 if complex), raising ValueError otherwise.
 
     A ``None`` entry of ``shape`` matches any length, and ``shape=None`` any
     shape. An array that already fits comes back as the same object.

@@ -188,8 +188,8 @@ def compute_metrics(theta_hat, theta):
     theta_hat = check_array(theta_hat, "theta_hat", (None, None), dtype=None)
     theta = check_array(theta, "theta", theta_hat.shape, dtype=None)
     diff = theta_hat - theta
-    # one singular-value computation serves both Schatten norms, with the
-    # bits of schatten_norm(diff, "operator") and schatten_norm(diff, 1.0)
+    # one singular-value computation serves both Schatten norms, with the bits
+    # of tests/_oracles.py's schatten_norm(diff, "operator") and (diff, 1.0)
     s = _singular_values(diff)
     return (
         float(np.sum(np.abs(diff) ** 2)),

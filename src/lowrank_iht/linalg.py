@@ -1,4 +1,4 @@
-"""Dense matrix primitives: canonical SVD, hard thresholding, Schatten norms.
+"""Dense matrix primitives: canonical SVD, hard thresholding, norms.
 
 Everything here is deterministic. The SVD wrapper fixes the phase ambiguity of
 each singular triplet so repeated calls on equal inputs are bit-identical.
@@ -18,7 +18,6 @@ __all__ = [
     "svd",
     "hard_threshold_entries",
     "hard_threshold_singular",
-    "schatten_norm",
     "entrywise_inf_norm",
 ]
 
@@ -110,21 +109,6 @@ def hard_threshold_singular(a, threshold: float) -> SvdFactors:
     f = svd(a)
     kept = np.where(f.singular_values >= threshold, f.singular_values, 0.0)
     return SvdFactors(left=f.left, singular_values=kept, right=f.right)
-
-
-def schatten_norm(a, p) -> float:
-    """Schatten p-norm from singular values; ``p="operator"`` selects the
-    largest singular value. ``p`` must be a positive real (p=2 is Frobenius,
-    p=1 the nuclear norm)."""
-    s = _singular_values(a)
-    if isinstance(p, str):
-        if p == "operator":
-            return float(s[0]) if s.size else 0.0
-        raise ValueError(f"unknown norm selector {p!r}")
-    p = float(p)
-    if not p > 0:
-        raise ValueError("p must be positive")
-    return float(np.sum(s ** p) ** (1.0 / p))
 
 
 def entrywise_inf_norm(a) -> float:

@@ -51,7 +51,7 @@ class RowProgramInfeasibleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SparseInstance:
-    """Design, response, and (for simulations) the generating truth."""
+    """Design, response (both read-only), and for simulations the truth."""
 
     x: np.ndarray
     y: np.ndarray
@@ -60,8 +60,11 @@ class SparseInstance:
 
     def __post_init__(self):
         x = check_array(self.x, "x", (None, None))
+        y = check_array(self.y, "y", x.shape[:1])
+        x.setflags(write=False)
+        y.setflags(write=False)
         object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", check_array(self.y, "y", x.shape[:1]))
+        object.__setattr__(self, "y", y)
         for name, length in (("theta_truth", x.shape[1]), ("realized_noise", x.shape[0])):
             value = getattr(self, name)
             if value is not None:
@@ -111,7 +114,8 @@ def _top_k_row_sum(absm: np.ndarray, k: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Decorrelator:
-    """V together with the covariance it was certified against.
+    """V together with the covariance it was certified against, both
+    read-only after construction.
 
     certified_r caches exact r_k values; r_k() computes missing ones on
     demand (cached in place, values are pure functions of V and Sigma) from
@@ -128,8 +132,11 @@ class Decorrelator:
         v = check_array(self.v, "v", (None, None))
         if v.shape[0] != v.shape[1]:
             raise ValueError(f"v must be square, got shape {v.shape}")
+        sigma_hat = check_array(self.sigma_hat, "sigma_hat", v.shape)
+        v.setflags(write=False)
+        sigma_hat.setflags(write=False)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "sigma_hat", check_array(self.sigma_hat, "sigma_hat", v.shape))
+        object.__setattr__(self, "sigma_hat", sigma_hat)
 
     @property
     def p(self) -> int:

@@ -38,9 +38,10 @@ def _block_rows(arr: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DesignBatch:
-    """A batch of n square design matrices, shape (n, d, d).
+    """A batch of n square design matrices, shape (n, d, d), held as float64
+    or complex128 (any other dtype is converted once, when it is built).
 
-    The entries must not change after construction: ``entry_energy``, the
+    The entries are read-only after construction: ``entry_energy``, the
     sums sum_i |X^i|^2, is computed from them once.
     """
 
@@ -57,7 +58,7 @@ class DesignBatch:
         # row 0: the bits of np.sum(np.abs(arr) ** 2, axis=0), and NaN or inf
         # propagate, so finite energies prove every entry finite.
         n, rows = arr.shape[0], _block_rows(arr)
-        buf = np.empty((min(rows, n),) + arr.shape[1:], dtype=arr.real.dtype)
+        buf = np.empty((min(rows, n),) + arr.shape[1:], dtype=np.float64)
         energy = np.zeros_like(buf[0])
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, rows):
@@ -69,6 +70,7 @@ class DesignBatch:
         energy.setflags(write=False)
         if not np.all(np.isfinite(energy)):
             check_array(arr, "matrices", None, dtype=None)
+        arr.setflags(write=False)
         object.__setattr__(self, "matrices", arr)
         object.__setattr__(self, "entry_energy", energy)
 
@@ -115,11 +117,11 @@ def apply_design(batch: DesignBatch, a) -> np.ndarray:
     n, d = batch.n, batch.dim
     a = check_array(a, "a", (d, d), dtype=None)
     if x.dtype.kind != "c":
-        return x.reshape(n, d * d) @ np.ascontiguousarray(a.real, dtype=np.float64).ravel()
+        return x.reshape(n, d * d) @ a.real.ravel()
     # Re(conj(x) a) = Re x Re a + Im x Im a: one gemv of the interleaved view
     b = np.empty(2 * d * d)
     b[0::2], b[1::2] = a.real.ravel(), a.imag.ravel()
-    return x.view(x.real.dtype).reshape(n, 2 * d * d) @ b
+    return x.view(np.float64).reshape(n, 2 * d * d) @ b
 
 
 def adjoint_apply(batch: DesignBatch, v) -> np.ndarray:

@@ -3,10 +3,10 @@
 Each function here is a direct, unoptimised statement of a definition the
 estimator relies on: Pauli matrices and their eigenprojectors, outcome
 marginalization, tomography sampled one setting at a time (as one-line
-parity means, and as outcome batches assembled into a dataset), the
-restricted singular-value bound, the Monte-Carlo restricted-isometry probe,
-the one-step debiasing of both estimators on its own, the sparse r_K
-supremum and the desparsified error split. Tests compare the package's
+parity means, and as outcome batches assembled into a dataset), Schatten
+norms, the restricted singular-value bound, the Monte-Carlo
+restricted-isometry probe, the one-step debiasing of both estimators on its
+own, the sparse r_K supremum and the desparsified error split. Tests compare the package's
 production code against them, or measure its designs with them; the package
 itself never calls them, so they are kept out of its public surface.
 """
@@ -19,8 +19,8 @@ from functools import reduce
 
 import numpy as np
 
-from lowrank_iht._checks import check_array, check_int
-from lowrank_iht.linalg import _as_matrix, _singular_values, schatten_norm
+from lowrank_iht._checks import check_array, check_float, check_int
+from lowrank_iht.linalg import _as_matrix, _singular_values
 from lowrank_iht._rng import make_rng
 from lowrank_iht.quantum import (
     _EIGVECS,
@@ -198,6 +198,19 @@ def build_rescaled_dataset(settings, batches) -> TomographyDataset:
 
 
 # -- linalg ----------------------------------------------------------------
+
+def schatten_norm(a, p) -> float:
+    """Schatten p-norm from singular values; ``p="operator"`` selects the
+    largest singular value. ``p`` must be a finite real > 0 (p=2 is
+    Frobenius, p=1 the nuclear norm)."""
+    s = _singular_values(a)
+    if isinstance(p, str):
+        if p == "operator":
+            return float(s[0]) if s.size else 0.0
+        raise ValueError(f"unknown norm selector {p!r}")
+    p = check_float(p, "p", strict=True)
+    return float(np.sum(s ** p) ** (1.0 / p))
+
 
 def _stack_vectors(vectors, dim: int) -> np.ndarray:
     rows = []

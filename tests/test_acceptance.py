@@ -20,7 +20,7 @@ from lowrank_iht.iht import (
     schedule_iteration_bound,
 )
 from lowrank_iht.inference import confidence_intervals, decomposition_terms
-from lowrank_iht.linalg import entrywise_inf_norm, schatten_norm
+from lowrank_iht.linalg import entrywise_inf_norm
 from lowrank_iht.quantum import (
     PauliSetting,
     gen_density_matrix,
@@ -49,6 +49,7 @@ from _oracles import (
     estimate_rip_constant,
     marginalize,
     pauli_matrix,
+    schatten_norm,
     sparse_decomposition_terms,
 )
 

@@ -74,7 +74,7 @@ EXPORTED = {
     "gen_gaussian_design", "gen_low_rank_theta", "gen_random_settings",
     "gen_sparse_instance", "hard_threshold_entries", "hard_threshold_singular",
     "largest_feasible_k", "outcome_distribution", "parity", "run_experiment", "run_iht",
-    "schatten_norm", "schedule_iteration_bound", "simulate_dataset",
+    "schedule_iteration_bound", "simulate_dataset",
     "simulate_observations", "sparse_confidence_intervals", "sparse_iht_run",
     "stopping_check", "svd", "threshold_step", "upsilon_r",
 }
@@ -87,7 +87,8 @@ EXPORTED = {
 REMOVED = {
     "quantum": ("pauli_matrix", "eigenprojector", "setting_projector", "marginalize",
                 "OutcomeBatch", "sample_outcomes", "build_rescaled_dataset"),
-    "linalg": ("restricted_singular_bound", "restricted_singular_bound_check"),
+    "linalg": ("restricted_singular_bound", "restricted_singular_bound_check",
+               "schatten_norm"),
     "sparse": ("estimate_r_k", "sparse_decomposition_terms", "sparse_sigma",
                "desparsify", "empirical_covariance"),
     "iht": ("write_trace_csv", "empirical_sigma"),
@@ -267,6 +268,10 @@ _NAN_3X3 = np.full((3, 3), np.nan)
     (lambda: adjoint_apply(_matrix_fit()[0], np.full(60, "1")), "v"),
     (lambda: outcome_distribution(PauliSetting((3,)), np.array([["1", "0"], ["0", "0"]])),
      "theta"),
+    (lambda: Observations(values=[1.0, [2.0, 3.0]]), "values"),
+    (lambda: DesignBatch([[[1.0]], [[1.0, 2.0]]]), "matrices"),
+    (lambda: SparseInstance(x=[[1.0, 2.0], [3.0]], y=np.zeros(2)), "x"),
+    (lambda: hard_threshold_entries([[1.0], [1.0, 2.0]], 1.0), "u"),
 ], ids=["decorrelator-sigma-nan", "entries-nan", "apply-design-nan", "observations-noise-nan",
         "sparse-truth-nan", "dataset-y-nan", "density-nan", "simulate-density-nan",
         "intervals-estimate-nan", "metrics-theta-nan", "decorrelator-x-vector",
@@ -275,14 +280,16 @@ _NAN_3X3 = np.full((3, 3), np.nan)
         "decorrelator-sigma-shape", "dataset-y-shape", "observations-matrix",
         "observations-str", "observations-bool", "observations-complex", "design-str",
         "design-bool", "sparse-x-str", "decorrelator-x-bool", "entries-str",
-        "apply-design-bool", "adjoint-str", "density-str"])
+        "apply-design-bool", "adjoint-str", "density-str", "observations-ragged",
+        "design-ragged", "sparse-x-ragged", "entries-ragged"])
 def test_every_array_input_is_refused_naming_it(call, name):
     # every array argument is checked by _checks.check_array: NaNs used to be
     # zeroed, passed on or reported under another name, strings were parsed
     # and bools read as 0 and 1, and each module worded its shape refusal
-    # its own way
+    # its own way; a ragged sequence raised numpy's own message, naming no
+    # argument
     with pytest.raises(ValueError, match=rf"^{name} must (have shape \(|be finite$|"
-                                         r"hold (real )?numbers, got dtype )"):
+                                         r"hold (real )?numbers, got (dtype |a ragged sequence$))"):
         call()
 
 

@@ -14,13 +14,14 @@ from lowrank_iht.experiments import (
     run_experiment,
 )
 from lowrank_iht.experiments import _rep_seed
-from lowrank_iht.linalg import schatten_norm
 from lowrank_iht.sparse import (
     build_decorrelator,
     gen_sparse_instance,
     sparse_confidence_intervals,
     sparse_iht_run,
 )
+
+from _oracles import schatten_norm
 
 
 def test_compute_metrics_hand_example():
@@ -34,7 +35,7 @@ def test_compute_metrics_hand_example():
     assert s1 == pytest.approx(5.0, rel=1e-12)
     with pytest.raises(ValueError):
         compute_metrics(np.zeros((2, 2)), np.zeros((3, 3)))
-    # the input checks of schatten_norm still apply
+    # the input checks apply to both matrices
     with pytest.raises(ValueError, match="finite"):
         compute_metrics(np.full((2, 2), np.nan), np.zeros((2, 2)))
     with pytest.raises(ValueError, match=r"theta_hat must have shape \(\*, \*\)"):

@@ -310,6 +310,23 @@ def test_sigma_defaults_to_final_state_sigma():
                                            rel=1e-12)
 
 
+def test_a_long_double_design_gives_the_float64_fit_and_intervals():
+    # LAPACK has no extended-precision SVD, so a long double design used to
+    # stop run_iht with "array type float128 is unsupported in linalg"; it
+    # is held as float64 now, which holds these values exactly
+    theta = gen_low_rank_theta(4, 1, 5)
+    batch = gen_gaussian_design(300, 4, 6)
+    obs = simulate_observations(batch, theta, 0.5, 7)
+    wide = DesignBatch(batch.matrices.astype(np.longdouble))
+    est, state = run_iht(wide, obs)
+    res = confidence_intervals(wide, obs, est, state=state)
+    assert np.all(np.isfinite(res.estimate)) and np.all(np.isfinite(res.half_width))
+    est64, state64 = run_iht(batch, obs)
+    assert est.tobytes() == est64.tobytes()
+    res64 = confidence_intervals(batch, obs, est64, state=state64)
+    assert res.half_width.tobytes() == res64.half_width.tobytes()
+
+
 def test_default_sigma_matches_hand_loop():
     rng = np.random.default_rng(4)
     batch = DesignBatch(rng.standard_normal((6, 3, 3)))

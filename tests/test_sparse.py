@@ -554,6 +554,28 @@ def test_gen_sparse_instance_shape_and_determinism():
             gen_sparse_instance(50, 20, 4, noise_std, 71)
 
 
+def test_decorrelator_arrays_are_read_only():
+    # a NaN written into the caller's Sigma after construction used to reach
+    # r_K and the half-widths without an error
+    s = np.eye(4)
+    dec = Decorrelator(np.eye(4), s)
+    for held in (s, dec.v, dec.sigma_hat):
+        with pytest.raises(ValueError, match="read-only"):
+            held[2, 2] = np.nan
+    assert dec.r_k(1) == 0.0
+
+
+def test_sparse_instance_arrays_are_read_only():
+    x, y = np.ones((3, 2)), np.zeros(3)
+    inst = SparseInstance(x=x, y=y)
+    for held in (x, inst.x):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = np.nan
+    for held in (y, inst.y):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = np.nan
+
+
 def test_instance_and_config_validation():
     with pytest.raises(ValueError):
         SparseInstance(x=np.ones((3, 2)), y=np.ones(4))

@@ -66,15 +66,32 @@ def test_apply_design_warns_on_large_imaginary_residue():
     assert values.tolist() == [0.0]
 
 
-def test_apply_design_complex64_design_matches_trace_oracle():
-    # the interleaved view takes the design's own component type, so a
-    # single-precision complex design is read as pairs of float32
+@pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64, np.longdouble,
+                                   np.int64, np.complex64, np.complex128, np.clongdouble],
+                         ids=["float16", "float32", "float64", "longdouble", "int64",
+                              "complex64", "complex128", "clongdouble"])
+def test_every_design_dtype_computes_in_double_precision(dtype):
+    # a design is held as float64 or complex128 whatever dtype it came in, so
+    # its passes and entry energies are those of the double-precision batch
+    # of the same values; whole entries of up to 250 are exact in every one
+    # of these dtypes, and 5 rows of them overflow a float16 energy sum
     rng = np.random.default_rng(17)
-    mats = (rng.standard_normal((4, 3, 3))
-            + 1j * rng.standard_normal((4, 3, 3))).astype(np.complex64)
+    vals = rng.integers(100, 251, (5, 3, 3)).astype(np.float64)
+    if np.dtype(dtype).kind == "c":
+        vals = vals + 1j * rng.integers(100, 251, (5, 3, 3))
+    batch = DesignBatch(vals.astype(dtype))
+    ref = DesignBatch(vals)
+    assert batch.matrices.dtype == ref.matrices.dtype
+    assert batch.matrices.dtype in (np.float64, np.complex128)
     a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    np.testing.assert_allclose(apply_design(DesignBatch(mats), a),
-                               _apply_oracle(mats, a), atol=1e-12)
+    np.testing.assert_allclose(apply_design(batch, a), _apply_oracle(vals, a),
+                               rtol=1e-12, atol=1e-12)
+    v = rng.standard_normal(5)
+    np.testing.assert_allclose(adjoint_apply(batch, v),
+                               sum(vi * x for vi, x in zip(v, vals)) / 5,
+                               rtol=1e-12, atol=1e-12)
+    assert np.all(np.isfinite(batch.entry_energy))
+    assert batch.entry_energy.tobytes() == ref.entry_energy.tobytes()
 
 
 def test_adjoint_apply_is_the_adjoint():
@@ -279,6 +296,17 @@ def test_design_batch_accepts_finite_entries_whose_sum_overflows():
     mats[2, 1, 1] = np.inf
     with pytest.raises(ValueError, match="finite"):
         DesignBatch(mats)
+
+
+def test_design_matrices_are_read_only():
+    # entry_energy is summed once, so a write after construction would
+    # leave it stale; the caller's float64 array is the one held
+    mats = np.ones((2, 3, 3))
+    batch = DesignBatch(mats)
+    for held in (mats, batch.matrices):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 1, 1] = np.nan
+    assert batch.entry_energy.tolist() == np.full((3, 3), 2.0).tolist()
 
 
 def test_design_batch_checks_finiteness_without_a_design_sized_temporary():
