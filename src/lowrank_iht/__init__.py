@@ -49,7 +49,6 @@ from .quantum import (
     gen_density_matrix,
     gen_random_settings,
     outcome_distribution,
-    parity,
     simulate_dataset,
 )
 from .sparse import (

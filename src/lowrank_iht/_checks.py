@@ -3,7 +3,8 @@ decides a number's type, range and NaN handling, and an array's precision
 (float64 or complex128), shape and finiteness. Refusals read ``<name> must be
 in [low, high), got <value>``, ``<name> must have shape (4000,), got (3,)``,
 ``<name> must be finite`` or ``<name> must hold numbers, got dtype <U3`` (or
-``got a ragged sequence``) wherever they are raised."""
+``got a ragged sequence``) wherever they are raised. Every array a holder
+keeps, or derives from what it keeps, is made read-only by ``read_only``."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import operator
 
 import numpy as np
 
-__all__ = ["as_numbers", "check_array", "check_float", "check_int"]
+__all__ = ["as_numbers", "check_array", "check_float", "check_int", "read_only"]
 
 
 def check_int(value, name: str, low: int | None = 1, high: int | None = None,
@@ -91,4 +92,13 @@ def check_array(value, name: str, shape, dtype=np.float64) -> np.ndarray:
         raise ValueError(f"{name} must have shape ({want}), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
+    return arr
+
+
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only: held as it is if it owns its data (so the
+    caller's array becomes read-only), copied once if it is a view."""
+    if arr.base is not None:
+        arr = arr.copy()
+    arr.setflags(write=False)
     return arr

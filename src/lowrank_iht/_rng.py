@@ -116,12 +116,13 @@ def standard_normal(seed, shape: tuple) -> np.ndarray:
     # the word part c enters at is entries[c - 1], for its draw and its proof
     entries = [_entry(s) for s in bounds[1:-1]]
     parts = [make_rng(seed), *(_entered_at(seed, word) for word in entries)]
-    out = np.empty(total)
+    out = np.empty(shape)
+    flat = out.reshape(total)  # a flat view: the array returned owns its data
     failure = []
 
     def fill(c):
         try:
-            parts[c].standard_normal(out=out[bounds[c]:bounds[c + 1]])
+            parts[c].standard_normal(out=flat[bounds[c]:bounds[c + 1]])
         except BaseException as exc:
             failure.append(exc)
 
@@ -135,16 +136,16 @@ def standard_normal(seed, shape: tuple) -> np.ndarray:
         raise failure[0]
     for c in range(1, _PARTS):
         s, stop = bounds[c], bounds[c + 1]
-        j = _seam(seed, out, entries[c - 1], s, stop,
+        j = _seam(seed, flat, entries[c - 1], s, stop,
                   parts[c - 1].bit_generator.state)
         if j is None:
-            parts[c - 1].standard_normal(out=out[s:])
+            parts[c - 1].standard_normal(out=flat[s:])
             break
         # a 1-D copy to a lower address reads each entry before overwriting
         # it, so numpy makes no temporary for this overlapping shift
-        out[s:stop - j] = out[s + j:stop]
-        parts[c].standard_normal(out=out[stop - j:stop])
-    return out.reshape(shape)
+        flat[s:stop - j] = flat[s + j:stop]
+        parts[c].standard_normal(out=flat[stop - j:stop])
+    return out
 
 
 def _seam(seed, out: np.ndarray, word: int, s: int, stop: int,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_float, check_int
+from ._checks import check_float, check_int, read_only
 from ._ndtri import ndtri
 from .linalg import hard_threshold_singular
 from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
@@ -87,16 +87,20 @@ class IterationRecord:
 class IhtState:
     """The result of a finished run.
 
-    ``estimate`` is read-only. ``trace`` records one entry per performed
-    iteration and is never empty; ``iteration``, ``threshold``, ``rank`` and
-    ``final_sigma`` read its last record. The state holds neither the design
-    nor the observations, so keeping it does not keep the design in memory.
+    The state makes ``estimate`` read-only, however it is built. ``trace``
+    records one entry per performed iteration and is never empty;
+    ``iteration``, ``threshold``, ``rank`` and ``final_sigma`` read its last
+    record. The state holds neither the design nor the observations, so
+    keeping it does not keep the design in memory.
     """
 
     estimate: np.ndarray
     trace: tuple[IterationRecord, ...]
     converged: bool
     iteration_bound: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "estimate", read_only(self.estimate))
 
     @property
     def iteration(self) -> int:
@@ -238,7 +242,6 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     fixed_seed = config.upsilon is not None and config.t0 is not None
     t_seed = config.t0 if fixed_seed else trace[0].threshold
     bound = schedule_iteration_bound(t_seed, ups_floor, config.rho)
-    estimate.setflags(write=False)
     state = IhtState(estimate=estimate, trace=tuple(trace), converged=converged,
                      iteration_bound=bound)
     if converged and fixed_seed and config.upsilon > 0 and state.iteration > bound:
@@ -246,4 +249,4 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
         # means the schedule arithmetic is broken
         raise StoppingBoundError(
             f"stopping bound violated: r={state.iteration} > {bound:.3f}")
-    return estimate, state
+    return state.estimate, state

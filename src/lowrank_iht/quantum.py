@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_array, check_int
+from ._checks import check_array, check_int, read_only
 from ._rng import make_rng, seed_sequence
 from .trace_model import DesignBatch, Observations
 
@@ -33,7 +33,6 @@ __all__ = [
     "TomographyDataset",
     "outcome_table",
     "outcome_distribution",
-    "parity",
     "gen_random_settings",
     "gen_density_matrix",
     "simulate_dataset",
@@ -134,14 +133,16 @@ def outcome_distribution(setting: PauliSetting, theta) -> np.ndarray:
 def _kron_rows(factors: np.ndarray) -> np.ndarray:
     """(N, 2^m, 2^m) Kronecker products of (N, m, 2, 2) factors, taken one
     qubit at a time over all N rows, qubit 1 leftmost: row i has the bits of
-    reduce(np.kron, factors[i])."""
+    reduce(np.kron, factors[i]). Each qubit multiplies into a new array, so
+    the rows returned own their data."""
     count, m = factors.shape[:2]
     rows = factors[:, 0]
     for q in range(1, m):
-        side = 2 ** (q + 1)
-        rows = (rows[:, :, None, :, None]
-                * factors[:, q, None, :, None, :]).reshape(count, side, side)
-    return rows
+        side, prev = 2 ** q, rows
+        rows = np.empty((count, 2 * side, 2 * side), dtype=prev.dtype)
+        np.multiply(prev[:, :, None, :, None], factors[:, q, None, :, None, :],
+                    out=rows.reshape(count, side, 2, side, 2))
+    return rows.copy() if m == 1 else rows
 
 
 def _rotations(settings) -> np.ndarray:
@@ -200,12 +201,6 @@ def _draw_outcomes(p: np.ndarray, repetitions: int, seed) -> np.ndarray:
     return np.minimum(idx, p.size - 1, out=idx)
 
 
-def parity(outcome) -> np.ndarray:
-    """Product of the per-qubit signs; last axis is the qubit axis."""
-    arr = np.asarray(outcome)
-    return arr.prod(axis=-1)
-
-
 def gen_random_settings(count: int, m: int, seed) -> list[PauliSetting]:
     """count settings with i.i.d. uniform X/Y/Z per qubit."""
     count, m = check_int(count, "count"), check_int(m, "m")
@@ -248,8 +243,7 @@ class TomographyDataset:
         if not settings or any(s.m != self.m for s in settings):
             raise ValueError(f"need at least one setting, each with m={self.m} qubits")
         y = check_array(self.y, "y", (len(settings) * 2 ** self.m,))
-        y.setflags(write=False)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", read_only(y))
         object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "repetitions", check_int(self.repetitions, "repetitions"))
 

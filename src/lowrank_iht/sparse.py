@@ -12,12 +12,12 @@ coordinatewise confidence intervals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from ._checks import check_array, check_float, check_int
+from ._checks import check_array, check_float, check_int, read_only
 from ._rng import make_rng
 from .inference import EntrywiseResult, _two_sided_quantile
 from .linalg import hard_threshold_entries
@@ -51,7 +51,7 @@ class RowProgramInfeasibleError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SparseInstance:
-    """Design, response (both read-only), and for simulations the truth."""
+    """Design (n, p >= 1), response and for simulations the truth, all read-only."""
 
     x: np.ndarray
     y: np.ndarray
@@ -60,15 +60,15 @@ class SparseInstance:
 
     def __post_init__(self):
         x = check_array(self.x, "x", (None, None))
+        if x.size == 0:
+            raise ValueError(f"x must not be empty, got shape {x.shape}")
         y = check_array(self.y, "y", x.shape[:1])
-        x.setflags(write=False)
-        y.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", read_only(x))
+        object.__setattr__(self, "y", read_only(y))
         for name, length in (("theta_truth", x.shape[1]), ("realized_noise", x.shape[0])):
             value = getattr(self, name)
             if value is not None:
-                object.__setattr__(self, name, check_array(value, name, (length,)))
+                object.__setattr__(self, name, read_only(check_array(value, name, (length,))))
 
     @property
     def n(self) -> int:
@@ -105,38 +105,34 @@ def _top_k_row_sum(absm: np.ndarray, k: int) -> float:
     p = absm.shape[0]
     if not 1 <= k <= p:
         raise ValueError(f"need 1 <= k <= p, got k={k}")
-    if k < p:
-        top = np.partition(absm, p - k, axis=1)[:, p - k:]
-    else:
-        top = absm
+    top = np.partition(absm, p - k, axis=1)[:, p - k:] if k < p else absm
     return float(top.sum(axis=1).max())
 
 
 @dataclass(frozen=True, eq=False)
 class Decorrelator:
-    """V together with the covariance it was certified against, both
-    read-only after construction.
+    """A (p, p) V with p >= 1 together with the covariance it was certified
+    against.
 
-    certified_r caches exact r_k values; r_k() computes missing ones on
-    demand (cached in place, values are pure functions of V and Sigma) from
-    |V Sigma - I|, which is formed once for all levels, and vsv_diag is
-    likewise computed on first use. When V is the identity, ``apply``,
+    V, Sigma and what is derived from them, |V Sigma - I| and vsv_diag (each
+    formed on first use), are read-only (``_checks.read_only``), so the
+    holder keeps nothing a caller can write. r_k(k) partitions the one
+    |V Sigma - I| on each call. When V is the identity, ``apply``,
     ``vsv_diag`` and r_k skip the products with it and return the same bits.
     """
 
     v: np.ndarray
     sigma_hat: np.ndarray
-    certified_r: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         v = check_array(self.v, "v", (None, None))
         if v.shape[0] != v.shape[1]:
             raise ValueError(f"v must be square, got shape {v.shape}")
+        if v.size == 0:
+            raise ValueError(f"v must not be empty, got shape {v.shape}")
         sigma_hat = check_array(self.sigma_hat, "sigma_hat", v.shape)
-        v.setflags(write=False)
-        sigma_hat.setflags(write=False)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "sigma_hat", sigma_hat)
+        object.__setattr__(self, "v", read_only(v))
+        object.__setattr__(self, "sigma_hat", read_only(sigma_hat))
 
     @property
     def p(self) -> int:
@@ -158,17 +154,15 @@ class Decorrelator:
         """diag(V Sigma V^T), computed once: the noise floor and every
         interval half-width read it."""
         if self._is_identity:
-            return np.diag(self.sigma_hat).copy()
-        return np.einsum("ij,jk,ik->i", self.v, self.sigma_hat, self.v)
+            return read_only(np.diag(self.sigma_hat))
+        return read_only(np.einsum("ij,jk,ik->i", self.v, self.sigma_hat, self.v))
 
     @cached_property
     def _abs_gap(self) -> np.ndarray:
-        return np.abs(self.apply(self.sigma_hat) - np.eye(self.p))
+        return read_only(np.abs(self.apply(self.sigma_hat) - np.eye(self.p)))
 
     def r_k(self, k: int) -> float:
-        if k not in self.certified_r:
-            self.certified_r[k] = _top_k_row_sum(self._abs_gap, k)
-        return self.certified_r[k]
+        return _top_k_row_sum(self._abs_gap, k)
 
 
 def _soft(z: float, t: float) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._checks import as_numbers, check_array, check_float, check_int
+from ._checks import as_numbers, check_array, check_float, check_int, read_only
 from ._rng import make_rng, standard_normal
 
 __all__ = [
@@ -38,11 +38,11 @@ def _block_rows(arr: np.ndarray) -> int:
 
 @dataclass(frozen=True, eq=False)
 class DesignBatch:
-    """A batch of n square design matrices, shape (n, d, d), held as float64
-    or complex128 (any other dtype is converted once, when it is built).
+    """A batch of n square design matrices, shape (n, d, d) with n, d >= 1,
+    held as float64 or complex128 (any other dtype is converted once).
 
-    The entries are read-only after construction: ``entry_energy``, the
-    sums sum_i |X^i|^2, is computed from them once.
+    The entries and ``entry_energy``, the sums sum_i |X^i|^2 computed from
+    them once, are read-only (``_checks.read_only``).
     """
 
     matrices: np.ndarray
@@ -52,8 +52,8 @@ class DesignBatch:
         arr = np.ascontiguousarray(as_numbers(self.matrices, "matrices", dtype=None))
         if arr.ndim != 3 or arr.shape[1] != arr.shape[2]:
             raise ValueError(f"expected shape (n, d, d), got {arr.shape}")
-        if arr.shape[0] < 1:
-            raise ValueError("a design batch needs at least one matrix")
+        if arr.size == 0:
+            raise ValueError(f"matrices must not be empty, got shape {arr.shape}")
         # Blocks of rows, each reduced from the running total added into its
         # row 0: the bits of np.sum(np.abs(arr) ** 2, axis=0), and NaN or inf
         # propagate, so finite energies prove every entry finite.
@@ -67,12 +67,10 @@ class DesignBatch:
                 np.square(np.abs(chunk, out=block) if arr.dtype.kind == "c" else chunk, out=block)
                 block[0] += energy
                 np.add.reduce(block, axis=0, out=energy)
-        energy.setflags(write=False)
         if not np.all(np.isfinite(energy)):
             check_array(arr, "matrices", None, dtype=None)
-        arr.setflags(write=False)
-        object.__setattr__(self, "matrices", arr)
-        object.__setattr__(self, "entry_energy", energy)
+        object.__setattr__(self, "matrices", read_only(arr))
+        object.__setattr__(self, "entry_energy", read_only(energy))
 
     @property
     def n(self) -> int:

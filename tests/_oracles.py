@@ -1,8 +1,8 @@
 """Reference implementations of the paper's identities, used only by tests.
 
 Each function here is a direct, unoptimised statement of a definition the
-estimator relies on: Pauli matrices and their eigenprojectors, outcome
-marginalization, tomography sampled one setting at a time (as one-line
+estimator relies on: Pauli matrices and their eigenprojectors, the parity
+of an outcome, outcome marginalization, tomography sampled one setting at a time (as one-line
 parity means, and as outcome batches assembled into a dataset), Schatten
 norms, the restricted singular-value bound, the Monte-Carlo
 restricted-isometry probe, the one-step debiasing of both estimators on its
@@ -78,6 +78,11 @@ def setting_projector(setting: PauliSetting, outcome) -> np.ndarray:
         else:
             factors.append(eigenprojector(s, o))
     return reduce(np.kron, factors)
+
+
+def parity(outcome) -> np.ndarray:
+    """Product of the per-qubit signs; last axis is the qubit axis."""
+    return np.asarray(outcome).prod(axis=-1)
 
 
 def _as_mask(subset, m: int) -> int:

@@ -26,7 +26,6 @@ from lowrank_iht.quantum import (
     gen_density_matrix,
     outcome_distribution,
     outcome_table,
-    parity,
 )
 from lowrank_iht.sparse import (
     Decorrelator,
@@ -48,6 +47,7 @@ from lowrank_iht.trace_model import (
 from _oracles import (
     estimate_rip_constant,
     marginalize,
+    parity,
     pauli_matrix,
     schatten_norm,
     sparse_decomposition_terms,

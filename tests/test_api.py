@@ -73,7 +73,7 @@ EXPORTED = {
     "entrywise_inf_norm", "gen_basis_design", "gen_density_matrix",
     "gen_gaussian_design", "gen_low_rank_theta", "gen_random_settings",
     "gen_sparse_instance", "hard_threshold_entries", "hard_threshold_singular",
-    "largest_feasible_k", "outcome_distribution", "parity", "run_experiment", "run_iht",
+    "largest_feasible_k", "outcome_distribution", "run_experiment", "run_iht",
     "schedule_iteration_bound", "simulate_dataset",
     "simulate_observations", "sparse_confidence_intervals", "sparse_iht_run",
     "stopping_check", "svd", "threshold_step", "upsilon_r",
@@ -83,10 +83,11 @@ EXPORTED = {
 # live in tests/_oracles.py (among them the per-setting tomography path and
 # the stand-alone debiasers, whose estimates the interval calls return), the
 # unused trace writer, the residual scales that the interval calls now form
-# from their own residual, and the covariance build_decorrelator forms inline
+# from their own residual, the covariance build_decorrelator forms inline, and
+# parity, which only tests read (the package forms parities through a table)
 REMOVED = {
     "quantum": ("pauli_matrix", "eigenprojector", "setting_projector", "marginalize",
-                "OutcomeBatch", "sample_outcomes", "build_rescaled_dataset"),
+                "OutcomeBatch", "sample_outcomes", "build_rescaled_dataset", "parity"),
     "linalg": ("restricted_singular_bound", "restricted_singular_bound_check",
                "schatten_norm"),
     "sparse": ("estimate_r_k", "sparse_decomposition_terms", "sparse_sigma",
@@ -272,6 +273,10 @@ _NAN_3X3 = np.full((3, 3), np.nan)
     (lambda: DesignBatch([[[1.0]], [[1.0, 2.0]]]), "matrices"),
     (lambda: SparseInstance(x=[[1.0, 2.0], [3.0]], y=np.zeros(2)), "x"),
     (lambda: hard_threshold_entries([[1.0], [1.0, 2.0]], 1.0), "u"),
+    (lambda: DesignBatch(np.zeros((3, 0, 0))), "matrices"),
+    (lambda: SparseInstance(x=np.zeros((0, 3)), y=np.zeros(0)), "x"),
+    (lambda: SparseInstance(x=np.zeros((5, 0)), y=np.zeros(5)), "x"),
+    (lambda: Decorrelator(np.zeros((0, 0)), np.zeros((0, 0))), "v"),
 ], ids=["decorrelator-sigma-nan", "entries-nan", "apply-design-nan", "observations-noise-nan",
         "sparse-truth-nan", "dataset-y-nan", "density-nan", "simulate-density-nan",
         "intervals-estimate-nan", "metrics-theta-nan", "decorrelator-x-vector",
@@ -281,15 +286,18 @@ _NAN_3X3 = np.full((3, 3), np.nan)
         "observations-str", "observations-bool", "observations-complex", "design-str",
         "design-bool", "sparse-x-str", "decorrelator-x-bool", "entries-str",
         "apply-design-bool", "adjoint-str", "density-str", "observations-ragged",
-        "design-ragged", "sparse-x-ragged", "entries-ragged"])
+        "design-ragged", "sparse-x-ragged", "entries-ragged", "design-d-zero",
+        "sparse-n-zero", "sparse-p-zero", "decorrelator-p-zero"])
 def test_every_array_input_is_refused_naming_it(call, name):
     # every array argument is checked by _checks.check_array: NaNs used to be
     # zeroed, passed on or reported under another name, strings were parsed
     # and bools read as 0 and 1, and each module worded its shape refusal
     # its own way; a ragged sequence raised numpy's own message, naming no
-    # argument
+    # argument; an empty holder died later in a ZeroDivisionError, a NaN
+    # sigma or a refused k_max the caller never passed
     with pytest.raises(ValueError, match=rf"^{name} must (have shape \(|be finite$|"
-                                         r"hold (real )?numbers, got (dtype |a ragged sequence$))"):
+                                         r"hold (real )?numbers, got (dtype |a ragged sequence$)|"
+                                         r"not be empty, got shape \()"):
         call()
 
 

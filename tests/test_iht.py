@@ -8,6 +8,7 @@ from lowrank_iht import iht
 from lowrank_iht._ndtri import ndtri
 from lowrank_iht.iht import (
     IhtConfig,
+    IhtState,
     IterationRecord,
     StoppingBoundError,
     run_iht,
@@ -422,3 +423,14 @@ def test_violated_stopping_bound_raises_a_typed_arithmetic_error(monkeypatch):
         run_iht(batch, obs, IhtConfig(upsilon=0.05, t0=5.0))
     assert issubclass(StoppingBoundError, ArithmeticError)
     assert lowrank_iht.StoppingBoundError is StoppingBoundError
+
+
+def test_a_state_built_directly_holds_a_read_only_estimate():
+    # only run_iht used to freeze the estimate; the state now does it itself
+    estimate = np.eye(3)
+    state = IhtState(estimate=estimate[:], trace=(IterationRecord(1, 1.0, 1.0, 0.1, 3, 0.0),),
+                     converged=True, iteration_bound=2.0)
+    estimate[0, 0] = 5.0
+    assert state.estimate.tolist() == np.eye(3).tolist()
+    with pytest.raises(ValueError, match="read-only"):
+        state.estimate[0, 0] = 0.0

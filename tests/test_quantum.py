@@ -16,7 +16,6 @@ from lowrank_iht.quantum import (
     load_dataset,
     outcome_distribution,
     outcome_table,
-    parity,
     save_dataset,
     simulate_dataset,
 )
@@ -28,6 +27,7 @@ from _oracles import (
     eigenprojector,
     isometry_deviation,
     marginalize,
+    parity,
     pauli_matrix,
     sample_outcomes,
     setting_projector,
@@ -398,6 +398,15 @@ def test_mixed_repetition_counts_are_rejected():
                for i, (s, reps) in enumerate(zip(settings, (5, 8)))]
     with pytest.raises(ValueError, match="same number of times"):
         build_rescaled_dataset(settings, batches)
+
+
+def test_dataset_built_from_a_view_is_not_written_through():
+    y = np.zeros(4)
+    ds = TomographyDataset(m=2, settings=(PauliSetting((1, 3)),), repetitions=1, y=y[:])
+    y[0] = np.nan
+    assert ds.y.tolist() == [0.0] * 4
+    with pytest.raises(ValueError, match="read-only"):
+        ds.y[0] = 1.0
 
 
 def test_dataset_and_its_regression_hold_one_design():

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lowrank_iht import _rng
+from lowrank_iht.quantum import gen_density_matrix, simulate_dataset
 from lowrank_iht.trace_model import (
     DesignBatch,
     adjoint_apply,
@@ -188,6 +189,36 @@ def test_closing_a_seam_shifts_its_part_without_a_temporary(two_cpus, monkeypatc
     assert len(shifts) == _rng._PARTS - 1 and all(shifts), shifts
     assert peak < out.nbytes + 4 * 2 ** 20
     assert out.tobytes() == _single(seed, shape).tobytes()
+
+
+def _traced_peak(build):
+    tracemalloc.start()
+    try:
+        built = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return built, peak
+
+
+def test_a_split_gaussian_design_is_held_without_a_copy(two_cpus):
+    # the three-part draw returns the array it allocated, not a reshaped view
+    # of it, so DesignBatch has no view to copy before it holds the design
+    batch, peak = _traced_peak(lambda: gen_gaussian_design(4000, 64, np.random.SeedSequence(7)))
+    assert peak < batch.matrices.nbytes + 4 * 2 ** 20
+    assert batch.matrices.base is None
+
+
+def test_an_m5_pauli_design_is_held_without_a_copy():
+    # each Kronecker step multiplies into an array it allocates; the last
+    # keeps the quarter-size rows of the step before beside it, so 160 m=5
+    # settings (80 MiB of rows) peak near 1.25 times the design, and a copy
+    # of a view would add another 80 MiB
+    dataset = simulate_dataset(gen_density_matrix(32, 1, 0), 160, 4, 1)
+    (batch, _), peak = _traced_peak(dataset.to_trace_regression)
+    assert batch.matrices.nbytes == 80 * 2 ** 20
+    assert peak < 1.3 * batch.matrices.nbytes
+    assert batch.matrices.base is None
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.complex64], ids=lambda t: np.dtype(t).name)

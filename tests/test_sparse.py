@@ -84,15 +84,17 @@ def test_gaussian_covariance_concentrates():
     assert hits >= 48
 
 
-def test_decorrelator_caches_certificates():
-    rng = np.random.default_rng(13)
-    x = rng.standard_normal((40, 5))
-    dec = build_decorrelator(x)
-    assert dec.certified_r == {}
-    r1, r2 = dec.r_k(1), dec.r_k(2)
-    assert dec.certified_r == {1: r1, 2: r2}
-    r3 = dec.r_k(3)
-    assert dec.certified_r[3] == r3
+def test_decorrelator_keeps_no_writable_certificate_cache():
+    # a public r_k cache let `dec.certified_r[3] = 0.0` turn a refused
+    # 2 r_3 = 1.01 into a run that returned 5 false support entries; r_k now
+    # partitions the read-only |V Sigma - I| on each call
+    inst = gen_sparse_instance(400, 100, 3, 1.0, 0)
+    dec = build_decorrelator(inst.x)
+    assert not hasattr(dec, "certified_r")
+    assert [dec.r_k(k) for k in (1, 2, 3)] == [dec.r_k(k) for k in (1, 2, 3)]
+    assert 2.0 * dec.r_k(3) > 1.0
+    with pytest.raises(AssumptionViolationError):
+        sparse_iht_run(inst, dec, SparseConfig(k_cap=3))
 
 
 def test_certificates_cannot_be_passed_in():
@@ -563,6 +565,43 @@ def test_decorrelator_arrays_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             held[2, 2] = np.nan
     assert dec.r_k(1) == 0.0
+
+
+def test_decorrelator_derived_arrays_are_read_only():
+    # a zeroed vsv_diag entry gave a half-width of 0.0 for its coordinate
+    for dec in (build_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x),
+                build_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x, "row_program")):
+        for held in (dec.vsv_diag, dec._abs_gap):
+            with pytest.raises(ValueError, match="read-only"):
+                held[0] = 0.0
+
+
+def test_decorrelator_built_from_a_view_is_not_written_through():
+    # a NaN written into the base of the Sigma view reached r_K
+    x = np.random.default_rng(15).standard_normal((40, 4))
+    v, s = np.eye(4), x.T @ x / 40
+    ref = Decorrelator(v.copy(), s.copy())
+    dec = Decorrelator(v[:], s[:])
+    v[0, 1], s[2, 2] = 5.0, np.nan
+    assert dec.v.tolist() == ref.v.tolist()
+    assert dec.sigma_hat.tolist() == ref.sigma_hat.tolist()
+    assert dec.r_k(1) == ref.r_k(1)
+    assert dec.vsv_diag.tolist() == ref.vsv_diag.tolist()
+
+
+def test_sparse_instance_built_from_views_is_not_written_through():
+    inst = gen_sparse_instance(30, 5, 2, 0.5, 16)
+    arrays = {name: getattr(inst, name).copy() for name in
+              ("x", "y", "theta_truth", "realized_noise")}
+    built = SparseInstance(**{name: arr[:] for name, arr in arrays.items()})
+    expected = {name: arr.tolist() for name, arr in arrays.items()}
+    for arr in arrays.values():
+        arr.fill(np.nan)
+    for name, value in expected.items():
+        held = getattr(built, name)
+        assert held.tolist() == value
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 0.0
 
 
 def test_sparse_instance_arrays_are_read_only():

@@ -309,6 +309,21 @@ def test_design_matrices_are_read_only():
     assert batch.entry_energy.tolist() == np.full((3, 3), 2.0).tolist()
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+def test_design_built_from_a_view_is_not_written_through(dtype):
+    # a view's base stayed writable, so a write to it left entry_energy
+    # stale: 3.0 where the entries gave 27.0
+    mats = np.ones((3, 2, 2), dtype=dtype)
+    batch = DesignBatch(mats[:])
+    mats[0, 0, 0] = 5.0
+    assert batch.matrices.base is None
+    assert batch.matrices.tolist() == np.ones((3, 2, 2)).tolist()
+    assert batch.entry_energy.tolist() == np.full((2, 2), 3.0).tolist()
+    for held in (batch.matrices, batch.entry_energy):
+        with pytest.raises(ValueError, match="read-only"):
+            held.flat[0] = 0.0
+
+
 def test_design_batch_checks_finiteness_without_a_design_sized_temporary():
     mats = np.random.default_rng(3).standard_normal((1024, 32, 32))
     tracemalloc.start()
