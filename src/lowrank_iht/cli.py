@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 bad configuration or flags (including a config
 file that is missing, unreadable, not JSON, or not a JSON object, under every
 subcommand), 3 numerical failure inside a run, 4 I/O problems around the
-output directory.
+output directory, including a metrics.csv that ``report`` cannot parse.
 """
 
 from __future__ import annotations
@@ -111,8 +111,11 @@ def main(argv=None) -> int:
                 out_dir = _read_config(args.config).get("output_dir")
             if not out_dir:
                 raise ConfigError("report needs --out or a config with output_dir")
-            path = reaggregate(os.path.join(out_dir, "metrics.csv"),
-                               os.path.join(out_dir, "aggregate.csv"))
+            try:
+                path = reaggregate(os.path.join(out_dir, "metrics.csv"),
+                                   os.path.join(out_dir, "aggregate.csv"))
+            except ValueError as exc:  # a metrics.csv that does not parse
+                raise OSError(str(exc)) from exc
             print(f"wrote {path}")
             return 0
         config = _load_config(args, _COMMAND_MODE[args.command])

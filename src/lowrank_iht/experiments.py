@@ -41,12 +41,7 @@ from .sparse import (
     sparse_confidence_intervals,
     sparse_iht_run,
 )
-from .trace_model import (
-    gen_basis_design,
-    gen_gaussian_design,
-    gen_low_rank_theta,
-    simulate_observations,
-)
+from .trace_model import gen_gaussian_design, gen_low_rank_theta, simulate_observations
 
 __all__ = [
     "ConfigError",
@@ -76,7 +71,6 @@ class ExperimentConfig:
     workers: int = 1
     noise_std: float = 1.0
     level: float = 0.95
-    design: str = "gaussian"
     d_values: tuple = ()
     k_values: tuple = ()
     n_values: tuple = ()
@@ -101,8 +95,6 @@ class ExperimentConfig:
                                                           error=ConfigError))
         object.__setattr__(self, "level", check_float(self.level, "level", 0.0, 1.0,
                                                       ConfigError, strict=True))
-        if self.design not in ("gaussian", "basis"):
-            raise ConfigError(f"design must be gaussian or basis, got {self.design!r}")
         for name in ("d_values", "k_values", "n_values", "m_values", "p_values"):
             vals = tuple(check_int(v, f"{name} entries", error=ConfigError)
                          for v in getattr(self, name))
@@ -112,10 +104,6 @@ class ExperimentConfig:
                          for v in getattr(self, name))
             object.__setattr__(self, name, vals)
         reads, reader = _MODE_TABLE[self.mode].reads, f"{self.mode} mode"
-        if self.mode == "matrix_sim" and self.design == "basis":
-            # a basis design has n = d * d observations
-            reads = tuple(name for name in reads if name != "n_values")
-            reader += " with a basis design"
         for f in dc_fields(self):
             value = getattr(self, f.name)
             if f.name in reads:
@@ -150,9 +138,6 @@ class ExperimentConfig:
 
     def cells(self) -> list[dict]:
         if self.mode == "matrix_sim":
-            if self.design == "basis":
-                return [{"d": d, "k": k, "n": d * d}
-                        for d, k in itertools.product(self.d_values, self.k_values)]
             return [{"d": d, "k": k, "n": n} for d, k, n in
                     itertools.product(self.d_values, self.k_values, self.n_values)]
         if self.mode == "quantum":
@@ -211,10 +196,7 @@ def _matrix_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
     d, k, n = cell["d"], cell["k"], cell["n"]
     start = time.perf_counter()
     theta = gen_low_rank_theta(d, k, theta_seed)
-    if config.design == "basis":
-        batch = gen_basis_design(d)
-    else:
-        batch = gen_gaussian_design(n, d, design_seed)
+    batch = gen_gaussian_design(n, d, design_seed)
     obs = simulate_observations(batch, theta, config.noise_std, noise_seed)
     estimate, state = run_iht(batch, obs, config.iht)
     result = confidence_intervals(batch, obs, estimate, level=config.level, state=state)
@@ -306,8 +288,7 @@ _MATRIX_METRICS = ("frobenius_sq", "operator", "entrywise_inf", "schatten1",
 
 _MODE_TABLE = {
     "matrix_sim": _Mode(_matrix_replicate, ("d", "k", "n"), _MATRIX_METRICS,
-                        ("d_values", "k_values", "n_values", "noise_std", "level",
-                         "design", "iht")),
+                        ("d_values", "k_values", "n_values", "noise_std", "level", "iht")),
     "quantum": _Mode(_quantum_replicate, ("m", "k", "alpha", "t_factor"), _MATRIX_METRICS,
                      ("m_values", "k_values", "alpha_values", "t_factors", "iht")),
     "sparse": _Mode(_sparse_replicate, ("p", "k", "n"),
@@ -383,6 +364,9 @@ def read_csv(path):
     for ln in lines[1:]:
         if not ln:
             continue
+        if ln.count(",") != len(columns) - 1:
+            raise ValueError(f"{path} has the row {ln!r}, which does not have "
+                             f"the header's {len(columns)} fields")
         values = []
         for raw in ln.split(","):
             if raw == "":
@@ -453,9 +437,11 @@ def reaggregate(metrics_path, out_path) -> str:
     """Rebuild aggregate.csv from a metrics.csv; pure function of its rows."""
     columns, rows = read_csv(metrics_path)
     if "replicate" not in columns:
-        raise ValueError("metrics file lacks a replicate column")
+        raise ValueError(f"{metrics_path} lacks a replicate column")
     split = columns.index("replicate")
-    cell_cols = columns[:split]
-    metric_cols = columns[split + 1:]
+    cell_cols, metric_cols = columns[:split], columns[split + 1:]
+    for value in (row[col] for row in rows for col in metric_cols):
+        if isinstance(value, str):
+            raise ValueError(f"{metrics_path} has the metric value {value!r}, not a number")
     _write_aggregate(out_path, rows, cell_cols, metric_cols)
     return out_path

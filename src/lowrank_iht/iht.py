@@ -64,7 +64,7 @@ class IhtConfig:
             if value is not None:
                 object.__setattr__(self, name, check_float(value, name))
         if self.max_iters is not None:
-            check_int(self.max_iters, "max_iters")
+            object.__setattr__(self, "max_iters", check_int(self.max_iters, "max_iters"))
 
 
 class StoppingBoundError(ArithmeticError):

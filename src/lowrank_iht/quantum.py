@@ -7,8 +7,6 @@ measurement settings into N * 2^m trace-regression rows whose design matrices
 are rescaled Pauli words, which is the form the low-rank estimator consumes.
 A dataset keeps only the settings and the observations; each design row is
 fixed by its setting and subset, so the dense rows are built when asked for.
-On disk it is one CSV manifest of the same two things (``save_dataset``,
-``load_dataset``), which the loader checks column by column.
 
 Conventions fixed here (they have to be fixed somewhere for byte-stable
 datasets): qubit 1 is the leftmost Kronecker factor; outcome tables are
@@ -36,8 +34,6 @@ __all__ = [
     "gen_random_settings",
     "gen_density_matrix",
     "simulate_dataset",
-    "save_dataset",
-    "load_dataset",
 ]
 
 _PAULI = (
@@ -248,10 +244,6 @@ class TomographyDataset:
         object.__setattr__(self, "repetitions", check_int(self.repetitions, "repetitions"))
 
     @property
-    def d(self) -> int:
-        return 2 ** self.m
-
-    @property
     def n(self) -> int:
         return self.y.shape[0]
 
@@ -292,11 +284,14 @@ def _rescaled_y(m: int, counts: np.ndarray, repetitions: int) -> np.ndarray:
     Row (i, E) is c_E * k / T, where k is the sum of the E-marginalized
     parities over setting i's T outcomes. k is summed in integers through
     the 2^m x 2^m table of each outcome's parity under each mask, so it is
-    exact, and k / T has the bits of the mean of the T parities.
+    exact, and k / T has the bits of the mean of the T parities. y owns its
+    data, so the dataset holds it without a copy.
     """
     drops = _subset_drops(m)[:, None, :]
     parities = np.where(drops, 1, outcome_table(m)).prod(axis=2)
-    return (counts @ parities.T / repetitions * _subset_scales(m)).ravel()
+    y = np.empty(counts.size)
+    np.multiply(counts @ parities.T / repetitions, _subset_scales(m), out=y.reshape(counts.shape))
+    return y
 
 
 def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> TomographyDataset:
@@ -328,90 +323,3 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
         row[:] = np.bincount(_draw_outcomes(p, repetitions, child), minlength=d)
     return TomographyDataset(m=m, settings=settings, repetitions=repetitions,
                              y=_rescaled_y(m, counts, repetitions))
-
-
-_MANIFEST_COLUMNS = "setting_index,setting_string,subset_mask,y_value"
-
-
-def save_dataset(dataset: TomographyDataset, path):
-    """Write the dataset as its CSV manifest, the only form it takes on disk.
-
-    A ``# repetitions=T`` line and the column header come first, then one
-    line per row in (setting_index, subset_mask) order. No design row is
-    written, since each is fixed by its setting and mask. ``y_value`` is
-    ``repr(float(v))``, which reads back bit for bit.
-    """
-    per = dataset.d
-    with open(path, "w", newline="\n") as fh:
-        fh.write(f"# repetitions={dataset.repetitions}\n{_MANIFEST_COLUMNS}\n")
-        for row, value in enumerate(dataset.y.tolist()):
-            setting = row // per
-            fh.write(f"{setting},{dataset.settings[setting].label},{row % per},{value!r}\n")
-
-
-def load_dataset(path) -> TomographyDataset:
-    """Read a manifest written by :func:`save_dataset`, checking every column.
-
-    Rows must come in (setting_index, subset_mask) order: settings numbered
-    from 0, masks 0..2^m-1 under each, one label of m qubits per setting.
-    Each y_value must be a finite float literal equal to c_E * k / T for an
-    integer k with |k| <= T and k = T mod 2: c_E times a mean of T parities,
-    rounded as simulate_dataset rounds it, so a hand-edited value is caught
-    too. This holds when every setting was measured T times, as in
-    simulate_dataset. Any violation raises ValueError naming the line.
-    """
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-
-    def bad(lineno, message):
-        return ValueError(f"{path} line {lineno}: {message}")
-
-    head = lines[0] if lines else ""
-    reps = head.removeprefix("# repetitions=")
-    if reps == head or not reps.isdecimal() or int(reps) < 1:
-        raise bad(1, f"expected '# repetitions=T' with T >= 1, got {head!r}")
-    reps = int(reps)
-    if lines[1:2] != [_MANIFEST_COLUMNS]:
-        raise bad(2, f"expected the header {_MANIFEST_COLUMNS!r}")
-    settings, values = [], []
-    for row, line in enumerate(lines[2:]):
-        lineno = row + 3
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise bad(lineno, f"expected 4 fields, got {len(fields)}")
-        index, label, mask, value = fields
-        if row == 0:
-            m = len(label)
-        setting, subset = divmod(row, 2 ** m)
-        if (index, mask) != (str(setting), str(subset)):
-            raise bad(lineno, f"expected setting_index {setting} and subset_mask {subset}, "
-                              f"got {index!r} and {mask!r}")
-        if subset == 0:
-            try:
-                settings.append(PauliSetting.from_label(label))
-            except ValueError as exc:
-                raise bad(lineno, str(exc)) from None
-        if len(label) != m:
-            raise bad(lineno, f"label {label!r} has {len(label)} qubits, not {m}")
-        if label != settings[-1].label:
-            raise bad(lineno, f"setting_index {setting} has two labels, "
-                              f"{settings[-1].label!r} and {label!r}")
-        try:
-            values.append(float(value))
-        except ValueError:
-            raise bad(lineno, f"y_value {value!r} is not a float literal") from None
-    if not settings:
-        raise bad(3, "the manifest has no rows")
-    if len(values) % 2 ** m:
-        raise bad(len(lines), f"setting_index {len(settings) - 1} has "
-                              f"{len(values) % 2 ** m} of its {2 ** m} rows")
-    y = np.array(values)
-    scales = np.tile(_subset_scales(m), len(settings))
-    with np.errstate(all="ignore"):
-        k = np.rint(y / scales * reps)
-        off = (np.abs(k) > reps) | ((k - reps) % 2 != 0) | (k / reps * scales != y)
-    if off.any():
-        row = int(np.argmax(off))
-        raise bad(row + 3, f"y_value {values[row]!r} is not c_E * k / {reps} "
-                           f"with |k| <= {reps} and k = {reps} mod 2")
-    return TomographyDataset(m=m, settings=tuple(settings), repetitions=reps, y=y)

@@ -97,7 +97,7 @@ class SparseConfig:
             if value is not None:
                 object.__setattr__(self, name, check_float(value, name))
         if self.k_cap is not None:
-            check_int(self.k_cap, "k_cap")
+            object.__setattr__(self, "k_cap", check_int(self.k_cap, "k_cap"))
 
 
 def _top_k_row_sum(absm: np.ndarray, k: int) -> float:

@@ -83,11 +83,13 @@ EXPORTED = {
 # live in tests/_oracles.py (among them the per-setting tomography path and
 # the stand-alone debiasers, whose estimates the interval calls return), the
 # unused trace writer, the residual scales that the interval calls now form
-# from their own residual, the covariance build_decorrelator forms inline, and
-# parity, which only tests read (the package forms parities through a table)
+# from their own residual, the covariance build_decorrelator forms inline,
+# parity, which only tests read (the package forms parities through a table),
+# and the tomography manifest writer and reader, which nothing else called
 REMOVED = {
     "quantum": ("pauli_matrix", "eigenprojector", "setting_projector", "marginalize",
-                "OutcomeBatch", "sample_outcomes", "build_rescaled_dataset", "parity"),
+                "OutcomeBatch", "sample_outcomes", "build_rescaled_dataset", "parity",
+                "save_dataset", "load_dataset"),
     "linalg": ("restricted_singular_bound", "restricted_singular_bound_check",
                "schatten_norm"),
     "sparse": ("estimate_r_k", "sparse_decomposition_terms", "sparse_sigma",

@@ -71,14 +71,16 @@ def test_unreadable_or_malformed_config_exits_2(tmp_path, capsys, command, conte
 
 
 def test_unknown_config_key_exits_2(tmp_path):
+    # the grids draw Gaussian designs only, so design is no key either, not
+    # even at its old default
     config = tmp_path / "c.json"
-    config.write_text(json.dumps({"mode": "matrix_sim", "d_values": [4],
-                                  "k_values": [1], "n_values": [10],
-                                  "fidelity": True}))
-    proc = _run("simulate-matrix", "--config", str(config),
-                "--out", str(tmp_path / "o"))
-    assert proc.returncode == 2
-    assert "unknown config keys" in proc.stderr
+    for key, value in (("fidelity", True), ("design", "gaussian")):
+        config.write_text(json.dumps({"mode": "matrix_sim", "d_values": [4],
+                                      "k_values": [1], "n_values": [10], key: value}))
+        proc = _run("simulate-matrix", "--config", str(config),
+                    "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert f"unknown config keys: ['{key}']" in proc.stderr
 
 
 _TINY = {
@@ -124,14 +126,11 @@ def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command,
 @pytest.mark.parametrize("command, override", [
     ("simulate-quantum", {"noise_std": 123}),
     ("simulate-quantum", {"level": 0.5}),
-    ("simulate-quantum", {"design": "basis"}),
     ("simulate-quantum", {"p_values": [10]}),
     ("simulate-quantum", {"d_values": [4]}),
     ("simulate-quantum", {"sparse_estimator": {"t0": 1.0}}),
     ("simulate-sparse", {"iht": {"rho": 0.4}}),
-    ("simulate-sparse", {"design": "basis"}),
     ("simulate-sparse", {"m_values": [2]}),
-    ("simulate-matrix", {"design": "basis", "n_values": [5000]}),
     ("simulate-matrix", {"alpha_values": [2]}),
     ("simulate-matrix", {"sparse_estimator": {"k_cap": 2}}),
 ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
@@ -148,8 +147,7 @@ def test_a_field_the_mode_does_not_read_exits_2(tmp_path, capsys, command, overr
 def test_a_field_the_mode_does_not_read_may_keep_its_default(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text(json.dumps({**_TINY["simulate-quantum"], "noise_std": 1, "level": 0.95,
-                                  "design": "gaussian", "p_values": [],
-                                  "sparse_estimator": {}}))
+                                  "p_values": [], "sparse_estimator": {}}))
     code = main(["simulate-quantum", "--config", str(config), "--out", str(tmp_path / "o")])
     assert code == 0, capsys.readouterr().err
 
@@ -231,6 +229,23 @@ def test_report_on_missing_metrics_exits_4(tmp_path):
     proc = _run("report", "--out", str(tmp_path))
     assert proc.returncode == 4
     assert "I/O error" in proc.stderr
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "# schema=1\nd,k\n1,2\n",
+    "# schema=1\nd,replicate,foo\n3,0,abc\n",
+    "# schema=1\nd,k,replicate,foo\n3,1,0,1.0\n2\n",
+], ids=["empty", "no-replicate-column", "non-numeric-metric", "short-row"])
+def test_report_on_malformed_metrics_exits_4(tmp_path, capsys, text):
+    # a metrics.csv that does not parse is a bad input file, not a numerical
+    # failure, and the aggregate is not written
+    metrics = tmp_path / "metrics.csv"
+    metrics.write_text(text)
+    assert main(["report", "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("I/O error: ") and str(metrics) in err
+    assert not (tmp_path / "aggregate.csv").exists()
 
 
 def test_numerical_failure_exits_3(tmp_path, monkeypatch):

@@ -98,8 +98,6 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         _matrix_config("x", level=1.5)
     with pytest.raises(ConfigError):
-        _matrix_config("x", design="wavelet")
-    with pytest.raises(ConfigError):
         _matrix_config("x", n_values=())
     with pytest.raises(ConfigError):
         _matrix_config("x", k_values=(9,))  # exceeds d=6
@@ -134,12 +132,6 @@ def test_iht_delta_is_an_unknown_argument():
         ExperimentConfig.from_dict({"mode": "matrix_sim", "output_dir": "o",
                                     "d_values": [4], "k_values": [1],
                                     "n_values": [10], "iht": {"delta": 0.05}})
-
-
-def test_basis_design_sets_n_to_d_squared():
-    config = ExperimentConfig(mode="matrix_sim", output_dir="o", design="basis",
-                              d_values=(4, 6), k_values=(1,))
-    assert [c["n"] for c in config.cells()] == [16, 36]
 
 
 def test_quantum_setting_overdemand_warns():
@@ -214,11 +206,11 @@ def test_quantum_rows_leave_coverage_empty(tmp_path):
     assert isinstance(rows[0]["alpha"], float)
 
 
-def test_noiseless_basis_run_is_exact(tmp_path):
+def test_noiseless_run_is_exact(tmp_path):
     config = ExperimentConfig.from_dict({
         "mode": "matrix_sim", "output_dir": str(tmp_path), "replicates": 3,
-        "seed": 11, "noise_std": 0.0, "design": "basis",
-        "d_values": [6], "k_values": [1],
+        "seed": 11, "noise_std": 0.0,
+        "d_values": [6], "k_values": [1], "n_values": [200],
         "iht": {"upsilon": 1e-9, "t0": 10.0},
     })
     paths = run_experiment(config)

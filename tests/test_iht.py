@@ -295,6 +295,9 @@ def test_config_validation():
         IhtConfig(max_iters=0)
     with pytest.raises(ValueError, match="must be an integer"):
         IhtConfig(max_iters=2.5)
+    # the checked value is stored, as for every other config field
+    config = IhtConfig(max_iters=np.int64(5))
+    assert type(config.max_iters) is int and config.max_iters == 5
 
 
 def test_estimate_never_gains_rank_above_kept_spectrum():

@@ -13,10 +13,8 @@ from lowrank_iht.quantum import (
     _subset_scales,
     gen_density_matrix,
     gen_random_settings,
-    load_dataset,
     outcome_distribution,
     outcome_table,
-    save_dataset,
     simulate_dataset,
 )
 from lowrank_iht.trace_model import DesignBatch, apply_design
@@ -390,8 +388,8 @@ def test_rows_with_identity_qubits_equal_the_per_mask_loop_bit_for_bit():
 
 def test_mixed_repetition_counts_are_rejected():
     # a dataset records one T, so settings measured 5 and 8 times cannot
-    # share one; recording the first batch's T would save a manifest whose
-    # y values load_dataset refuses
+    # share one; the first batch's T would misstate how the second setting's
+    # y values were averaged
     theta = gen_density_matrix(4, 1, 75)
     settings = gen_random_settings(2, 2, 76)
     batches = [sample_outcomes(s, theta, reps, 77 + i)
@@ -440,13 +438,19 @@ def test_exhaustive_settings_form_a_tight_frame():
 
 
 def test_to_trace_regression_boost():
-    theta = gen_density_matrix(4, 1, 59)
-    ds = simulate_dataset(theta, 3, 7, 60)
-    batch, obs = ds.to_trace_regression()
-    boost = 2.0 ** (ds.m / 2.0)
-    assert batch.matrices.tobytes() == (_reference_rows(ds.settings) * boost).tobytes()
-    assert np.allclose(obs.values, ds.y * boost, atol=1e-15)
-    assert batch.n == ds.n == 3 * 4
+    # m = 1..4 with more settings than distinct bases, so settings repeat,
+    # and 160 settings of 5 qubits measured 320 times each
+    cases = [(gen_density_matrix(4, 1, 59), 3, 7, 60)]
+    cases += [(gen_density_matrix(2 ** m, 1, 80 + m), 3 ** m + 2, 7 + m, 90 + m)
+              for m in range(1, 5)]
+    cases.append((gen_density_matrix(32, 1, 85), 160, 320, 95))
+    for theta, n_settings, repetitions, seed in cases:
+        ds = simulate_dataset(theta, n_settings, repetitions, seed)
+        batch, obs = ds.to_trace_regression()
+        boost = 2.0 ** (ds.m / 2.0)
+        assert batch.matrices.tobytes() == (_reference_rows(ds.settings) * boost).tobytes()
+        assert np.allclose(obs.values, ds.y * boost, atol=1e-15)
+        assert batch.n == ds.n == n_settings * 2 ** ds.m
 
 
 @pytest.mark.parametrize("m, k, alpha", [(3, 1, 2), (3, 1, 5), (4, 2, 2)])
@@ -512,8 +516,8 @@ def test_n_settings_must_be_a_positive_int(monkeypatch):
 
 
 def test_repetitions_must_be_a_positive_int(monkeypatch):
-    # a dataset with T = 0 would save a manifest that load_dataset refuses;
-    # simulate_dataset refuses a bad T before it samples any setting
+    # no y value is a mean of T = 0 parities; simulate_dataset refuses a bad
+    # T before it samples any setting
     setting = PauliSetting((1,))
     theta = gen_density_matrix(2, 1, 65)
     monkeypatch.setattr(quantum, "gen_random_settings",
@@ -589,112 +593,26 @@ def test_simulate_dataset_allocates_less_than_a_stack_of_rotations():
     assert peak <= 4.8e6
 
 
-def test_save_load_round_trip(tmp_path):
-    theta = gen_density_matrix(4, 2, 67)
-    ds = simulate_dataset(theta, 5, 9, 68)
-    manifest = tmp_path / "manifest.csv"
-    save_dataset(ds, manifest)
-    assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
-    text = manifest.read_text().splitlines()
-    assert text[0] == "# repetitions=9"
-    assert text[1] == "setting_index,setting_string,subset_mask,y_value"
-    assert len(text) == 2 + ds.n
-    assert text[2] == f"0,{ds.settings[0].label},0,{float(ds.y[0])!r}"
-    # m = 1..4 with more settings than distinct bases, so settings repeat
-    cases = [(gen_density_matrix(2 ** m, 1, 80 + m), 3 ** m + 2, 7 + m, 90 + m)
-             for m in range(1, 5)]
-    cases.append((gen_density_matrix(32, 1, 85), 160, 320, 95))
-    for theta, n_settings, repetitions, seed in cases:
-        ds = simulate_dataset(theta, n_settings, repetitions, seed)
-        save_dataset(ds, manifest)
-        loaded = load_dataset(manifest)
-        assert loaded.m == ds.m
-        assert loaded.repetitions == ds.repetitions
-        assert [s.label for s in loaded.settings] == [s.label for s in ds.settings]
-        assert loaded.y.tobytes() == ds.y.tobytes()
-        rows = _reference_rows(ds.settings) * 2.0 ** (ds.m / 2.0)
-        assert loaded.to_trace_regression()[0].matrices.tobytes() == rows.tobytes()
-    assert [p.name for p in tmp_path.iterdir()] == ["manifest.csv"]
-
-
-def _saved(tmp_path, ds):
-    manifest = tmp_path / "manifest.csv"
-    save_dataset(ds, manifest)
-    return manifest
-
-
-def test_mixed_qubit_counts_are_rejected(tmp_path):
+def test_mixed_qubit_counts_are_rejected():
     ds = simulate_dataset(gen_density_matrix(4, 1, 73), 2, 5, 74)
-    manifest = _saved(tmp_path, ds)
-    lines = manifest.read_text().splitlines(keepends=True)
-    for i, line in enumerate(lines):
-        if line.startswith("1,"):
-            idx, _, mask, value = line.split(",")
-            lines[i] = ",".join((idx, "X", mask, value))
-    manifest.write_text("".join(lines))
-    with pytest.raises(ValueError):
-        load_dataset(manifest)
     with pytest.raises(ValueError):
         TomographyDataset(m=2, settings=(ds.settings[0], PauliSetting((1,))),
                           repetitions=5, y=ds.y)
 
 
-def test_manifest_with_a_skipped_setting_index_is_rejected(tmp_path):
-    ds = simulate_dataset(gen_density_matrix(4, 1, 77), 2, 5, 78)
-    manifest = _saved(tmp_path, ds)
-    lines = manifest.read_text().splitlines(keepends=True)
-    manifest.write_text("".join("2," + line[2:] if line.startswith("1,") else line
-                                for line in lines))
-    with pytest.raises(ValueError, match="setting_index 1"):
-        load_dataset(manifest)
+def test_simulate_dataset_holds_the_y_it_computes(monkeypatch):
+    # the rows' y are written into an array that owns its data, so the
+    # dataset freezes that array instead of copying it
+    returned = []
 
+    def recording(*args):
+        returned.append(rescaled_y(*args))
+        return returned[-1]
 
-def _np_float64_repr(rows):
-    rows[3][3] = f"np.float64({rows[3][3]})"
-
-
-def _nan_value(rows):
-    rows[3][3] = "nan"
-
-
-def _edited_value(rows):
-    rows[3][3] = repr(float(rows[3][3]) + 1e-9)
-
-
-def _swapped_masks(rows):
-    rows[5], rows[6] = rows[6], rows[5]
-
-
-def _two_labels(rows):
-    rows[6][1] = "ZZ" if rows[6][1] != "ZZ" else "XX"
-
-
-def _short(rows):
-    del rows[-1]
-
-
-# (edit of the data rows, the manifest line the error names)
-_MALFORMED = {
-    "np-float64-repr": (_np_float64_repr, "line 6:"),
-    "nan": (_nan_value, "line 6:"),
-    "edited-y": (_edited_value, "line 6:"),
-    "swapped-masks": (_swapped_masks, "line 8:"),
-    "two-labels": (_two_labels, "line 9:"),
-    "short": (_short, "line 13:"),
-}
-
-
-@pytest.mark.parametrize("case", list(_MALFORMED))
-def test_malformed_manifest_is_rejected(tmp_path, case):
-    ds = simulate_dataset(gen_density_matrix(4, 2, 75), 3, 5, 76)
-    manifest = _saved(tmp_path, ds)
-    text = manifest.read_text().splitlines()
-    edit, where = _MALFORMED[case]
-    rows = [row.split(",") for row in text[2:]]
-    edit(rows)
-    manifest.write_text("\n".join(text[:2] + [",".join(row) for row in rows]) + "\n")
-    with pytest.raises(ValueError, match=where):
-        load_dataset(manifest)
+    rescaled_y = quantum._rescaled_y
+    monkeypatch.setattr(quantum, "_rescaled_y", recording)
+    ds = simulate_dataset(gen_density_matrix(8, 1, 150), 5, 9, 151)
+    assert ds.y is returned[0]
 
 
 def test_outcome_batch_validation():

@@ -628,5 +628,7 @@ def test_instance_and_config_validation():
         SparseConfig(k_cap=0)
     with pytest.raises(ValueError, match="must be an integer"):
         SparseConfig(k_cap=1.5)
+    config = SparseConfig(k_cap=np.int64(5))
+    assert type(config.k_cap) is int and config.k_cap == 5
     with pytest.raises(ValueError):
         build_decorrelator(np.ones((40, 4)), strategy="whitening")
