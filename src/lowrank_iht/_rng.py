@@ -60,13 +60,10 @@ _WORDS_MEAN, _WORDS_VAR = 1.022, 0.037
 def make_rng(seed) -> np.random.Generator:
     """Return a Philox-backed Generator for ``seed``.
 
-    ``seed`` may be a nonnegative int (numpy ints too), a
-    ``numpy.random.SeedSequence``, or an existing ``Generator`` (returned
-    as-is so callers can thread one stream through several draws). None,
-    floats, bools and strings raise ValueError; none is truncated or parsed.
+    ``seed`` may be a nonnegative int (numpy ints too) or a
+    ``numpy.random.SeedSequence``. None, floats, bools, strings and
+    Generators raise ValueError; none is truncated or parsed.
     """
-    if isinstance(seed, np.random.Generator):
-        return seed
     return np.random.Generator(np.random.Philox(seed_sequence(seed)))
 
 
@@ -102,13 +99,9 @@ def _entry(s: int) -> int:
 
 def standard_normal(seed, shape: tuple) -> np.ndarray:
     """Exactly ``make_rng(seed).standard_normal(shape)``, drawn in
-    ``_PARTS`` parts on threads when that pays: at least 2**20 normals, an
-    int or SeedSequence seed, and more than one usable CPU. A Generator seed
-    is drawn from in place, so its state advances as it would by the single
-    call.
+    ``_PARTS`` parts on threads when that pays: at least 2**20 normals and
+    more than one usable CPU.
     """
-    if isinstance(seed, np.random.Generator):
-        return seed.standard_normal(shape)
     total = math.prod(shape)
     if total < _SPLIT_MIN or _usable_cpus() < 2:
         return make_rng(seed).standard_normal(shape)

@@ -48,8 +48,6 @@ __all__ = [
     "ExperimentConfig",
     "compute_metrics",
     "run_experiment",
-    "reaggregate",
-    "read_csv",
 ]
 
 MODES = ("matrix_sim", "quantum", "sparse")
@@ -324,9 +322,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer, np.bool_)):
         return str(int(value))
     return repr(float(value))
 
@@ -356,8 +352,11 @@ def _write_coordinates(path, key_cols, rows):
 def read_csv(path):
     """(columns, rows) with values parsed back to int/float/None."""
     rows = []
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path} is not UTF-8 text: {exc}") from exc
     if not lines:
         raise ValueError(f"{path} has no header")
     columns = lines[0].split(",")

@@ -29,7 +29,6 @@ from .trace_model import DesignBatch, Observations
 __all__ = [
     "PauliSetting",
     "TomographyDataset",
-    "outcome_table",
     "outcome_distribution",
     "gen_random_settings",
     "gen_density_matrix",
@@ -313,9 +312,6 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     m = int(round(math.log2(d)))
     if 2 ** m != d:
         raise ValueError(f"density matrix dimension {d} is not a power of two")
-    if isinstance(seed, np.random.Generator):
-        raise ValueError("seed must be an int or SeedSequence, not a Generator: "
-                         "simulate_dataset spawns one stream per setting from it")
     setting_seed, *sample_seeds = seed_sequence(seed).spawn(n_settings + 1)
     settings = tuple(gen_random_settings(n_settings, m, setting_seed))
     counts = np.empty((n_settings, d), dtype=np.int64)

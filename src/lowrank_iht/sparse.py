@@ -24,7 +24,6 @@ from .linalg import hard_threshold_entries
 
 __all__ = [
     "AssumptionViolationError",
-    "RowProgramInfeasibleError",
     "SparseInstance",
     "SparseConfig",
     "Decorrelator",

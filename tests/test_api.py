@@ -116,6 +116,13 @@ def test_every_package_name_is_in_its_modules_all():
     for name, value in exported.items():
         module = importlib.import_module(value.__module__)
         assert name in module.__all__, f"{name} is not in {module.__name__}.__all__"
+    # and the other way: a public module's __all__ names only package exports,
+    # so those lists are the one declaration of the public API
+    for name in MODULES:
+        if not name.startswith("_"):
+            module = importlib.import_module(f"lowrank_iht.{name}")
+            extra = set(getattr(module, "__all__", ())) - EXPORTED
+            assert not extra, f"{sorted(extra)} in {name}.__all__ are not package exports"
 
 
 @pytest.mark.parametrize("module_name", list(REMOVED))

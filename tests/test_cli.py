@@ -231,17 +231,19 @@ def test_report_on_missing_metrics_exits_4(tmp_path):
     assert "I/O error" in proc.stderr
 
 
-@pytest.mark.parametrize("text", [
-    "",
-    "# schema=1\nd,k\n1,2\n",
-    "# schema=1\nd,replicate,foo\n3,0,abc\n",
-    "# schema=1\nd,k,replicate,foo\n3,1,0,1.0\n2\n",
-], ids=["empty", "no-replicate-column", "non-numeric-metric", "short-row"])
-def test_report_on_malformed_metrics_exits_4(tmp_path, capsys, text):
+@pytest.mark.parametrize("data", [
+    b"",
+    b"# schema=1\nd,k\n1,2\n",
+    b"# schema=1\nd,replicate,foo\n3,0,abc\n",
+    b"# schema=1\nd,k,replicate,foo\n3,1,0,1.0\n2\n",
+    b"\xff\xfe# schema=1\nd,replicate\n3,0\n",
+], ids=["empty", "no-replicate-column", "non-numeric-metric", "short-row", "non-utf8"])
+def test_report_on_malformed_metrics_exits_4(tmp_path, capsys, data):
     # a metrics.csv that does not parse is a bad input file, not a numerical
-    # failure, and the aggregate is not written
+    # failure, and the aggregate is not written; a file that is not UTF-8 is
+    # named like any other
     metrics = tmp_path / "metrics.csv"
-    metrics.write_text(text)
+    metrics.write_bytes(data)
     assert main(["report", "--out", str(tmp_path)]) == 4
     err = capsys.readouterr().err
     assert err.startswith("I/O error: ") and str(metrics) in err
