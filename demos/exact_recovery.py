@@ -24,7 +24,7 @@ config = IhtConfig(upsilon=1e-9, t0=sigma1 + 1e-9)
 estimate, state = run_iht(batch, obs, config)
 
 rel_err = np.linalg.norm(estimate - theta) / np.linalg.norm(theta)
-bound = schedule_iteration_bound(config.t0, config.upsilon, config.rho)
+bound = schedule_iteration_bound(config.t0, config.upsilon)
 print(f"relative frobenius error: {rel_err:.3e}")
 print(f"iterations: {state.iteration} (schedule bound {bound:.1f})")
 print(f"recovered rank: {state.rank}")

@@ -7,7 +7,9 @@ that contracts geometrically toward the noise floor:
     T_r = rho * T_{r-1} + upsilon_r,
 
 stopping as soon as (after thresholding one last time) T_r falls below
-(1 + e) * upsilon_r / (1 - rho) with e = 0.1. Thresholds can be supplied
+(1 + e) * upsilon_r / (1 - rho) with e = 0.1, or after ceil(10 ln n)
+iterations. The contraction rho = 1/2, the margin e and the cap are
+constants, not knobs: no run sets another. Thresholds can be supplied
 directly (fixed mode) or calibrated from the running residual norm
 (data-driven mode), in which case the first threshold is set to
 sigma_1 + upsilon_1 and the recursion takes over from the second iteration.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_float, check_int, read_only
+from ._checks import check_array, check_float, check_int, read_only
 from ._ndtri import ndtri
 from .linalg import hard_threshold_singular
 from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
@@ -45,26 +47,22 @@ class IhtConfig:
     upsilon=None selects the data-driven noise term sigma_r * sqrt(d/n) *
     z_0.90 (see ``upsilon_r``); a float fixes it. t0=None selects the
     data-driven first threshold sigma_1 + upsilon_1; a float is used as T_0
-    seeding the recursion at the first iteration. max_iters=None resolves to
-    ceil(10 * ln n) at run time. The stopping margin is not a knob: a run
-    stops once T_r <= (1 + e) upsilon / (1 - rho) with e = 0.1, and the
-    "10" in ``schedule_iteration_bound`` is 1/e, so the iteration bound a
-    run reports always matches its stopping line.
+    seeding the recursion at the first iteration. The rest of the schedule
+    is fixed: the contraction rho = 1/2, the iteration cap ceil(10 ln n),
+    and the stopping margin e = 0.1. A run stops once
+    T_r <= (1 + e) upsilon / (1 - rho), and the "10" in
+    ``schedule_iteration_bound`` is 1/e, so the iteration bound a run
+    reports always matches its stopping line.
     """
 
-    rho: float = 0.5
     upsilon: float | None = None
     t0: float | None = None
-    max_iters: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", check_float(self.rho, "rho", 0.0, 1.0, strict=True))
         for name in ("upsilon", "t0"):
             value = getattr(self, name)
             if value is not None:
                 object.__setattr__(self, name, check_float(value, name))
-        if self.max_iters is not None:
-            object.__setattr__(self, "max_iters", check_int(self.max_iters, "max_iters"))
 
 
 class StoppingBoundError(ArithmeticError):
@@ -87,11 +85,12 @@ class IterationRecord:
 class IhtState:
     """The result of a finished run.
 
-    The state makes ``estimate`` read-only, however it is built. ``trace``
-    records one entry per performed iteration and is never empty;
-    ``iteration``, ``threshold``, ``rank`` and ``final_sigma`` read its last
-    record. The state holds neither the design nor the observations, so
-    keeping it does not keep the design in memory.
+    However it is built, the state holds ``estimate`` as a finite, read-only
+    matrix, and refuses an empty ``trace``: it records one entry per
+    performed iteration, and ``iteration``, ``threshold``, ``rank`` and
+    ``final_sigma`` read its last record. ``iteration_bound`` is infinite
+    when upsilon is zero. The state holds neither the design nor the
+    observations, so keeping it does not keep the design in memory.
     """
 
     estimate: np.ndarray
@@ -100,7 +99,10 @@ class IhtState:
     iteration_bound: float
 
     def __post_init__(self):
-        object.__setattr__(self, "estimate", read_only(self.estimate))
+        if not self.trace:
+            raise ValueError("trace must not be empty")
+        estimate = check_array(self.estimate, "estimate", (None, None), dtype=None)
+        object.__setattr__(self, "estimate", read_only(estimate))
 
     @property
     def iteration(self) -> int:
@@ -127,22 +129,25 @@ def upsilon_r(sigma: float, d: int, n: int) -> float:
     return sigma * math.sqrt(d / n) * ndtri(0.90)
 
 
-def threshold_step(t_prev: float, rho: float, upsilon: float) -> float:
-    """One threshold recursion step rho * t_prev + upsilon."""
+_RHO = 0.5  # the threshold recursion's contraction, fixed like e = 0.1
+
+
+def threshold_step(t_prev: float, upsilon: float) -> float:
+    """One threshold recursion step rho * t_prev + upsilon, rho = 1/2."""
     t_prev, upsilon = check_float(t_prev, "t_prev"), check_float(upsilon, "upsilon")
-    return check_float(rho, "rho", 0.0, 1.0, strict=True) * t_prev + upsilon
+    return _RHO * t_prev + upsilon
 
 
-def stopping_check(t_r: float, upsilon: float, rho: float = 0.5) -> bool:
-    """Stop once T_r <= (1 + e) * upsilon / (1 - rho) with e = 0.1, the
-    margin ``schedule_iteration_bound`` is derived for."""
+def stopping_check(t_r: float, upsilon: float) -> bool:
+    """Stop once T_r <= (1 + e) * upsilon / (1 - rho) with e = 0.1 and
+    rho = 1/2, the line ``schedule_iteration_bound`` is derived for."""
     t_r, upsilon = check_float(t_r, "t_r"), check_float(upsilon, "upsilon")
-    return t_r <= (1.0 + 0.1) * upsilon / (1.0 - check_float(rho, "rho", 0.0, 1.0, strict=True))
+    return t_r <= (1.0 + 0.1) * upsilon / (1.0 - _RHO)
 
 
-def schedule_iteration_bound(t0: float, upsilon: float, rho: float) -> float:
+def schedule_iteration_bound(t0: float, upsilon: float) -> float:
     """Closed-form cap on the stopping iteration for a fixed-upsilon schedule
-    seeded at T_0: 1 + log(10 (1-rho) T_0 / upsilon) / log(1/rho).
+    seeded at T_0: 1 + log(10 (1-rho) T_0 / upsilon) / log(1/rho), rho = 1/2.
 
     The "10" is 1/e for the stopping margin e = 0.1 of ``stopping_check``:
     T_r - upsilon/(1-rho) = rho^r (T_0 - upsilon/(1-rho)), so the line
@@ -154,23 +159,18 @@ def schedule_iteration_bound(t0: float, upsilon: float, rho: float) -> float:
     T_1 = rho T_0 + upsilon <= upsilon / (1-rho) already meets it.
     """
     t0, upsilon = check_float(t0, "t0"), check_float(upsilon, "upsilon")
-    rho = check_float(rho, "rho", 0.0, 1.0, strict=True)
     if upsilon == 0:
         return math.inf
-    seed_ratio = 10.0 * (1.0 - rho) * t0 / upsilon
+    seed_ratio = 10.0 * (1.0 - _RHO) * t0 / upsilon
     if seed_ratio <= 1.0:
         return 1.0
-    return 1.0 + math.log(seed_ratio) / math.log(1.0 / rho)
+    return 1.0 + math.log(seed_ratio) / math.log(1.0 / _RHO)
 
 
 # sigma floor per unit of ||y|| / sqrt(n): an exact fit's residual scale
 # settles at 1 to 20 eps, and at 2^10 eps a noiseless d=64, k=3, n=4000 run
 # stops after 79 of its 83 iterations at relative error 4e-14
 _SIGMA_FLOOR = 2.0 ** 10 * np.finfo(np.float64).eps
-
-
-def _default_max_iters(n: int) -> int:
-    return max(1, math.ceil(10.0 * math.log(n)))
 
 
 def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
@@ -185,8 +185,9 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     can meet its stopping line; the record keeps the measured sigma_r.
 
     The stopping rule is evaluated on each iteration's own threshold, so the
-    spectrum is always thresholded one final time before the run stops. A run
-    that exhausts max_iters without meeting the stopping rule is returned with
+    spectrum is always thresholded one final time before the run stops. The
+    run makes at most ceil(10 ln n) iterations, a cap no config changes; a run
+    that exhausts it without meeting the stopping rule is returned with
     converged=False rather than raising.
 
     Each iteration makes at most one forward and one adjoint pass over the
@@ -200,7 +201,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
     """
     values = _obs_values(y, batch.n)
     n, d = batch.n, batch.dim
-    max_iters = config.max_iters if config.max_iters is not None else _default_max_iters(n)
+    max_iters = max(1, math.ceil(10.0 * math.log(n)))
     threshold = config.t0
     sigma_floor = _SIGMA_FLOOR * float(np.linalg.norm(values) / np.sqrt(n))
     trace = []
@@ -216,7 +217,7 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
             # data-driven start: first threshold is sigma_1 + upsilon_1
             threshold = sigma + ups
         else:
-            t_new = threshold_step(threshold, config.rho, ups)
+            t_new = threshold_step(threshold, ups)
             clamped = config.upsilon is None and t_new > threshold
             if not clamped:
                 threshold = t_new
@@ -235,13 +236,13 @@ def run_iht(batch: DesignBatch, y, config: IhtConfig = IhtConfig()):
         trace.append(IterationRecord(
             iteration=iteration, threshold=threshold, sigma=sigma, upsilon=ups,
             rank=rank, residual_l2=float(np.linalg.norm(resid)), clamped=clamped))
-        if stopping_check(threshold, ups, config.rho):
+        if stopping_check(threshold, ups):
             converged = True
             break
     ups_floor = min(rec.upsilon for rec in trace)
     fixed_seed = config.upsilon is not None and config.t0 is not None
     t_seed = config.t0 if fixed_seed else trace[0].threshold
-    bound = schedule_iteration_bound(t_seed, ups_floor, config.rho)
+    bound = schedule_iteration_bound(t_seed, ups_floor)
     state = IhtState(estimate=estimate, trace=tuple(trace), converged=converged,
                      iteration_bound=bound)
     if converged and fixed_seed and config.upsilon > 0 and state.iteration > bound:

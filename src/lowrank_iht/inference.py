@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_array, check_float
+from ._checks import check_array, check_float, read_only
 from ._ndtri import ndtri
 from .iht import IhtState
 from .trace_model import DesignBatch, adjoint_apply, apply_design, _obs_values
@@ -48,13 +48,24 @@ class EntrywiseResult:
 
     For complex estimates the real and imaginary parts get separate intervals
     sharing the same half-width; covers() checks each part separately and
-    reports an entry covered only when both are.
+    reports an entry covered only when both are. The result holds a finite
+    estimate and real half-widths of its shape, both read-only, with sigma
+    and level checked as the interval calls check them.
     """
 
     estimate: np.ndarray
     half_width: np.ndarray
     sigma: float
     level: float
+
+    def __post_init__(self):
+        estimate = check_array(self.estimate, "estimate", None, dtype=None)
+        half_width = check_array(self.half_width, "half_width", estimate.shape)
+        level, sigma, _ = _two_sided_quantile(self.level, self.sigma)
+        object.__setattr__(self, "estimate", read_only(estimate))
+        object.__setattr__(self, "half_width", read_only(half_width))
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "level", level)
 
     @property
     def quantile(self) -> float:

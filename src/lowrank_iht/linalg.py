@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import check_array, check_float
+from ._checks import check_array, check_float, read_only
 
 __all__ = [
     "SvdConvergenceError",
@@ -39,12 +39,17 @@ class SvdFactors:
 
     ``left`` and ``right`` have orthonormal columns, ``singular_values`` is
     nonincreasing, and ``left @ diag(singular_values) @ right.conj().T``
-    reconstructs the input.
+    reconstructs the input. The three arrays are read-only
+    (``_checks.read_only``).
     """
 
     left: np.ndarray
     singular_values: np.ndarray
     right: np.ndarray
+
+    def __post_init__(self):
+        for name in ("left", "singular_values", "right"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
 
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singular_values) @ self.right.conj().T

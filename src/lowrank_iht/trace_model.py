@@ -87,16 +87,18 @@ class Observations:
 
     ``noise`` retains the realized noise vector when the observations were
     simulated, which is what makes exact decomposition identities testable.
+    Both vectors are read-only (``_checks.read_only``).
     """
 
     values: np.ndarray
     noise: np.ndarray | None = None
 
     def __post_init__(self):
-        vals = check_array(self.values, "values", (None,))
+        vals = read_only(check_array(self.values, "values", (None,)))
         object.__setattr__(self, "values", vals)
         if self.noise is not None:
-            object.__setattr__(self, "noise", check_array(self.noise, "noise", vals.shape))
+            object.__setattr__(self, "noise",
+                               read_only(check_array(self.noise, "noise", vals.shape)))
 
     @property
     def n(self) -> int:

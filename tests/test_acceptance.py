@@ -72,7 +72,7 @@ def test_criterion_1_exact_recovery():
     t0 = sigma1 + ups
     est, state = run_iht(batch, obs, IhtConfig(upsilon=ups, t0=t0))
     rel = float(np.linalg.norm(est - theta) / np.linalg.norm(theta))
-    bound = schedule_iteration_bound(t0, ups, 0.5)
+    bound = schedule_iteration_bound(t0, ups)
     elapsed = time.perf_counter() - start
     ok = rel <= 1e-8 and state.converged and state.iteration <= bound and elapsed < 5.0
     _report(1, ok, f"rel_frobenius={rel:.3e} iters={state.iteration} "
@@ -95,7 +95,7 @@ def rate_scaling_runs():
             obs = simulate_observations(batch, theta, 1.0, noise_seed)
             t0 = float(np.linalg.norm(obs.values) / math.sqrt(n)) + ups
             est, state = run_iht(batch, obs, IhtConfig(upsilon=ups, t0=t0))
-            bound = schedule_iteration_bound(t0, ups, 0.5)
+            bound = schedule_iteration_bound(t0, ups)
             runs[n].append({
                 "operator": schatten_norm(est - theta, "operator"),
                 "rank": state.rank,

@@ -179,18 +179,15 @@ def _simulate_one_qubit(seed):
     (lambda: upsilon_r("1.0", 4, 40), "sigma"),
     (lambda: upsilon_r(1.0, 4.0, 40), "d"),
     (lambda: upsilon_r(1.0, 4, True), "n"),
-    (lambda: threshold_step(True, 0.5, 0.0), "t_prev"),
-    (lambda: threshold_step(np.nan, 0.5, 0.0), "t_prev"),
-    (lambda: threshold_step(1.0, 0.5, "1.0"), "upsilon"),
-    (lambda: threshold_step(1.0, np.nan, 0.0), "rho"),
-    (lambda: schedule_iteration_bound(True, 1.0, 0.5), "t0"),
-    (lambda: schedule_iteration_bound(np.inf, 1.0, 0.5), "t0"),
-    (lambda: schedule_iteration_bound(1.0, "1.0", 0.5), "upsilon"),
-    (lambda: schedule_iteration_bound(1.0, 1.0, np.nan), "rho"),
-    (lambda: stopping_check(1.0, 1.0, 1.0), "rho"),
-    (lambda: stopping_check(1.0, True, 0.5), "upsilon"),
-    (lambda: stopping_check(1.0, np.nan, 0.5), "upsilon"),
-    (lambda: stopping_check(np.nan, 1.0, 0.5), "t_r"),
+    (lambda: threshold_step(True, 0.0), "t_prev"),
+    (lambda: threshold_step(np.nan, 0.0), "t_prev"),
+    (lambda: threshold_step(1.0, "1.0"), "upsilon"),
+    (lambda: schedule_iteration_bound(True, 1.0), "t0"),
+    (lambda: schedule_iteration_bound(np.inf, 1.0), "t0"),
+    (lambda: schedule_iteration_bound(1.0, "1.0"), "upsilon"),
+    (lambda: stopping_check(1.0, True), "upsilon"),
+    (lambda: stopping_check(1.0, np.nan), "upsilon"),
+    (lambda: stopping_check(np.nan, 1.0), "t_r"),
     (lambda: hard_threshold_entries(np.ones(3), True), "threshold"),
     (lambda: hard_threshold_entries(np.ones(3), "1.0"), "threshold"),
     (lambda: hard_threshold_entries(np.ones(3), np.inf), "threshold"),
@@ -219,9 +216,9 @@ def _simulate_one_qubit(seed):
         "sparse-noise-bool", "sparse-noise-str", "intervals-sigma-bool",
         "intervals-level-str", "sparse-intervals-sigma-bool", "sparse-intervals-level-str",
         "upsilon-sigma-bool", "upsilon-sigma-str", "upsilon-d-float", "upsilon-n-bool",
-        "step-t-bool", "step-t-nan", "step-upsilon-str", "step-rho-nan",
-        "bound-t0-bool", "bound-t0-inf", "bound-upsilon-str", "bound-rho-nan",
-        "stop-rho-one", "stop-upsilon-bool", "stop-upsilon-nan", "stop-t-nan",
+        "step-t-bool", "step-t-nan", "step-upsilon-str",
+        "bound-t0-bool", "bound-t0-inf", "bound-upsilon-str",
+        "stop-upsilon-bool", "stop-upsilon-nan", "stop-t-nan",
         "entries-threshold-bool", "entries-threshold-str", "entries-threshold-inf",
         "singular-threshold-bool", "singular-threshold-str", "singular-threshold-inf",
         "pauli-qubit-float", "pauli-qubit-str", "pauli-qubit-bool",
@@ -343,19 +340,25 @@ def test_run_iht_takes_no_rip_probe():
 
 
 def test_estimator_knobs_and_signatures_are_pinned():
-    # the stopping margin e = 0.1, the noise quantile z_0.90 and the sparse
-    # delta = 0.05 are constants: e = 0.1 is what the iteration bound's "10"
-    # is derived for, and no run ever set the other two
-    assert [f.name for f in dataclasses.fields(IhtConfig)] == ["rho", "upsilon", "t0", "max_iters"]
+    # the stopping margin e = 0.1, the contraction rho = 1/2, the iteration
+    # cap ceil(10 ln n), the noise quantile z_0.90 and the sparse delta = 0.05
+    # are constants: e = 0.1 is what the iteration bound's "10" is derived
+    # for, and no run ever set the others
+    assert [f.name for f in dataclasses.fields(IhtConfig)] == ["upsilon", "t0"]
     assert [f.name for f in dataclasses.fields(SparseConfig)] == ["t0", "k_cap", "upsilon"]
     assert list(inspect.signature(upsilon_r).parameters) == ["sigma", "d", "n"]
-    assert list(inspect.signature(stopping_check).parameters) == ["t_r", "upsilon", "rho"]
+    assert list(inspect.signature(threshold_step).parameters) == ["t_prev", "upsilon"]
+    assert list(inspect.signature(stopping_check).parameters) == ["t_r", "upsilon"]
+    assert (list(inspect.signature(schedule_iteration_bound).parameters)
+            == ["t0", "upsilon"])
     assert list(inspect.signature(SvdFactors.rank).parameters) == ["self"]
 
 
 @pytest.mark.parametrize("command, block, key", [
     ("simulate-matrix", "iht", "e"),
     ("simulate-matrix", "iht", "upsilon_quantile"),
+    ("simulate-matrix", "iht", "rho"),
+    ("simulate-matrix", "iht", "max_iters"),
     ("simulate-sparse", "sparse_estimator", "delta"),
 ])
 def test_a_removed_knob_exits_2_naming_it(tmp_path, capsys, command, block, key):
@@ -410,6 +413,16 @@ def test_array_holders_compare_by_identity(name):
     assert a == a and not a != a
     assert a != b and not a == b
     assert len({a, a, b}) == 2
+
+
+@pytest.mark.parametrize("name", list(_array_holders()))
+def test_array_holders_keep_read_only_arrays(name):
+    # every array a holder keeps goes through _checks.read_only
+    holder = _array_holders()[name]()
+    arrays = {f.name: getattr(holder, f.name) for f in dataclasses.fields(holder)
+              if isinstance(getattr(holder, f.name), np.ndarray)}
+    assert arrays
+    assert [key for key, arr in arrays.items() if arr.flags.writeable] == []
 
 
 def test_pauli_settings_compare_by_value():

@@ -96,7 +96,6 @@ _NAN, _INF = float("nan"), float("inf")
 
 @pytest.mark.parametrize("command, override", [
     ("simulate-matrix", {"iht": {"upsilon": _NAN}}),
-    ("simulate-matrix", {"iht": {"rho": _NAN}}),
     ("simulate-matrix", {"iht": {"t0": _INF}}),
     ("simulate-sparse", {"sparse_estimator": {"t0": _NAN}}),
     ("simulate-sparse", {"sparse_estimator": {"upsilon": _INF}}),
@@ -106,7 +105,6 @@ _NAN, _INF = float("nan"), float("inf")
     ("simulate-matrix", {"replicates": True}),
     ("simulate-matrix", {"seed": True}),
     ("simulate-matrix", {"d_values": [True]}),
-    ("simulate-matrix", {"iht": {"max_iters": True}}),
     ("simulate-sparse", {"sparse_estimator": {"k_cap": True}}),
     ("simulate-sparse", {"n_values": [1]}),
     ("simulate-matrix", {"two_sided_correct": "false"}),
@@ -129,7 +127,7 @@ def test_non_finite_number_or_bool_for_an_int_exits_2(tmp_path, capsys, command,
     ("simulate-quantum", {"p_values": [10]}),
     ("simulate-quantum", {"d_values": [4]}),
     ("simulate-quantum", {"sparse_estimator": {"t0": 1.0}}),
-    ("simulate-sparse", {"iht": {"rho": 0.4}}),
+    ("simulate-sparse", {"iht": {"upsilon": 0.4}}),
     ("simulate-sparse", {"m_values": [2]}),
     ("simulate-matrix", {"alpha_values": [2]}),
     ("simulate-matrix", {"sparse_estimator": {"k_cap": 2}}),
@@ -158,7 +156,6 @@ def test_a_field_the_mode_does_not_read_may_keep_its_default(tmp_path, capsys):
     ("simulate-matrix", {"k_values": ["1"]}),
     ("simulate-matrix", {"replicates": 1.0}),
     ("simulate-matrix", {"seed": "3"}),
-    ("simulate-matrix", {"iht": {"max_iters": 2.5}}),
     ("simulate-sparse", {"sparse_estimator": {"k_cap": 1.5}}),
 ], ids=lambda value: value if isinstance(value, str) else json.dumps(value))
 def test_non_integer_for_an_int_exits_2(tmp_path, capsys, command, override):
@@ -173,11 +170,9 @@ def test_non_integer_for_an_int_exits_2(tmp_path, capsys, command, override):
 @pytest.mark.parametrize("command, override", [
     ("simulate-matrix", {"noise_std": True}),
     ("simulate-matrix", {"level": "0.9"}),
-    ("simulate-matrix", {"iht": {"rho": "0.5"}}),
     ("simulate-matrix", {"iht": {"upsilon": True}}),
     ("simulate-matrix", {"iht": {"upsilon": "0.9"}}),
     ("simulate-matrix", {"iht": {"t0": True}}),
-    ("simulate-matrix", {"iht": {"rho": True}}),
     ("simulate-quantum", {"alpha_values": [True, "2"]}),
     ("simulate-quantum", {"t_factors": ["10"]}),
     ("simulate-sparse", {"sparse_estimator": {"t0": True}}),
@@ -267,7 +262,7 @@ def test_no_subcommand_is_a_usage_error():
 
 
 def test_violated_stopping_bound_exits_3(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(iht, "schedule_iteration_bound", lambda t0, ups, rho: 0.0)
+    monkeypatch.setattr(iht, "schedule_iteration_bound", lambda t0, ups: 0.0)
     config = tmp_path / "c.json"
     config.write_text(json.dumps({
         "mode": "matrix_sim", "replicates": 1, "seed": 1,

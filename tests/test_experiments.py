@@ -113,10 +113,10 @@ def test_from_dict_nested_and_unknown_keys():
     config = ExperimentConfig.from_dict({
         "mode": "matrix_sim", "output_dir": "out", "replicates": 3,
         "d_values": [8], "k_values": [2], "n_values": [100],
-        "iht": {"rho": 0.4, "upsilon": 0.01, "t0": 2.0},
+        "iht": {"upsilon": 0.01, "t0": 2.0},
     })
-    assert config.iht.rho == 0.4
     assert config.iht.upsilon == 0.01
+    assert config.iht.t0 == 2.0
     with pytest.raises(ConfigError, match="unknown config keys"):
         ExperimentConfig.from_dict({"mode": "matrix_sim", "output_dir": "o",
                                     "d_values": [4], "k_values": [1],
@@ -124,7 +124,14 @@ def test_from_dict_nested_and_unknown_keys():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"mode": "matrix_sim", "output_dir": "o",
                                     "d_values": [4], "k_values": [1],
-                                    "n_values": [10], "iht": {"rho": 2.0}})
+                                    "n_values": [10], "iht": {"upsilon": -1.0}})
+    # rho = 1/2 and the iteration cap are constants: naming either is an
+    # unknown argument, whatever its value
+    for block in ({"rho": 0.5}, {"max_iters": 50}):
+        with pytest.raises(ConfigError, match=f"'{next(iter(block))}'"):
+            ExperimentConfig.from_dict({"mode": "matrix_sim", "output_dir": "o",
+                                        "d_values": [4], "k_values": [1],
+                                        "n_values": [10], "iht": block})
 
 
 def test_iht_delta_is_an_unknown_argument():

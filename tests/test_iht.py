@@ -76,11 +76,9 @@ def test_ndtri_agrees_with_the_rational_oracle():
 
 
 def test_threshold_step_and_stopping_boundary():
-    assert threshold_step(1.0, 0.5, 0.25) == 0.75
+    assert threshold_step(1.0, 0.25) == 0.75
     with pytest.raises(ValueError):
-        threshold_step(-1.0, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        threshold_step(1.0, 1.0, 0.1)
+        threshold_step(-1.0, 0.1)
     # stopping is a closed inequality
     limit = (1 + 0.1) * 0.2 / (1 - 0.5)
     assert stopping_check(limit, 0.2)
@@ -91,21 +89,20 @@ def test_schedule_iteration_bound_closed_form():
     # hand computation: T0=1, upsilon=1e-3, rho=0.5 gives
     # 1 + log2(10 * 0.5 * 1000) = 1 + log2(5000)
     expected = 1 + math.log2(5000)
-    assert schedule_iteration_bound(1.0, 1e-3, 0.5) == pytest.approx(expected, rel=1e-12)
-    assert schedule_iteration_bound(1.0, 0.0, 0.5) == math.inf
+    assert schedule_iteration_bound(1.0, 1e-3) == pytest.approx(expected, rel=1e-12)
+    assert schedule_iteration_bound(1.0, 0.0) == math.inf
 
 
 @pytest.mark.parametrize("call", [
     lambda: upsilon_r(math.nan, 4, 10),
-    lambda: threshold_step(math.nan, 0.5, 0.1),
-    lambda: threshold_step(1.0, 0.5, math.nan),
-    lambda: schedule_iteration_bound(1.0, 0.1, math.nan),
-    lambda: schedule_iteration_bound(math.nan, 0.1, 0.5),
-    lambda: schedule_iteration_bound(1.0, math.nan, 0.5),
+    lambda: threshold_step(math.nan, 0.1),
+    lambda: threshold_step(1.0, math.nan),
+    lambda: schedule_iteration_bound(math.nan, 0.1),
+    lambda: schedule_iteration_bound(1.0, math.nan),
     lambda: hard_threshold_entries(np.ones(3), math.nan),
     lambda: hard_threshold_singular(np.eye(3), math.nan),
 ], ids=["upsilon_r", "threshold_step_t", "threshold_step_upsilon",
-        "bound_rho", "bound_t0", "bound_upsilon", "entries", "singular"])
+        "bound_t0", "bound_upsilon", "entries", "singular"])
 def test_nan_threshold_or_scale_is_refused(call):
     # a NaN compares false both ways, so only a check written as
     # "not x >= 0" refuses it; let through, it makes the schedule helpers
@@ -119,7 +116,7 @@ def test_schedule_iteration_bound_is_one_from_a_low_seed(t0):
     # 10 (1 - rho) T0 <= upsilon: T1 = rho T0 + upsilon <= upsilon / (1 - rho)
     # already meets the stopping line, so the cap is one iteration, and T0 = 0
     # must not take log(0)
-    assert schedule_iteration_bound(t0, 0.1, 0.5) == 1.0
+    assert schedule_iteration_bound(t0, 0.1) == 1.0
     d, n = 6, 300
     batch = gen_gaussian_design(n, d, 4)
     obs = simulate_observations(batch, gen_low_rank_theta(d, 2, 3), 0.5, 5)
@@ -132,13 +129,14 @@ def test_schedule_iteration_bound_is_one_from_a_low_seed(t0):
 def test_fixed_schedule_follows_arithmetico_geometric_form():
     # oracle: with fixed upsilon the recursion has the closed form
     # T_r = rho^r (T0 - u/(1-rho)) + u/(1-rho); the recorded trace must hit
-    # it exactly (same arithmetic operations, so tight tolerance)
+    # it exactly (same arithmetic operations, so tight tolerance); rho = 1/2
+    # is the schedule's fixed contraction
     d, n = 6, 300
     theta = gen_low_rank_theta(d, 2, 3)
     batch = gen_gaussian_design(n, d, 4)
     obs = simulate_observations(batch, theta, 0.5, 5)
     t0, ups, rho = 8.0, 0.05, 0.5
-    config = IhtConfig(upsilon=ups, t0=t0, rho=rho)
+    config = IhtConfig(upsilon=ups, t0=t0)
     _, state = run_iht(batch, obs, config)
     assert state.converged
     plateau = ups / (1 - rho)
@@ -165,7 +163,7 @@ def test_fixed_schedule_satisfies_iteration_bound():
         ups = rng.uniform(0.05, 0.3)
         _, state = run_iht(batch, obs, IhtConfig(upsilon=ups, t0=t0))
         assert state.converged
-        assert state.iteration <= schedule_iteration_bound(t0, ups, 0.5)
+        assert state.iteration <= schedule_iteration_bound(t0, ups)
 
 
 def test_data_driven_first_threshold_is_sigma_plus_upsilon():
@@ -237,20 +235,23 @@ def test_exact_recovery_on_basis_design():
     assert state.converged
     rel = np.linalg.norm(est - theta) / np.linalg.norm(theta)
     assert rel < 1e-10
-    assert state.iteration <= schedule_iteration_bound(sigma1 + ups, ups, 0.5)
+    assert state.iteration <= schedule_iteration_bound(sigma1 + ups, ups)
 
 
 def test_run_exhausts_max_iters_without_convergence():
-    d, n = 6, 200
-    theta = gen_low_rank_theta(d, 1, 19)
-    batch = gen_gaussian_design(n, d, 20)
-    obs = simulate_observations(batch, theta, 0.0, 21)
-    # four iterations cannot bring the threshold down to the stopping line;
-    # the capped run is returned as an honest non-converged one
-    _, state = run_iht(batch, obs, IhtConfig(max_iters=4))
+    # this noiseless run recovers theta but needs more than the fixed cap of
+    # ceil(10 ln n) = 77 iterations to bring the threshold down to its
+    # stopping line; the capped run is returned as an honest non-converged one
+    d, k, n = 32, 4, 2000
+    theta = gen_low_rank_theta(d, k, 10)
+    batch = gen_gaussian_design(n, d, 11)
+    obs = simulate_observations(batch, theta, 0.0, 12)
+    est, state = run_iht(batch, obs)
+    assert math.ceil(10 * math.log(n)) == 77
     assert state.converged is False
-    assert state.iteration == 4
-    assert len(state.trace) == 4
+    assert state.iteration == 77
+    assert len(state.trace) == 77
+    assert np.linalg.norm(est - theta) / np.linalg.norm(theta) < 1e-9
 
 
 def test_noiseless_data_driven_run_meets_its_stopping_line():
@@ -279,8 +280,8 @@ def test_iht_step_reduces_residual_on_plain_instance():
     theta = gen_low_rank_theta(d, 2, 23)
     batch = gen_gaussian_design(n, d, 24)
     obs = simulate_observations(batch, theta, 0.1, 25)
-    _, state = run_iht(batch, obs, IhtConfig(max_iters=2))
-    first, second = state.trace
+    _, state = run_iht(batch, obs)
+    first, second = state.trace[:2]
     assert second.residual_l2 <= first.residual_l2
     assert (first.iteration, second.iteration) == (1, 2)
     assert first.rank <= d
@@ -288,16 +289,16 @@ def test_iht_step_reduces_residual_on_plain_instance():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        IhtConfig(rho=1.0)
-    with pytest.raises(ValueError):
         IhtConfig(upsilon=-1.0)
-    with pytest.raises(ValueError):
-        IhtConfig(max_iters=0)
-    with pytest.raises(ValueError, match="must be an integer"):
-        IhtConfig(max_iters=2.5)
-    # the checked value is stored, as for every other config field
-    config = IhtConfig(max_iters=np.int64(5))
-    assert type(config.max_iters) is int and config.max_iters == 5
+    with pytest.raises(ValueError, match="t0 must be in"):
+        IhtConfig(t0=math.nan)
+    # the checked value is stored
+    config = IhtConfig(upsilon=np.float64(0.5))
+    assert type(config.upsilon) is float and config.upsilon == 0.5
+    # rho = 1/2 and the cap ceil(10 ln n) are constants, not fields
+    for key in ("rho", "max_iters"):
+        with pytest.raises(TypeError, match=f"'{key}'"):
+            IhtConfig(**{key: 0.5})
 
 
 def test_estimate_never_gains_rank_above_kept_spectrum():
@@ -390,10 +391,10 @@ def _recomputing_loop(batch, y, config, iterations):
         clamped = False
         if threshold is None:
             threshold = sigma + ups
-        elif config.upsilon is None and threshold_step(threshold, config.rho, ups) > threshold:
+        elif config.upsilon is None and threshold_step(threshold, ups) > threshold:
             clamped = True
         else:
-            threshold = threshold_step(threshold, config.rho, ups)
+            threshold = threshold_step(threshold, ups)
         factors = hard_threshold_singular(estimate + adjoint_apply(batch, resid), threshold)
         estimate = factors.reconstruct()
         residual = values - apply_design(batch, estimate)
@@ -421,11 +422,36 @@ def test_run_iht_rejects_mismatched_observation_length():
 
 def test_violated_stopping_bound_raises_a_typed_arithmetic_error(monkeypatch):
     batch, obs = _gaussian_instance()
-    monkeypatch.setattr(iht, "schedule_iteration_bound", lambda t0, ups, rho: 0.0)
+    monkeypatch.setattr(iht, "schedule_iteration_bound", lambda t0, ups: 0.0)
     with pytest.raises(StoppingBoundError, match="stopping bound violated"):
         run_iht(batch, obs, IhtConfig(upsilon=0.05, t0=5.0))
     assert issubclass(StoppingBoundError, ArithmeticError)
     assert lowrank_iht.StoppingBoundError is StoppingBoundError
+
+
+_RECORD = IterationRecord(1, 1.0, 1.0, 0.1, 3, 0.0)
+
+
+@pytest.mark.parametrize("estimate, trace, match", [
+    (np.zeros((2, 2)), (), "trace must not be empty"),
+    (np.array([[0.0, np.nan], [0.0, 0.0]]), (_RECORD,), "estimate must be finite"),
+    (np.ones(3), (_RECORD,), r"estimate must have shape \(\*, \*\)"),
+    ([["a", "b"]], (_RECORD,), "estimate must hold numbers"),
+], ids=["empty-trace", "nan-estimate", "vector-estimate", "str-estimate"])
+def test_a_state_refuses_what_it_does_not_document(estimate, trace, match):
+    # after no iteration there is no last record for .iteration, .rank,
+    # .threshold and .final_sigma to read, and no convergence to report
+    with pytest.raises(ValueError, match=f"^{match}"):
+        IhtState(estimate=estimate, trace=trace, converged=True, iteration_bound=1.0)
+
+
+def test_a_state_takes_a_nested_list_and_an_infinite_bound():
+    # any finite matrix is taken as the estimate; iteration_bound is left
+    # unchecked, since it is inf when upsilon = 0
+    state = IhtState(estimate=[[1.0, 0.0], [0.0, 2j]], trace=(_RECORD,), converged=False,
+                     iteration_bound=math.inf)
+    assert state.estimate.dtype == np.complex128 and not state.estimate.flags.writeable
+    assert state.iteration_bound == math.inf and state.final_sigma == 1.0
 
 
 def test_a_state_built_directly_holds_a_read_only_estimate():

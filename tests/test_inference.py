@@ -293,6 +293,37 @@ def test_result_bounds_and_covers():
         res.covers(np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("kwargs, match", [
+    ({"half_width": np.array([[0.6, np.nan], [0.6, 0.6]])}, "half_width must be finite"),
+    ({"half_width": np.full(3, 0.6)}, r"half_width must have shape \(2, 2\)"),
+    ({"half_width": np.full((2, 2), 0.6j)}, "half_width must hold real numbers"),
+    ({"estimate": np.array([[np.inf, 0.0], [0.0, 1.0]])}, "estimate must be finite"),
+    ({"level": 1.5}, r"level must be in \(0, 1\)"),
+    ({"sigma": -1.0}, r"sigma must be in \[0, inf\)"),
+    ({"sigma": "1.0"}, "sigma must be a number"),
+], ids=["nan-half-width", "short-half-width", "complex-half-width", "inf-estimate",
+        "level-above-one", "negative-sigma", "str-sigma"])
+def test_result_refuses_what_its_intervals_cannot_use(kwargs, match):
+    # unchecked, a NaN half-width would read as "not covered", a short one
+    # would fail only in covers() with a broadcast error, and level=1.5 only
+    # in .quantile
+    fields = {"estimate": np.eye(2), "half_width": np.full((2, 2), 0.6), "sigma": 1.0,
+              "level": 0.95, **kwargs}
+    with pytest.raises(ValueError, match=f"^{match}"):
+        EntrywiseResult(**fields)
+
+
+def test_result_holds_read_only_arrays_built_from_lists():
+    # the checked values are the ones held
+    res = EntrywiseResult(estimate=[[1.0, 0.0], [0.0, 1.0]], half_width=[[1, 1], [1, 1]],
+                          sigma=np.float64(2.0), level=0.9)
+    assert res.half_width.dtype == np.float64 and type(res.sigma) is float
+    for held in (res.estimate, res.half_width):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0, 0] = 0.0
+    assert res.covers(np.eye(2)).all()
+
+
 def test_sigma_defaults_to_final_state_sigma():
     d, n = 8, 700
     theta = gen_low_rank_theta(d, 2, 11)

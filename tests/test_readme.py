@@ -4,6 +4,7 @@ Each ```python block runs in a fresh namespace with warnings as errors, and
 the ```json config runs through the command line with one replicate.
 """
 
+import dataclasses
 import json
 import pathlib
 import re
@@ -11,6 +12,7 @@ import warnings
 
 import pytest
 
+from lowrank_iht import IhtConfig, SparseConfig
 from lowrank_iht.cli import _COMMAND_MODE, main
 
 _README = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -47,3 +49,12 @@ def test_json_config_runs(tmp_path, capsys):
                      "--out", str(tmp_path / "out")])
     assert code == 0, capsys.readouterr().err
     assert (tmp_path / "out" / "metrics.csv").exists()
+
+
+@pytest.mark.parametrize("block, config", [("iht", IhtConfig), ("sparse_estimator", SparseConfig)])
+def test_the_estimator_keys_it_lists_are_the_config_fields(block, config):
+    # "`"iht"` takes `upsilon` and `t0`": a key the README lists must be
+    # accepted, and a field it leaves out is one a reader cannot find
+    (listed,) = re.findall(rf'`"{block}"` takes ((?:`\w+`(?:,\s+|\s+and\s+)?)+)', _README)
+    keys = re.findall(r"`(\w+)`", listed)
+    assert sorted(keys) == sorted(f.name for f in dataclasses.fields(config))

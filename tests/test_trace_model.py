@@ -262,6 +262,21 @@ def test_observations_validation():
     assert obs.noise is None
 
 
+def test_observations_hold_read_only_vectors():
+    # as a DesignBatch does, the holder keeps the caller's float64 arrays
+    # and makes them read-only, and copies a view once
+    values, noise = np.ones(3), np.zeros(3)
+    obs = Observations(values=values, noise=noise)
+    assert obs.values is values and obs.noise is noise
+    for held in (values, noise):
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 2.0
+    base = np.ones(4)
+    obs = Observations(values=base[:3])
+    base[0] = 5.0
+    assert obs.values.tolist() == [1.0, 1.0, 1.0]
+
+
 def test_design_batch_validation():
     with pytest.raises(ValueError):
         DesignBatch(np.ones((2, 3, 4)))
