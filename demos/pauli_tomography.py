@@ -3,27 +3,20 @@
 # regression rows, and hand them to the matrix estimator.
 import numpy as np
 
-from lowrank_iht import (
-    gen_density_matrix,
-    outcome_distribution,
-    run_iht,
-    simulate_dataset,
-)
-from lowrank_iht.quantum import PauliSetting
+from lowrank_iht import gen_density_matrix, run_iht, simulate_dataset
 
 m, k = 3, 1
 d = 2 ** m
 theta = gen_density_matrix(d, k, seed=5)
 
-# what one setting's statistics look like
-setting = PauliSetting.from_label("XYZ")
-p = outcome_distribution(setting, theta)
-print(f"setting {setting.label}: outcome probabilities "
-      f"{np.round(p, 3)} (sum {p.sum():.6f})")
-
 dataset = simulate_dataset(theta, n_settings=40, repetitions=80, seed=6)
 print(f"dataset: {len(dataset.settings)} settings x 2^{m} subsets "
       f"= {dataset.n} rows")
+
+# what one setting's statistics look like: one rescaled parity mean per
+# subset of qubits left out, the last (every qubit left out) a constant
+setting = dataset.settings[0]
+print(f"setting {setting.label}: rows {np.round(dataset.y[:d], 3)}")
 
 batch, obs = dataset.to_trace_regression()
 estimate, state = run_iht(batch, obs)

@@ -119,10 +119,9 @@ class ExperimentConfig:
             if self.mode == "matrix_sim" and cell["k"] > cell["d"]:
                 raise ConfigError(f"k={cell['k']} exceeds d={cell['d']}")
             if self.mode == "quantum":
-                d = 2 ** cell["m"]
+                d, n_settings = _tomography_size(cell)
                 if cell["k"] > d:
                     raise ConfigError(f"k={cell['k']} exceeds d={d} at m={cell['m']}")
-                n_settings = int(round(cell["alpha"] * cell["k"] * d))
                 asks = (f"cell m={cell['m']} k={cell['k']} alpha={cell['alpha']} asks "
                         f"for {n_settings} settings")
                 if n_settings < 1:
@@ -135,15 +134,11 @@ class ExperimentConfig:
                 raise ConfigError(f"k={cell['k']} exceeds p={cell['p']}")
 
     def cells(self) -> list[dict]:
-        if self.mode == "matrix_sim":
-            return [{"d": d, "k": k, "n": n} for d, k, n in
-                    itertools.product(self.d_values, self.k_values, self.n_values)]
-        if self.mode == "quantum":
-            return [{"m": m, "k": k, "alpha": a, "t_factor": t} for m, k, a, t in
-                    itertools.product(self.m_values, self.k_values,
-                                      self.alpha_values, self.t_factors)]
-        return [{"p": p, "k": k, "n": n} for p, k, n in
-                itertools.product(self.p_values, self.k_values, self.n_values)]
+        """Every combination of the mode's grid values, the last grid
+        varying fastest, as dicts keyed by the cell columns."""
+        mode = _MODE_TABLE[self.mode]
+        values = (getattr(self, field) for _, field in mode.grid)
+        return [dict(zip(mode.cell_cols, combo)) for combo in itertools.product(*values)]
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -205,15 +200,19 @@ def _matrix_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
     }
 
 
+def _tomography_size(cell: dict) -> tuple[int, int]:
+    """(d, n_settings) of a quantum cell: d = 2^m and alpha * k * d rounded."""
+    d = 2 ** cell["m"]
+    return d, int(round(cell["alpha"] * cell["k"] * d))
+
+
 def _quantum_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
                        rep_idx: int) -> dict:
     theta_seed, data_seed = _rep_seed(config, cell_idx, rep_idx).spawn(2)
-    m, k = cell["m"], cell["k"]
-    d = 2 ** m
-    n_settings = int(round(cell["alpha"] * k * d))
+    d, n_settings = _tomography_size(cell)
     repetitions = max(1, int(round(cell["t_factor"] * d)))
     start = time.perf_counter()
-    theta = gen_density_matrix(d, k, theta_seed)
+    theta = gen_density_matrix(d, cell["k"], theta_seed)
     dataset = simulate_dataset(theta, n_settings, repetitions, data_seed)
     batch, obs = dataset.to_trace_regression()
     estimate, state = run_iht(batch, obs, config.iht)
@@ -241,7 +240,7 @@ def _sparse_replicate(config: ExperimentConfig, cell: dict, cell_idx: int,
     p, k, n = cell["p"], cell["k"], cell["n"]
     start = time.perf_counter()
     instance = gen_sparse_instance(n, p, k, config.noise_std, inst_seed)
-    dec = build_decorrelator(instance.x, "identity")
+    dec = build_decorrelator(instance.x)
     theta_r, thresholds = sparse_iht_run(instance, dec, config.sparse_estimator)
     intervals = sparse_confidence_intervals(theta_r, instance, dec, level=config.level)
     truth = instance.theta_truth
@@ -271,29 +270,41 @@ class _Mode(NamedTuple):
     row also carries its ``coordinates`` for coordinates.csv: the arrays
     theta_hat, ci_lower, ci_upper and in_support, indexed by j.
 
-    ``reads`` names the config fields the mode reads besides those every mode
-    reads; each grid among them must be nonempty, and a field that another
-    mode reads must keep its default."""
+    ``grid`` pairs each cell column with the config field whose values it
+    ranges over. ``reads`` names those fields and the others the mode reads
+    besides those every mode reads; each grid must be nonempty, and a field
+    that another mode reads must keep its default."""
 
     replicate: Callable[..., dict]
-    cell_cols: tuple
+    grid: tuple
     metric_cols: tuple
-    reads: tuple
+    other_reads: tuple
+
+    @property
+    def cell_cols(self) -> tuple:
+        return tuple(col for col, _ in self.grid)
+
+    @property
+    def reads(self) -> tuple:
+        return (*(field for _, field in self.grid), *self.other_reads)
 
 
 _MATRIX_METRICS = ("frobenius_sq", "operator", "entrywise_inf", "schatten1",
                    "rank_hat", "r_hat", "coverage", "mean_ci_length")
 
 _MODE_TABLE = {
-    "matrix_sim": _Mode(_matrix_replicate, ("d", "k", "n"), _MATRIX_METRICS,
-                        ("d_values", "k_values", "n_values", "noise_std", "level", "iht")),
-    "quantum": _Mode(_quantum_replicate, ("m", "k", "alpha", "t_factor"), _MATRIX_METRICS,
-                     ("m_values", "k_values", "alpha_values", "t_factors", "iht")),
-    "sparse": _Mode(_sparse_replicate, ("p", "k", "n"),
+    "matrix_sim": _Mode(_matrix_replicate,
+                        (("d", "d_values"), ("k", "k_values"), ("n", "n_values")),
+                        _MATRIX_METRICS, ("noise_std", "level", "iht")),
+    "quantum": _Mode(_quantum_replicate,
+                     (("m", "m_values"), ("k", "k_values"), ("alpha", "alpha_values"),
+                      ("t_factor", "t_factors")),
+                     _MATRIX_METRICS, ("iht",)),
+    "sparse": _Mode(_sparse_replicate,
+                    (("p", "p_values"), ("k", "k_values"), ("n", "n_values")),
                     ("l2_sq", "linf", "support_size", "support_included",
                      "iterations", "coverage", "mean_ci_length"),
-                    ("p_values", "k_values", "n_values", "noise_std", "level",
-                     "sparse_estimator")),
+                    ("noise_std", "level", "sparse_estimator")),
 }
 
 _COORD_COLS = ("j", "theta_hat", "ci_lower", "ci_upper", "in_support")

@@ -72,6 +72,11 @@ class StoppingBoundError(ArithmeticError):
 
 @dataclass(frozen=True)
 class IterationRecord:
+    """One iteration of a run: its number (from 1), threshold, residual scale
+    sigma, noise term upsilon, rank, residual norm and whether the
+    data-driven clamp held the threshold. The numbers are checked: counts
+    are ints, the four scales floats in [0, inf)."""
+
     iteration: int
     threshold: float
     sigma: float
@@ -79,6 +84,12 @@ class IterationRecord:
     rank: int
     residual_l2: float
     clamped: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "iteration", check_int(self.iteration, "iteration"))
+        object.__setattr__(self, "rank", check_int(self.rank, "rank", 0))
+        for name in ("threshold", "sigma", "upsilon", "residual_l2"):
+            object.__setattr__(self, name, check_float(getattr(self, name), name))
 
 
 @dataclass(frozen=True, eq=False)

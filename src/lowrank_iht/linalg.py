@@ -39,8 +39,9 @@ class SvdFactors:
 
     ``left`` and ``right`` have orthonormal columns, ``singular_values`` is
     nonincreasing, and ``left @ diag(singular_values) @ right.conj().T``
-    reconstructs the input. The three arrays are read-only
-    (``_checks.read_only``).
+    reconstructs the input. The three arrays are finite and read-only
+    (``_checks``), and ``left`` and ``right`` have one column per singular
+    value.
     """
 
     left: np.ndarray
@@ -48,8 +49,11 @@ class SvdFactors:
     right: np.ndarray
 
     def __post_init__(self):
-        for name in ("left", "singular_values", "right"):
-            object.__setattr__(self, name, read_only(getattr(self, name)))
+        s = check_array(self.singular_values, "singular_values", (None,))
+        object.__setattr__(self, "singular_values", read_only(s))
+        for name in ("left", "right"):
+            factor = check_array(getattr(self, name), name, (None, s.size), dtype=None)
+            object.__setattr__(self, name, read_only(factor))
 
     def reconstruct(self) -> np.ndarray:
         return (self.left * self.singular_values) @ self.right.conj().T

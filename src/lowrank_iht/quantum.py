@@ -29,7 +29,6 @@ from .trace_model import DesignBatch, Observations
 __all__ = [
     "PauliSetting",
     "TomographyDataset",
-    "outcome_distribution",
     "gen_random_settings",
     "gen_density_matrix",
     "simulate_dataset",
@@ -114,17 +113,6 @@ def _check_density(theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def outcome_distribution(setting: PauliSetting, theta) -> np.ndarray:
-    """Probability of each of the 2^m outcomes, in outcome_table order.
-
-    Computed by rotating the density matrix into the joint eigenbasis of the
-    setting (a Kronecker product of 2x2 eigenvector matrices) and reading the
-    diagonal, rather than forming 2^m projectors. Identity qubits put all
-    their mass on +1.
-    """
-    return _outcome_distributions((setting,), _check_density(theta))[0]
-
-
 def _kron_rows(factors: np.ndarray) -> np.ndarray:
     """(N, 2^m, 2^m) Kronecker products of (N, m, 2, 2) factors, taken one
     qubit at a time over all N rows, qubit 1 leftmost: row i has the bits of
@@ -151,11 +139,13 @@ _BLOCK_BYTES = 1 << 19
 
 
 def _outcome_distributions(settings, theta: np.ndarray) -> np.ndarray:
-    """(N, 2^m) outcome_distribution rows of N settings with equal m, for a
-    theta that already passed _check_density.
+    """(N, 2^m) outcome probabilities of N settings with equal m, in
+    outcome_table order, for a theta that already passed _check_density.
+    Identity qubits put all their mass on +1.
 
-    Each block of settings takes one stacked u^H theta u product, whose
-    diagonals have the bits of the one-setting 2-D product.
+    Each block of settings takes one stacked u^H theta u product (theta in
+    the settings' joint eigenbases), whose diagonals have the bits of the
+    one-setting 2-D product.
     """
     m = settings[0].m
     d = 2 ** m

@@ -39,15 +39,6 @@ class AssumptionViolationError(RuntimeError):
     """The certificate 2 r_K < 1 fails (as a NaN r_K does): thresholds would grow."""
 
 
-class RowProgramInfeasibleError(ValueError):
-    def __init__(self, row: int, smallest_feasible_mu: float):
-        self.row = row
-        self.smallest_feasible_mu = smallest_feasible_mu
-        super().__init__(
-            f"row program infeasible at row {row}; smallest feasible mu "
-            f"found by bisection: {smallest_feasible_mu:.6g}")
-
-
 @dataclass(frozen=True, eq=False)
 class SparseInstance:
     """Design (n, p >= 1), response and for simulations the truth, all read-only."""
@@ -164,88 +155,19 @@ class Decorrelator:
         return _top_k_row_sum(self._abs_gap, k)
 
 
-def _soft(z: float, t: float) -> float:
-    return math.copysign(max(abs(z) - t, 0.0), z)
+def build_decorrelator(x: np.ndarray) -> Decorrelator:
+    """The identity V with Sigma the empirical covariance X^T X / n of a
+    finite (n, p) X, n >= 2.
 
-
-def _solve_row(sigma_hat: np.ndarray, j: int, mu: float, tol: float = 1e-6):
-    """Coordinate descent for min (1/2) v' Sigma v - v_j + mu ||v||_1.
-
-    Any stationary point satisfies ||Sigma v - e_j||_inf <= mu, which is the
-    feasibility the decorrelator needs. Returns None when the cap of 10 p^2
-    coordinate updates runs out before the stationarity residual drops below
-    tol, or when the iterates blow up (the objective is unbounded below for
-    mu too small when Sigma is singular).
-    """
-    p = sigma_hat.shape[0]
-    v = np.zeros(p)
-    g = -np.eye(p)[j]  # gradient of the smooth part, Sigma v - e_j
-    diag = np.diag(sigma_hat).copy()
-    if np.any(diag <= 0):
-        raise ValueError("Sigma must have positive diagonal for the row program")
-    max_updates = 10 * p * p
-    updates = 0
-    while updates < max_updates:
-        delta_max = 0.0
-        for i in range(p):
-            vi_new = _soft(diag[i] * v[i] - g[i], mu) / diag[i]
-            step = vi_new - v[i]
-            if step != 0.0:
-                g += sigma_hat[:, i] * step
-                v[i] = vi_new
-                delta_max = max(delta_max, abs(step))
-            updates += 1
-        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > 1e8:
-            return None
-        if delta_max <= tol * max(1.0, np.max(np.abs(v))):
-            resid = np.where(v != 0.0, np.abs(g + mu * np.sign(v)),
-                             np.maximum(np.abs(g) - mu, 0.0))
-            if resid.max() <= 10 * tol:
-                return v
-    return None
-
-
-def _smallest_feasible_mu(sigma_hat: np.ndarray, j: int, mu_lo: float) -> float:
-    lo, hi = mu_lo, 1.0
-    if _solve_row(sigma_hat, j, hi) is None:
-        return math.inf
-    for _ in range(30):
-        mid = (lo + hi) / 2.0
-        if _solve_row(sigma_hat, j, mid) is None:
-            lo = mid
-        else:
-            hi = mid
-    return hi
-
-
-def build_decorrelator(x: np.ndarray, strategy: str = "identity",
-                       mu: float | None = None) -> Decorrelator:
-    """Identity V, or one l1-minimizing row program per coordinate.
-
-    Sigma is the empirical covariance X^T X / n of a finite X. The row
-    program looks for v with small l1 norm satisfying
-    ||Sigma v - e_j||_inf <= mu, for a positive mu that defaults to
-    sqrt(log(p) / n); the identity reads no mu, so passing one is refused.
+    This is the decorrelator every run of the package uses. ``Decorrelator``
+    takes any V: the l1 row program of Javanmard and Montanari (2014), which
+    the paper's sparse variant adapts, builds one in tests/_oracles.py.
     """
     x = check_array(x, "x", (None, None))
     n, p = x.shape
     if n < 2 or p < 1:
         raise ValueError("need n >= 2 and p >= 1")
-    sigma_hat = x.T @ x / n
-    if strategy == "identity":
-        if mu is not None:
-            raise ValueError("mu must be left unset: the identity strategy reads none")
-        return Decorrelator(v=np.eye(p), sigma_hat=sigma_hat)
-    if strategy == "row_program":
-        mu = math.sqrt(math.log(p) / n) if mu is None else check_float(mu, "mu", strict=True)
-        rows = []
-        for j in range(p):
-            v_row = _solve_row(sigma_hat, j, mu)
-            if v_row is None:
-                raise RowProgramInfeasibleError(j, _smallest_feasible_mu(sigma_hat, j, mu))
-            rows.append(v_row)
-        return Decorrelator(v=np.array(rows), sigma_hat=sigma_hat)
-    raise ValueError(f"unknown strategy {strategy!r}")
+    return Decorrelator(v=np.eye(p), sigma_hat=x.T @ x / n)
 
 
 def largest_feasible_k(dec: Decorrelator, k_max: int) -> int:

@@ -1,14 +1,19 @@
 """Reference implementations of the paper's identities, used only by tests.
 
 Each function here is a direct, unoptimised statement of a definition the
-estimator relies on: Pauli matrices and their eigenprojectors, the parity
-of an outcome, outcome marginalization, tomography sampled one setting at a time (as one-line
+estimator relies on: Pauli matrices and their eigenprojectors, one
+setting's outcome distribution, the parity of an outcome, outcome
+marginalization, tomography sampled one setting at a time (as one-line
 parity means, and as outcome batches assembled into a dataset), Schatten
 norms, the restricted singular-value bound, the Monte-Carlo
 restricted-isometry probe, the one-step debiasing of both estimators on its
-own, the sparse r_K supremum and the desparsified error split. Tests compare the package's
-production code against them, or measure its designs with them; the package
-itself never calls them, so they are kept out of its public surface.
+own, the sparse r_K supremum, the desparsified error split and the l1
+row-program decorrelator (Javanmard and Montanari 2014), the reference a
+vectorised solver in the package would be checked against bit for bit.
+Tests compare the package's production code against them, or measure its
+designs with them; the package itself never calls them, so they are kept
+out of its public surface, and no package module defines a name defined
+here (tests/test_api.py checks that).
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from lowrank_iht.sparse import (
     SparseInstance,
     _check_decorrelator,
     _top_k_row_sum,
+    build_decorrelator,
 )
 from lowrank_iht.trace_model import DesignBatch, _obs_values, adjoint_apply, apply_design
 
@@ -169,10 +175,21 @@ class OutcomeBatch:
         return self.outcomes.shape[0]
 
 
+def outcome_distribution(setting: PauliSetting, theta) -> np.ndarray:
+    """Probability of each of the 2^m outcomes, in outcome_table order.
+
+    Computed by rotating the density matrix into the joint eigenbasis of the
+    setting (a Kronecker product of 2x2 eigenvector matrices) and reading the
+    diagonal, rather than forming 2^m projectors. Identity qubits put all
+    their mass on +1.
+    """
+    return _outcome_distributions((setting,), _check_density(theta))[0]
+
+
 def sample_outcomes(setting: PauliSetting, theta, repetitions: int, seed) -> OutcomeBatch:
     """T i.i.d. outcome vectors drawn by inverse CDF over the ordered table."""
     repetitions = check_int(repetitions, "repetitions")
-    p = _outcome_distributions((setting,), _check_density(theta))[0]
+    p = outcome_distribution(setting, theta)
     idx = _draw_outcomes(p, repetitions, seed)
     return OutcomeBatch(setting=setting, outcomes=outcome_table(setting.m)[idx])
 
@@ -361,3 +378,85 @@ def sparse_decomposition_terms(theta_hat_r: np.ndarray, instance: SparseInstance
     noise_term = dec.apply(instance.x.T @ instance.realized_noise) / root_n
     total = root_n * (desparsify(theta_hat_r, instance, dec) - instance.theta_truth)
     return remainder, noise_term, total
+
+
+class RowProgramInfeasibleError(ValueError):
+    def __init__(self, row: int, smallest_feasible_mu: float):
+        self.row = row
+        self.smallest_feasible_mu = smallest_feasible_mu
+        super().__init__(
+            f"row program infeasible at row {row}; smallest feasible mu "
+            f"found by bisection: {smallest_feasible_mu:.6g}")
+
+
+def _soft(z: float, t: float) -> float:
+    return math.copysign(max(abs(z) - t, 0.0), z)
+
+
+def _solve_row(sigma_hat: np.ndarray, j: int, mu: float, tol: float = 1e-6):
+    """Coordinate descent for min (1/2) v' Sigma v - v_j + mu ||v||_1.
+
+    Any stationary point satisfies ||Sigma v - e_j||_inf <= mu, which is the
+    feasibility the decorrelator needs. Returns None when the cap of 10 p^2
+    coordinate updates runs out before the stationarity residual drops below
+    tol, or when the iterates blow up (the objective is unbounded below for
+    mu too small when Sigma is singular).
+    """
+    p = sigma_hat.shape[0]
+    v = np.zeros(p)
+    g = -np.eye(p)[j]  # gradient of the smooth part, Sigma v - e_j
+    diag = np.diag(sigma_hat).copy()
+    if np.any(diag <= 0):
+        raise ValueError("Sigma must have positive diagonal for the row program")
+    max_updates = 10 * p * p
+    updates = 0
+    while updates < max_updates:
+        delta_max = 0.0
+        for i in range(p):
+            vi_new = _soft(diag[i] * v[i] - g[i], mu) / diag[i]
+            step = vi_new - v[i]
+            if step != 0.0:
+                g += sigma_hat[:, i] * step
+                v[i] = vi_new
+                delta_max = max(delta_max, abs(step))
+            updates += 1
+        if not np.all(np.isfinite(v)) or np.max(np.abs(v)) > 1e8:
+            return None
+        if delta_max <= tol * max(1.0, np.max(np.abs(v))):
+            resid = np.where(v != 0.0, np.abs(g + mu * np.sign(v)),
+                             np.maximum(np.abs(g) - mu, 0.0))
+            if resid.max() <= 10 * tol:
+                return v
+    return None
+
+
+def _smallest_feasible_mu(sigma_hat: np.ndarray, j: int, mu_lo: float) -> float:
+    lo, hi = mu_lo, 1.0
+    if _solve_row(sigma_hat, j, hi) is None:
+        return math.inf
+    for _ in range(30):
+        mid = (lo + hi) / 2.0
+        if _solve_row(sigma_hat, j, mid) is None:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def row_program_decorrelator(x, mu: float | None = None) -> Decorrelator:
+    """The l1 row-program V of Javanmard and Montanari (2014): row j is a
+    stationary point of min (1/2) v' Sigma v - v_j + mu ||v||_1, so
+    ||V Sigma - I||_inf <= mu, for a positive mu that defaults to
+    sqrt(log(p) / n). Sigma is the identity decorrelator's X^T X / n.
+    Raises RowProgramInfeasibleError at the first row with no solution.
+    """
+    sigma_hat = build_decorrelator(x).sigma_hat
+    n, p = np.shape(x)
+    mu = math.sqrt(math.log(p) / n) if mu is None else check_float(mu, "mu", strict=True)
+    rows = []
+    for j in range(p):
+        v_row = _solve_row(sigma_hat, j, mu)
+        if v_row is None:
+            raise RowProgramInfeasibleError(j, _smallest_feasible_mu(sigma_hat, j, mu))
+        rows.append(v_row)
+    return Decorrelator(v=np.array(rows), sigma_hat=sigma_hat)

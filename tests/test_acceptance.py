@@ -24,7 +24,6 @@ from lowrank_iht.linalg import entrywise_inf_norm
 from lowrank_iht.quantum import (
     PauliSetting,
     gen_density_matrix,
-    outcome_distribution,
     outcome_table,
 )
 from lowrank_iht.sparse import (
@@ -47,6 +46,7 @@ from lowrank_iht.trace_model import (
 from _oracles import (
     estimate_rip_constant,
     marginalize,
+    outcome_distribution,
     parity,
     pauli_matrix,
     schatten_norm,

@@ -432,6 +432,34 @@ def test_violated_stopping_bound_raises_a_typed_arithmetic_error(monkeypatch):
 _RECORD = IterationRecord(1, 1.0, 1.0, 0.1, 3, 0.0)
 
 
+@pytest.mark.parametrize("field, value, match", [
+    ("iteration", 0, "iteration must be at least 1"),
+    ("iteration", 1.0, "iteration must be an integer"),
+    ("threshold", math.nan, r"threshold must be in \[0, inf\)"),
+    ("threshold", math.inf, r"threshold must be in \[0, inf\)"),
+    ("sigma", -1.0, r"sigma must be in \[0, inf\)"),
+    ("upsilon", "0.1", "upsilon must be a number"),
+    ("rank", -3, "rank must be at least 0"),
+    ("rank", True, "rank must be an integer"),
+    ("residual_l2", math.nan, r"residual_l2 must be in \[0, inf\)"),
+], ids=["iteration-zero", "iteration-float", "threshold-nan", "threshold-inf",
+        "sigma-negative", "upsilon-str", "rank-negative", "rank-bool", "residual-nan"])
+def test_a_record_refuses_what_it_does_not_document(field, value, match):
+    # IterationRecord(1, nan, -1.0, 0.1, -3, 0.0) used to be held, and a
+    # state built from it reported threshold=nan, final_sigma=-1.0, rank=-3
+    fields = dict(iteration=1, threshold=1.0, sigma=1.0, upsilon=0.1, rank=3, residual_l2=0.0)
+    with pytest.raises(ValueError, match=f"^{match}"):
+        IterationRecord(**{**fields, field: value})
+
+
+def test_a_record_keeps_python_numbers():
+    record = IterationRecord(np.int64(2), np.float64(1.5), 1, 0, np.int64(0), 0.0)
+    assert (record.iteration, record.rank) == (2, 0)
+    assert type(record.iteration) is int and type(record.rank) is int
+    assert [type(getattr(record, name)) for name in
+            ("threshold", "sigma", "upsilon", "residual_l2")] == [float] * 4
+
+
 @pytest.mark.parametrize("estimate, trace, match", [
     (np.zeros((2, 2)), (), "trace must not be empty"),
     (np.array([[0.0, np.nan], [0.0, 0.0]]), (_RECORD,), "estimate must be finite"),

@@ -140,6 +140,32 @@ def test_svd_factors_rank():
     assert f.rank() == 2
 
 
+@pytest.mark.parametrize("left, singular_values, right, match", [
+    (np.eye(2), [np.nan, 1.0], np.eye(2), "singular_values must be finite"),
+    (np.eye(2), [[2.0, 1.0]], np.eye(2), r"singular_values must have shape \(\*,\)"),
+    (np.eye(2), ["2", "1"], np.eye(2), "singular_values must hold numbers"),
+    (np.eye(2), [2.0, 1.0], np.full((2, 2), np.inf), "right must be finite"),
+    (np.ones(2), [2.0, 1.0], np.eye(2), r"left must have shape \(\*, 2\)"),
+    (np.ones((2, 3)), [2.0, 1.0], np.eye(2), r"left must have shape \(\*, 2\), got \(2, 3\)"),
+    (np.eye(2), [2.0, 1.0], np.ones((3, 1)), r"right must have shape \(\*, 2\), got \(3, 1\)"),
+], ids=["nan-value", "matrix-values", "str-values", "inf-right", "vector-left",
+        "left-columns", "right-columns"])
+def test_svd_factors_refuse_what_they_do_not_document(left, singular_values, right, match):
+    # a NaN singular value used to be held and left out of .rank(), and
+    # factors with another number of columns reconstructed nothing
+    with pytest.raises(ValueError, match=f"^{match}"):
+        SvdFactors(left=left, singular_values=singular_values, right=right)
+
+
+def test_svd_factors_take_nested_lists():
+    # read_only used to fail on a list with "'list' object has no attribute 'base'"
+    f = SvdFactors(left=[[1.0], [0.0]], singular_values=[2.0], right=[[1j]])
+    assert f.left.dtype == np.float64 and f.right.dtype == np.complex128
+    assert f.singular_values.dtype == np.float64
+    assert not any(a.flags.writeable for a in (f.left, f.singular_values, f.right))
+    assert f.rank() == 1 and f.reconstruct().tolist() == [[-2j], [0j]]
+
+
 def test_hard_threshold_entries_closed_at_threshold():
     u = np.array([-3.0, -1.0, 0.5, 1.0, 2.0])
     out = hard_threshold_entries(u, 1.0)

@@ -13,7 +13,6 @@ from lowrank_iht.quantum import (
     _subset_scales,
     gen_density_matrix,
     gen_random_settings,
-    outcome_distribution,
     outcome_table,
     simulate_dataset,
 )
@@ -25,6 +24,7 @@ from _oracles import (
     eigenprojector,
     isometry_deviation,
     marginalize,
+    outcome_distribution,
     parity,
     pauli_matrix,
     sample_outcomes,

@@ -9,7 +9,6 @@ from lowrank_iht.linalg import hard_threshold_entries
 from lowrank_iht.sparse import (
     AssumptionViolationError,
     Decorrelator,
-    RowProgramInfeasibleError,
     SparseConfig,
     SparseInstance,
     build_decorrelator,
@@ -19,7 +18,13 @@ from lowrank_iht.sparse import (
     sparse_iht_run,
 )
 
-from _oracles import desparsify, estimate_r_k, sparse_decomposition_terms
+from _oracles import (
+    RowProgramInfeasibleError,
+    desparsify,
+    estimate_r_k,
+    row_program_decorrelator,
+    sparse_decomposition_terms,
+)
 
 
 def _r_k_oracle(v, sigma_hat, k):
@@ -107,7 +112,7 @@ def test_certificates_cannot_be_passed_in():
 def test_decorrelator_computes_vsv_diag_once(monkeypatch):
     # a row-program V, since the identity reads diag(Sigma) without einsum
     inst = gen_sparse_instance(60, 8, 2, 1.0, 5)
-    dec = build_decorrelator(inst.x, "row_program")
+    dec = row_program_decorrelator(inst.x)
     expected = np.einsum("ij,jk,ik->i", dec.v, dec.sigma_hat, dec.v)
     calls = []
     einsum = np.einsum
@@ -154,8 +159,8 @@ def test_identity_decorrelator_skips_products_with_the_same_bits(monkeypatch):
 
 def test_decorrelator_forms_its_gap_once_for_every_level(monkeypatch):
     inst = gen_sparse_instance(60, 8, 2, 1.0, 5)
-    for strategy in ("identity", "row_program"):
-        dec = build_decorrelator(inst.x, strategy)
+    for build in (build_decorrelator, row_program_decorrelator):
+        dec = build(inst.x)
         gaps = []
         absolute = np.abs
         monkeypatch.setattr(np, "abs", lambda a: gaps.append(a.shape) or absolute(a))
@@ -169,7 +174,7 @@ def test_row_program_approximates_inverse_when_well_conditioned():
     rng = np.random.default_rng(17)
     x = rng.standard_normal((4000, 5))
     mu = 1e-3
-    dec = build_decorrelator(x, strategy="row_program", mu=mu)
+    dec = row_program_decorrelator(x, mu)
     inv = np.linalg.inv(dec.sigma_hat)
     assert float(np.max(np.abs(dec.v - inv))) < 5e-3
     # each row satisfies its own feasibility certificate for the mu passed,
@@ -183,7 +188,7 @@ def test_row_program_infeasible_with_duplicated_column():
     x = rng.standard_normal((50, 4))
     x[:, 3] = x[:, 2]
     with pytest.raises(RowProgramInfeasibleError) as exc:
-        build_decorrelator(x, strategy="row_program", mu=0.1)
+        row_program_decorrelator(x, mu=0.1)
     err = exc.value
     # rows 0 and 1 are solvable; the first contradiction is row 2, where the
     # duplicated pair pins (Sigma v)_2 = (Sigma v)_3 but the targets differ
@@ -191,6 +196,14 @@ def test_row_program_infeasible_with_duplicated_column():
     assert err.row == 2
     assert abs(err.smallest_feasible_mu - 0.5) < 0.05
     assert "row 2" in str(err)
+
+
+@pytest.mark.parametrize("mu", [True, -1.0, np.nan, "0.1"],
+                         ids=["bool", "negative", "nan", "str"])
+def test_the_row_program_refuses_a_mu_that_is_not_positive(mu):
+    # the oracle keeps the check the package's row-program branch made
+    with pytest.raises(ValueError, match="^mu must be "):
+        row_program_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x, mu)
 
 
 def test_exactly_orthogonal_design_recovers_in_one_iteration():
@@ -460,9 +473,9 @@ def test_a_non_finite_design_is_refused_by_the_decorrelator(bad):
     # its covariance used to come back NaN, which then certified K = 1
     x = gen_sparse_instance(60, 10, 2, 1.0, 1).x.copy()
     x[4, 3] = bad
-    for strategy in ("identity", "row_program"):
+    for build in (build_decorrelator, row_program_decorrelator):
         with pytest.raises(ValueError, match="x must be finite"):
-            build_decorrelator(x, strategy)
+            build(x)
 
 
 def test_a_nan_r_k_fails_the_certificate(monkeypatch):
@@ -499,14 +512,15 @@ def test_interval_bounds_and_covers():
     assert not np.any(res.covers(outside))
 
 
-@pytest.mark.parametrize("strategy", ["identity", "row_program"])
-def test_intervals_equal_desparsify_and_the_residual_scale(strategy):
+@pytest.mark.parametrize("build", [build_decorrelator, row_program_decorrelator],
+                         ids=["identity", "row_program"])
+def test_intervals_equal_desparsify_and_the_residual_scale(build):
     # the one call debiases the thresholded estimate itself: its estimate,
     # sigma and half-widths have the bits of desparsify(theta_r) with the
     # residual scale ||Y - X theta_r|| / sqrt(n) as sigma
     for seed in range(4):
         inst = gen_sparse_instance(1000, 20, 3, 0.5, 900 + seed)
-        dec = build_decorrelator(inst.x, strategy)
+        dec = build(inst.x)
         theta_r, _ = sparse_iht_run(inst, dec, SparseConfig(k_cap=largest_feasible_k(dec, 3)))
         assert np.count_nonzero(theta_r) > 0
         sigma = float(np.linalg.norm(inst.y - inst.x @ theta_r) / math.sqrt(inst.n))
@@ -570,7 +584,7 @@ def test_decorrelator_arrays_are_read_only():
 def test_decorrelator_derived_arrays_are_read_only():
     # a zeroed vsv_diag entry gave a half-width of 0.0 for its coordinate
     for dec in (build_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x),
-                build_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x, "row_program")):
+                row_program_decorrelator(gen_sparse_instance(60, 8, 2, 1.0, 5).x)):
         for held in (dec.vsv_diag, dec._abs_gap):
             with pytest.raises(ValueError, match="read-only"):
                 held[0] = 0.0
@@ -630,5 +644,5 @@ def test_instance_and_config_validation():
         SparseConfig(k_cap=1.5)
     config = SparseConfig(k_cap=np.int64(5))
     assert type(config.k_cap) is int and config.k_cap == 5
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         build_decorrelator(np.ones((40, 4)), strategy="whitening")
