@@ -15,8 +15,8 @@ print(f"dataset: {len(dataset.settings)} settings x 2^{m} subsets "
 
 # what one setting's statistics look like: one rescaled parity mean per
 # subset of qubits left out, the last (every qubit left out) a constant
-setting = dataset.settings[0]
-print(f"setting {setting.label}: rows {np.round(dataset.y[:d], 3)}")
+letters = "".join("IXYZ"[q] for q in dataset.settings[0])
+print(f"setting {letters}: rows {np.round(dataset.y[:d], 3)}")
 
 batch, obs = dataset.to_trace_regression()
 estimate, state = run_iht(batch, obs)

@@ -1,9 +1,9 @@
 """Validation of integer, float and array arguments: the one place that
 decides a number's type, range and NaN handling, and an array's precision
-(float64 or complex128), shape and finiteness. Refusals read ``<name> must be
-in [low, high), got <value>``, ``<name> must have shape (4000,), got (3,)``,
-``<name> must be finite`` or ``<name> must hold numbers, got dtype <U3`` (or
-``got a ragged sequence``) wherever they are raised. Every array a holder
+(float64, complex128 or int64), shape and finiteness. Refusals read ``<name>
+must be in [low, high), got <value>``, ``must have shape (4000,), got (3,)``,
+``must be finite`` or ``must hold numbers, got dtype <U3`` (or ``integers``,
+or ``got a ragged sequence``) wherever they are raised. Every array a holder
 keeps, or derives from what it keeps, is made read-only by ``read_only``."""
 
 from __future__ import annotations
@@ -61,8 +61,9 @@ def as_numbers(value, name: str, dtype=np.float64) -> np.ndarray:
     for complex numbers and float64 for any other, whatever their precision.
 
     Strings, objects, bools and ragged sequences are refused rather than
-    parsed or read as 0 and 1, and complex numbers where ``dtype`` is real.
-    Shape and finiteness are left to ``check_array``.
+    parsed or read as 0 and 1, complex numbers where ``dtype`` is real, and
+    floats where it is an integer type rather than truncated. Shape and
+    finiteness are left to ``check_array``.
     """
     try:
         arr = np.asarray(value)
@@ -72,6 +73,8 @@ def as_numbers(value, name: str, dtype=np.float64) -> np.ndarray:
     if kind not in "iufc" or (kind == "c" and dtype is not None and np.dtype(dtype).kind != "c"):
         raise ValueError(f"{name} must hold {'real ' if kind == 'c' else ''}numbers, "
                          f"got dtype {arr.dtype}")
+    if kind == "f" and np.dtype(dtype).kind == "i":
+        raise ValueError(f"{name} must hold integers, got dtype {arr.dtype}")
     if dtype is None:
         dtype = np.complex128 if kind == "c" else np.float64
     return np.asarray(arr, dtype=dtype)

@@ -320,10 +320,11 @@ def _run_all(config: ExperimentConfig) -> list[dict]:
     tasks = [(config, cell, ci, ri)
              for ci, cell in enumerate(config.cells())
              for ri in range(config.replicates)]
-    if config.workers > 1:
+    workers = min(config.workers, len(tasks))  # a pool starts all its workers at once
+    if workers > 1:
         # imported here: the pool machinery costs every import of the package
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(_task, tasks))
     return [_task(t) for t in tasks]
 

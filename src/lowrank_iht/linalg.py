@@ -37,11 +37,11 @@ def _as_matrix(a) -> np.ndarray:
 class SvdFactors:
     """Thin SVD factors with a fixed sign/phase convention.
 
-    ``left`` and ``right`` have orthonormal columns, ``singular_values`` is
-    nonincreasing, and ``left @ diag(singular_values) @ right.conj().T``
-    reconstructs the input. The three arrays are finite and read-only
-    (``_checks``), and ``left`` and ``right`` have one column per singular
-    value.
+    The three arrays are finite and read-only (``_checks``), ``left`` and
+    ``right`` have one column per singular value, and ``singular_values`` is
+    nonnegative and nonincreasing: all checked here. ``svd`` gives ``left``
+    and ``right`` orthonormal columns, so ``left @ diag(singular_values) @
+    right.conj().T`` reconstructs its input.
     """
 
     left: np.ndarray
@@ -50,6 +50,8 @@ class SvdFactors:
 
     def __post_init__(self):
         s = check_array(self.singular_values, "singular_values", (None,))
+        if (s < 0).any() or (np.diff(s) > 0).any():
+            raise ValueError(f"singular_values must be nonnegative and nonincreasing, got {s}")
         object.__setattr__(self, "singular_values", read_only(s))
         for name in ("left", "right"):
             factor = check_array(getattr(self, name), name, (None, s.size), dtype=None)

@@ -5,6 +5,7 @@ Measuring m qubits in a Pauli basis per qubit yields a sign vector in
 parities of outcome vectors marginalized over every qubit subset turns N
 measurement settings into N * 2^m trace-regression rows whose design matrices
 are rescaled Pauli words, which is the form the low-rank estimator consumes.
+N settings of m qubits are an (N, m) array of codes 1/2/3 = X/Y/Z (0 = I).
 A dataset keeps only the settings and the observations; each design row is
 fixed by its setting and subset, so the dense rows are built when asked for.
 
@@ -27,7 +28,6 @@ from ._rng import make_rng, seed_sequence
 from .trace_model import DesignBatch, Observations
 
 __all__ = [
-    "PauliSetting",
     "TomographyDataset",
     "gen_random_settings",
     "gen_density_matrix",
@@ -43,48 +43,13 @@ _PAULI = (
 
 _ISQRT2 = 1.0 / math.sqrt(2.0)
 # entry s has as columns the +1 and -1 eigenvectors of Pauli s; an identity
-# qubit (s = 0) takes Z's, and _outcome_distributions moves its mass onto +1
+# qubit (s = 0) takes Z's
 _EIGVECS = np.array([
     np.eye(2),
     [[_ISQRT2, _ISQRT2], [_ISQRT2, -_ISQRT2]],
     [[_ISQRT2, _ISQRT2], [1.0j * _ISQRT2, -1.0j * _ISQRT2]],
     np.eye(2),
 ], dtype=np.complex128)
-
-_LETTER = {0: "I", 1: "X", 2: "Y", 3: "Z"}
-_INDEX = {v: k for k, v in _LETTER.items()}
-
-
-@dataclass(frozen=True)
-class PauliSetting:
-    """One measurement basis per qubit, index 1/2/3 = X/Y/Z.
-
-    Index 0 (identity) only appears in settings derived by marginalization.
-    """
-
-    qubits: tuple[int, ...]
-
-    def __post_init__(self):
-        qubits = tuple(check_int(q, "qubits entries", 0, 4) for q in self.qubits)
-        if len(qubits) < 1:
-            raise ValueError("a setting needs at least one qubit")
-        object.__setattr__(self, "qubits", qubits)
-
-    @property
-    def m(self) -> int:
-        return len(self.qubits)
-
-    @property
-    def label(self) -> str:
-        return "".join(_LETTER[q] for q in self.qubits)
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliSetting":
-        try:
-            return cls(tuple(_INDEX[ch] for ch in label.upper()))
-        except KeyError as exc:
-            raise ValueError(f"unknown Pauli letter in {label!r}") from exc
-
 
 def outcome_table(m: int) -> np.ndarray:
     """All 2^m sign vectors in lexicographic order (+1 sorts before -1).
@@ -128,9 +93,9 @@ def _kron_rows(factors: np.ndarray) -> np.ndarray:
     return rows.copy() if m == 1 else rows
 
 
-def _rotations(settings) -> np.ndarray:
-    """(N, 2^m, 2^m) joint eigenbases of N settings with equal m."""
-    return _kron_rows(_EIGVECS[np.array([s.qubits for s in settings])])
+def _rotations(settings: np.ndarray) -> np.ndarray:
+    """(N, 2^m, 2^m) joint eigenbases of an (N, m) settings array."""
+    return _kron_rows(_EIGVECS[settings])
 
 
 # Size of each (settings, d, d) complex temporary of _outcome_distributions:
@@ -138,16 +103,15 @@ def _rotations(settings) -> np.ndarray:
 _BLOCK_BYTES = 1 << 19
 
 
-def _outcome_distributions(settings, theta: np.ndarray) -> np.ndarray:
-    """(N, 2^m) outcome probabilities of N settings with equal m, in
-    outcome_table order, for a theta that already passed _check_density.
-    Identity qubits put all their mass on +1.
+def _outcome_distributions(settings: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """(N, 2^m) outcome probabilities, in outcome_table order, of an (N, m)
+    settings array of codes 1-3 and a theta that already passed _check_density.
 
     Each block of settings takes one stacked u^H theta u product (theta in
     the settings' joint eigenbases), whose diagonals have the bits of the
     one-setting 2-D product.
     """
-    m = settings[0].m
+    m = settings.shape[1]
     d = 2 ** m
     if theta.shape[0] != d:
         raise ValueError(f"density matrix is {theta.shape[0]}x{theta.shape[0]}, "
@@ -158,22 +122,14 @@ def _outcome_distributions(settings, theta: np.ndarray) -> np.ndarray:
         u = _rotations(settings[start:start + step])
         rotated = u.conj().transpose(0, 2, 1) @ theta @ u
         p[start:start + step] = rotated.diagonal(axis1=1, axis2=2).real
-    for i, setting in enumerate(settings):
-        if 0 in setting.qubits:
-            row = p[i].reshape((2,) * m)
-            for axis, s in enumerate(setting.qubits):
-                if s == 0:
-                    merged = row.sum(axis=axis, keepdims=True)
-                    row = np.concatenate([merged, np.zeros_like(merged)], axis=axis)
-            p[i] = row.ravel()
     p[(p < 0) & (p > -1e-10)] = 0.0
     negative = np.flatnonzero((p < 0).any(axis=1))
     if negative.size:
         raise ValueError(f"outcome probability {p[negative[0]].min():.3e} below tolerance")
     totals = p.sum(axis=1)
-    for total in totals.tolist():
-        if not math.isclose(total, 1.0, abs_tol=1e-8):
-            raise ValueError(f"outcome probabilities sum to {total:.12g}")
+    off = np.flatnonzero(~(np.abs(totals - 1.0) <= 1e-8))
+    if off.size:
+        raise ValueError(f"outcome probabilities sum to {totals[off[0]]:.12g}")
     return p / totals[:, None]
 
 
@@ -186,12 +142,10 @@ def _draw_outcomes(p: np.ndarray, repetitions: int, seed) -> np.ndarray:
     return np.minimum(idx, p.size - 1, out=idx)
 
 
-def gen_random_settings(count: int, m: int, seed) -> list[PauliSetting]:
-    """count settings with i.i.d. uniform X/Y/Z per qubit."""
+def gen_random_settings(count: int, m: int, seed) -> np.ndarray:
+    """(count, m) read-only settings array of i.i.d. uniform X/Y/Z codes."""
     count, m = check_int(count, "count"), check_int(m, "m")
-    rng = make_rng(seed)
-    draws = rng.integers(1, 4, size=(count, m))
-    return [PauliSetting(tuple(row)) for row in draws]
+    return read_only(make_rng(seed).integers(1, 4, size=(count, m)))
 
 
 def gen_density_matrix(d: int, k: int, seed) -> np.ndarray:
@@ -213,24 +167,29 @@ class TomographyDataset:
     Row (i, E) pairs y = c_E * mean parity of the E-marginalized outcomes of
     setting i with the design matrix c_E * (Pauli word of the setting with
     identities at E), where c_E = sqrt(d) * 3^(-|E|/2) * (3/4)^(m/2). Rows are
-    ordered by (setting index, subset mask). Only the settings and y are
-    stored; ``to_trace_regression`` builds the dense rows from them.
+    ordered by (setting index, subset mask). Only the (N, m) settings array
+    (codes 0-3) and y are stored; ``to_trace_regression`` builds the rows.
     """
 
-    m: int
-    settings: tuple[PauliSetting, ...]
+    settings: np.ndarray
     repetitions: int
     y: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "m", check_int(self.m, "m"))
-        settings = tuple(self.settings)
-        if not settings or any(s.m != self.m for s in settings):
-            raise ValueError(f"need at least one setting, each with m={self.m} qubits")
-        y = check_array(self.y, "y", (len(settings) * 2 ** self.m,))
+        settings = check_array(self.settings, "settings", (None, None), np.int64)
+        if settings.size == 0:
+            raise ValueError(f"settings must not be empty, got shape {settings.shape}")
+        outside = settings[(settings < 0) | (settings > 3)]
+        if outside.size:
+            raise ValueError(f"settings must be in [0, 4), got {outside[0]}")
+        object.__setattr__(self, "settings", read_only(settings))
+        y = check_array(self.y, "y", (settings.shape[0] * 2 ** self.m,))
         object.__setattr__(self, "y", read_only(y))
-        object.__setattr__(self, "settings", settings)
         object.__setattr__(self, "repetitions", check_int(self.repetitions, "repetitions"))
+
+    @property
+    def m(self) -> int:
+        return self.settings.shape[1]
 
     @property
     def n(self) -> int:
@@ -250,8 +209,7 @@ class TomographyDataset:
         by c_E * 2^(m/2) has the bits of scaling by c_E, then by 2^(m/2).
         """
         boost = 2.0 ** (self.m / 2.0)
-        qubits = np.array([s.qubits for s in self.settings])
-        words = np.where(_subset_drops(self.m), 0, qubits[:, None, :]).reshape(self.n, self.m)
+        words = np.where(_subset_drops(self.m), 0, self.settings[:, None, :]).reshape(self.n, -1)
         rows = _kron_rows(np.array(_PAULI)[words])
         rows *= np.tile(_subset_scales(self.m) * boost, len(self.settings))[:, None, None]
         return DesignBatch(rows), Observations(values=self.y * boost)
@@ -303,9 +261,9 @@ def simulate_dataset(theta, n_settings: int, repetitions: int, seed) -> Tomograp
     if 2 ** m != d:
         raise ValueError(f"density matrix dimension {d} is not a power of two")
     setting_seed, *sample_seeds = seed_sequence(seed).spawn(n_settings + 1)
-    settings = tuple(gen_random_settings(n_settings, m, setting_seed))
+    settings = gen_random_settings(n_settings, m, setting_seed)
     counts = np.empty((n_settings, d), dtype=np.int64)
     for row, p, child in zip(counts, _outcome_distributions(settings, theta), sample_seeds):
         row[:] = np.bincount(_draw_outcomes(p, repetitions, child), minlength=d)
-    return TomographyDataset(m=m, settings=settings, repetitions=repetitions,
+    return TomographyDataset(settings=settings, repetitions=repetitions,
                              y=_rescaled_y(m, counts, repetitions))

@@ -30,7 +30,6 @@ from lowrank_iht._rng import make_rng
 from lowrank_iht.quantum import (
     _EIGVECS,
     _PAULI,
-    PauliSetting,
     TomographyDataset,
     _check_density,
     _draw_outcomes,
@@ -68,17 +67,18 @@ def eigenprojector(s: int, o: int) -> np.ndarray:
     return (np.eye(2, dtype=np.complex128) + o * _PAULI[s]) / 2.0
 
 
-def setting_projector(setting: PauliSetting, outcome) -> np.ndarray:
-    """Kronecker product of per-qubit eigenprojectors, qubit 1 leftmost.
+def setting_projector(setting, outcome) -> np.ndarray:
+    """Kronecker product of per-qubit eigenprojectors, qubit 1 leftmost, for
+    a setting given as a row of qubit codes.
 
     Index-0 qubits contribute the identity factor (their outcome is fixed at
     +1 by convention and the supplied entry is ignored).
     """
     outcome = tuple(int(o) for o in outcome)
-    if len(outcome) != setting.m:
+    if len(outcome) != len(setting):
         raise ValueError("outcome length does not match the setting")
     factors = []
-    for s, o in zip(setting.qubits, outcome):
+    for s, o in zip(setting, outcome):
         if s == 0:
             factors.append(np.eye(2, dtype=np.complex128))
         else:
@@ -106,19 +106,20 @@ def _as_mask(subset, m: int) -> int:
     return mask
 
 
-def marginalize(setting: PauliSetting, outcome, subset):
+def marginalize(setting, outcome, subset):
     """Replace the qubits in the subset by identity / forced +1.
 
-    The resulting pair describes what measuring the reduced setting directly
-    would have produced; marginal distributions agree exactly.
+    The resulting pair (a tuple of codes and a tuple of signs) describes what
+    measuring the reduced setting directly would have produced; marginal
+    distributions agree exactly.
     """
-    mask = _as_mask(subset, setting.m)
+    mask = _as_mask(subset, len(setting))
     outcome = tuple(int(o) for o in outcome)
-    if len(outcome) != setting.m:
+    if len(outcome) != len(setting):
         raise ValueError("outcome length does not match the setting")
-    qubits = tuple(0 if (mask >> i) & 1 else s for i, s in enumerate(setting.qubits))
+    qubits = tuple(0 if (mask >> i) & 1 else int(s) for i, s in enumerate(setting))
     new_outcome = tuple(1 if (mask >> i) & 1 else o for i, o in enumerate(outcome))
-    return PauliSetting(qubits), new_outcome
+    return qubits, new_outcome
 
 
 def simulate_dataset_per_setting(theta, n_settings: int, repetitions: int, seed):
@@ -137,7 +138,7 @@ def simulate_dataset_per_setting(theta, n_settings: int, repetitions: int, seed)
     table, scales = outcome_table(m), _subset_scales(m)
     y = []
     for setting, child in zip(settings, sample_seeds):
-        u = reduce(np.kron, [_EIGVECS[s] for s in setting.qubits])
+        u = reduce(np.kron, [_EIGVECS[s] for s in setting])
         p = np.real(np.diag(u.conj().T @ theta @ u)).copy()
         p[(p < 0) & (p > -1e-10)] = 0.0
         p = p / p.sum()
@@ -154,14 +155,16 @@ def simulate_dataset_per_setting(theta, n_settings: int, repetitions: int, seed)
 
 @dataclass(frozen=True, eq=False)
 class OutcomeBatch:
-    """T repeated sign vectors observed under one setting."""
+    """T repeated sign vectors observed under one setting, a row of qubit
+    codes held as a tuple."""
 
-    setting: PauliSetting
+    setting: tuple[int, ...]
     outcomes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "setting", tuple(int(q) for q in self.setting))
         arr = np.asarray(self.outcomes, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[1] != self.setting.m:
+        if arr.ndim != 2 or arr.shape[1] != len(self.setting):
             raise ValueError("outcomes must be (T, m) for the setting's m")
         if arr.shape[0] < 1:
             raise ValueError("need at least one repetition")
@@ -175,34 +178,45 @@ class OutcomeBatch:
         return self.outcomes.shape[0]
 
 
-def outcome_distribution(setting: PauliSetting, theta) -> np.ndarray:
-    """Probability of each of the 2^m outcomes, in outcome_table order.
+def outcome_distribution(setting, theta) -> np.ndarray:
+    """Probability of each of the 2^m outcomes of a row of qubit codes, in
+    outcome_table order.
 
     Computed by rotating the density matrix into the joint eigenbasis of the
     setting (a Kronecker product of 2x2 eigenvector matrices) and reading the
-    diagonal, rather than forming 2^m projectors. Identity qubits put all
-    their mass on +1.
+    diagonal, rather than forming 2^m projectors. An identity qubit is read
+    in Z's eigenbasis and then puts all its mass on +1.
     """
-    return _outcome_distributions((setting,), _check_density(theta))[0]
+    setting = np.asarray(setting, dtype=np.int64)
+    p = _outcome_distributions(setting[None, :], _check_density(theta))[0]
+    if 0 in setting:
+        row = p.reshape((2,) * setting.size)
+        for axis, s in enumerate(setting):
+            if s == 0:
+                merged = row.sum(axis=axis, keepdims=True)
+                row = np.concatenate([merged, np.zeros_like(merged)], axis=axis)
+        p = row.ravel()
+    return p
 
 
-def sample_outcomes(setting: PauliSetting, theta, repetitions: int, seed) -> OutcomeBatch:
+def sample_outcomes(setting, theta, repetitions: int, seed) -> OutcomeBatch:
     """T i.i.d. outcome vectors drawn by inverse CDF over the ordered table."""
     repetitions = check_int(repetitions, "repetitions")
     p = outcome_distribution(setting, theta)
     idx = _draw_outcomes(p, repetitions, seed)
-    return OutcomeBatch(setting=setting, outcomes=outcome_table(setting.m)[idx])
+    return OutcomeBatch(setting=setting, outcomes=outcome_table(len(setting))[idx])
 
 
 def build_rescaled_dataset(settings, batches) -> TomographyDataset:
-    """Assemble the trace-regression rows from raw per-setting outcomes."""
-    settings = tuple(settings)
+    """Assemble the trace-regression rows from raw per-setting outcomes; each
+    setting is a row of qubit codes."""
+    settings = [tuple(int(q) for q in setting) for setting in settings]
     batches = tuple(batches)
     if len(settings) != len(batches):
         raise ValueError("one outcome batch per setting required")
     if not settings:
         raise ValueError("need at least one setting")
-    m = settings[0].m
+    m = len(settings[0])
     repetitions = batches[0].repetitions
     # outcome_table row index of each outcome: bit m - q set when qubit q read -1
     weights = 1 << np.arange(m - 1, -1, -1)
@@ -210,12 +224,12 @@ def build_rescaled_dataset(settings, batches) -> TomographyDataset:
     for row, setting, batch in zip(counts, settings, batches):
         if batch.setting != setting:
             raise ValueError("outcome batch does not belong to its setting")
-        if setting.m != m:
+        if len(setting) != m:
             raise ValueError("all settings must share the same qubit count")
         if batch.repetitions != repetitions:
             raise ValueError("all settings must be measured the same number of times")
         row[:] = np.bincount((batch.outcomes < 0) @ weights, minlength=2 ** m)
-    return TomographyDataset(m=m, settings=settings, repetitions=repetitions,
+    return TomographyDataset(settings=settings, repetitions=repetitions,
                              y=_rescaled_y(m, counts, repetitions))
 
 

@@ -21,11 +21,7 @@ from lowrank_iht.iht import (
 )
 from lowrank_iht.inference import confidence_intervals, decomposition_terms
 from lowrank_iht.linalg import entrywise_inf_norm
-from lowrank_iht.quantum import (
-    PauliSetting,
-    gen_density_matrix,
-    outcome_table,
-)
+from lowrank_iht.quantum import gen_density_matrix, outcome_table
 from lowrank_iht.sparse import (
     Decorrelator,
     SparseConfig,
@@ -193,14 +189,14 @@ def test_criterion_7_quantum_enumeration():
     start = time.perf_counter()
     rng = np.random.default_rng(707)
     table = outcome_table(2)
-    settings = [PauliSetting((a, b)) for a in (1, 2, 3) for b in (1, 2, 3)]
+    settings = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
     worst_sum = worst_parity = worst_marg = 0.0
     for trial in range(20):
         theta = gen_density_matrix(4, int(rng.integers(1, 5)), rng.integers(1 << 31))
         for setting in settings:
             p = outcome_distribution(setting, theta)
             worst_sum = max(worst_sum, abs(float(p.sum()) - 1.0))
-            word = reduce(np.kron, [pauli_matrix(q) for q in setting.qubits])
+            word = reduce(np.kron, [pauli_matrix(q) for q in setting])
             gap = abs(float(np.dot(p, parity(table))) - np.trace(word @ theta).real)
             worst_parity = max(worst_parity, gap)
             for mask in (1, 2, 3):

@@ -30,7 +30,6 @@ from lowrank_iht.iht import (
 )
 from lowrank_iht.linalg import SvdFactors, hard_threshold_entries, hard_threshold_singular, svd
 from lowrank_iht.quantum import (
-    PauliSetting,
     TomographyDataset,
     gen_density_matrix,
     gen_random_settings,
@@ -66,7 +65,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(lowrank_iht.__path__
 EXPORTED = {
     "AssumptionViolationError", "ConfigError", "Decorrelator", "DesignBatch",
     "EntrywiseResult", "ExperimentConfig", "IhtConfig", "IhtState", "IterationRecord",
-    "Observations", "PauliSetting", "SparseConfig", "SparseInstance",
+    "Observations", "SparseConfig", "SparseInstance",
     "StoppingBoundError", "SvdConvergenceError", "SvdFactors", "TomographyDataset",
     "adjoint_apply", "apply_design", "build_decorrelator", "compute_metrics",
     "confidence_intervals", "decomposition_terms", "entry_scale_matrix",
@@ -85,11 +84,12 @@ EXPORTED = {
 # unused trace writer, the residual scales that the interval calls now form
 # from their own residual, the covariance build_decorrelator forms inline,
 # parity, which only tests read (the package forms parities through a table),
-# and the tomography manifest writer and reader, which nothing else called
+# the tomography manifest writer and reader, which nothing else called, and
+# the settings wrapper, whose codes an (N, m) integer array holds
 REMOVED = {
     "quantum": ("pauli_matrix", "eigenprojector", "setting_projector", "marginalize",
                 "OutcomeBatch", "sample_outcomes", "build_rescaled_dataset", "parity",
-                "save_dataset", "load_dataset"),
+                "save_dataset", "load_dataset", "PauliSetting"),
     "linalg": ("restricted_singular_bound", "restricted_singular_bound_check",
                "schatten_norm"),
     "sparse": ("estimate_r_k", "sparse_decomposition_terms", "sparse_sigma",
@@ -172,8 +172,8 @@ def _sparse_fit():
     return np.zeros(8), inst, build_decorrelator(inst.x)
 
 
-def _one_qubit_dataset(m, y=(0.0, 0.0)):
-    return TomographyDataset(m=m, settings=(PauliSetting((3,)),), repetitions=1, y=y)
+def _one_qubit_dataset(y=(0.0, 0.0)):
+    return TomographyDataset(settings=[[3]], repetitions=1, y=y)
 
 
 def _simulate_one_qubit(seed):
@@ -218,11 +218,6 @@ def _simulate_one_qubit(seed):
     (lambda: hard_threshold_singular(np.eye(3), True), "threshold"),
     (lambda: hard_threshold_singular(np.eye(3), "1.0"), "threshold"),
     (lambda: hard_threshold_singular(np.eye(3), np.inf), "threshold"),
-    (lambda: PauliSetting((1.7, 2)), "qubits entries"),
-    (lambda: PauliSetting(("3",)), "qubits entries"),
-    (lambda: PauliSetting((True,)), "qubits entries"),
-    (lambda: _one_qubit_dataset(1.0), "m"),
-    (lambda: _one_qubit_dataset(True), "m"),
     (lambda: outcome_table(True), "m"),
     (lambda: outcome_table(2.0), "m"),
     (lambda: _simulate_one_qubit(True), "seed"),
@@ -240,16 +235,15 @@ def _simulate_one_qubit(seed):
         "stop-upsilon-bool", "stop-upsilon-nan", "stop-t-nan",
         "entries-threshold-bool", "entries-threshold-str", "entries-threshold-inf",
         "singular-threshold-bool", "singular-threshold-str", "singular-threshold-inf",
-        "pauli-qubit-float", "pauli-qubit-str", "pauli-qubit-bool",
-        "dataset-m-float", "dataset-m-bool", "outcome-table-m-bool", "outcome-table-m-float",
+        "outcome-table-m-bool", "outcome-table-m-float",
         "simulate-seed-bool", "simulate-seed-float", "simulate-seed-str",
         "simulate-seed-generator"])
 def test_generators_refuse_a_non_integer_size_naming_it(call, name):
     # numpy would raise a TypeError naming no argument, or quietly accept a
     # bool; every generator checks its sizes as gen_gaussian_design does, and
     # its noise scale, like the interval calls' sigma and level, as a float;
-    # the schedule helpers and the stopping rule, thresholds, qubit indices
-    # and seeds likewise
+    # the schedule helpers and the stopping rule, thresholds and seeds
+    # likewise
     with pytest.raises(ValueError, match=f"^{name} must be "):
         call()
 
@@ -264,7 +258,7 @@ _NAN_3X3 = np.full((3, 3), np.nan)
     (lambda: Observations(values=[0.0, 1.0, 2.0], noise=[0.0, np.nan, 1.0]), "noise"),
     (lambda: SparseInstance(x=np.ones((2, 2)), y=np.zeros(2), theta_truth=[np.nan, 1.0]),
      "theta_truth"),
-    (lambda: _one_qubit_dataset(1, y=[np.nan, 1.0]), "y"),
+    (lambda: _one_qubit_dataset(y=[np.nan, 1.0]), "y"),
     (lambda: simulate_dataset(np.full((2, 2), np.nan), 1, 1, 0), "theta"),
     (lambda: simulate_dataset(np.full((2, 2), np.nan), 2, 3, 0), "theta"),
     (lambda: confidence_intervals(*_matrix_fit()[:2], _NAN_3X3), "theta_hat"),
@@ -279,7 +273,7 @@ _NAN_3X3 = np.full((3, 3), np.nan)
     (lambda: sparse_confidence_intervals(np.zeros(3), *_sparse_fit()[1:]), "estimate"),
     (lambda: SparseInstance(x=np.ones((3, 2)), y=np.zeros(2)), "y"),
     (lambda: Decorrelator(np.eye(3), np.eye(4)), "sigma_hat"),
-    (lambda: _one_qubit_dataset(1, y=np.zeros(3)), "y"),
+    (lambda: _one_qubit_dataset(y=np.zeros(3)), "y"),
     (lambda: Observations(values=[[1.0]]), "values"),
     (lambda: Observations(values=["1.0", "2.0"]), "values"),
     (lambda: Observations(values=[True, False]), "values"),
@@ -324,6 +318,27 @@ def test_every_array_input_is_refused_naming_it(call, name):
         call()
 
 
+@pytest.mark.parametrize("settings, message", [
+    ([[1.0]], "settings must hold integers, got dtype float64"),
+    ([[1.7, 2.0]], "settings must hold integers, got dtype float64"),
+    ([[True]], "settings must hold numbers, got dtype bool"),
+    ([["3"]], "settings must hold numbers, got dtype <U1"),
+    ([[1, -1]], r"settings must be in \[0, 4\), got -1"),
+    ([[4]], r"settings must be in \[0, 4\), got 4"),
+    (np.zeros((0, 1), dtype=np.int64), r"settings must not be empty, got shape \(0, 1\)"),
+    (np.zeros((2, 0), dtype=np.int64), r"settings must not be empty, got shape \(2, 0\)"),
+    ([1, 2], r"settings must have shape \(\*, \*\), got \(2,\)"),
+    ([[1], [2]], r"y must have shape \(4,\), got \(2,\)"),
+], ids=["float", "float-fraction", "bool", "str", "code-negative", "code-four",
+        "no-settings", "no-qubits", "one-dimensional", "rows-differ-from-y"])
+def test_dataset_settings_are_a_table_of_qubit_codes(settings, message):
+    # a float code is refused rather than truncated, as check_int refuses a
+    # float scalar; codes lie in [0, 4), and the table's N * 2^m rows must be
+    # as many as y's
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TomographyDataset(settings=settings, repetitions=1, y=[0.0, 0.0])
+
+
 def test_interval_calls_keep_their_checked_floats():
     # sigma and level come back as the floats the calls checked, not as the
     # int or numpy scalar passed in
@@ -342,7 +357,8 @@ def test_generators_keep_their_range_messages_and_take_numpy_integers():
         gen_sparse_instance(40, 10, 11, 1.0, 0)
     assert (gen_density_matrix(np.int64(4), np.int64(2), 3).tobytes()
             == gen_density_matrix(4, 2, 3).tobytes())
-    assert gen_random_settings(np.int64(3), np.int64(2), 1) == gen_random_settings(3, 2, 1)
+    assert (gen_random_settings(np.int64(3), np.int64(2), 1).tobytes()
+            == gen_random_settings(3, 2, 1).tobytes())
     assert (gen_sparse_instance(np.int64(40), np.int64(10), np.int64(2), 1.0, 0).y.tobytes()
             == gen_sparse_instance(40, 10, 2, 1.0, 0).y.tobytes())
     dec = _sparse_decorrelator()
@@ -415,7 +431,7 @@ def _array_holders():
         "EntrywiseResult": intervals,
         "Decorrelator": lambda: build_decorrelator(np.eye(4)),
         "SparseInstance": lambda: gen_sparse_instance(20, 5, 2, 0.5, 6),
-        "OutcomeBatch": lambda: sample_outcomes(PauliSetting((1, 3)), theta, 5, 7),
+        "OutcomeBatch": lambda: sample_outcomes((1, 3), theta, 5, 7),
         "TomographyDataset": lambda: simulate_dataset(theta, 3, 5, 8),
     }
 
@@ -440,9 +456,3 @@ def test_array_holders_keep_read_only_arrays(name):
               if isinstance(getattr(holder, f.name), np.ndarray)}
     assert arrays
     assert [key for key, arr in arrays.items() if arr.flags.writeable] == []
-
-
-def test_pauli_settings_compare_by_value():
-    assert PauliSetting((1, 2)) == PauliSetting.from_label("XY")
-    assert PauliSetting((1, 2)) != PauliSetting((2, 1))
-    assert hash(PauliSetting((3,))) == hash(PauliSetting.from_label("z"))

@@ -187,6 +187,37 @@ def test_workers_do_not_change_outputs(tmp_path):
             assert (out_serial / file).read_bytes() == (out_pool / file).read_bytes()
 
 
+def test_a_pool_starts_no_more_workers_than_tasks(tmp_path, monkeypatch):
+    # a process pool starts all max_workers processes at its first submit, so
+    # 500 workers on two tasks would start 500; this stand-in records the
+    # count and maps in-process, so the test starts no process
+    import concurrent.futures
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    run_experiment(_matrix_config(tmp_path / "two", workers=500))
+    assert started == [2]
+    # one task runs in this process, without a pool
+    run_experiment(_matrix_config(tmp_path / "one", workers=500, replicates=1))
+    assert started == [2]
+    run_experiment(_matrix_config(tmp_path / "serial"))
+    for name in ("metrics.csv", "aggregate.csv"):
+        assert (tmp_path / "two" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
 def test_schema_line_and_parsed_types(tmp_path):
     config = _matrix_config(tmp_path)
     paths = run_experiment(config)

@@ -148,11 +148,17 @@ def test_svd_factors_rank():
     (np.ones(2), [2.0, 1.0], np.eye(2), r"left must have shape \(\*, 2\)"),
     (np.ones((2, 3)), [2.0, 1.0], np.eye(2), r"left must have shape \(\*, 2\), got \(2, 3\)"),
     (np.eye(2), [2.0, 1.0], np.ones((3, 1)), r"right must have shape \(\*, 2\), got \(3, 1\)"),
+    (np.eye(2), [-1.0, 2.0], np.eye(2), "singular_values must be nonnegative and nonincreasing"),
+    (np.eye(2), [2.0, -1.0], np.eye(2), "singular_values must be nonnegative and nonincreasing"),
+    (np.eye(3), [1.0, 0.0, 2.0], np.eye(3), "singular_values must be nonnegative and nonincreasing"),
 ], ids=["nan-value", "matrix-values", "str-values", "inf-right", "vector-left",
-        "left-columns", "right-columns"])
+        "left-columns", "right-columns", "increasing-with-negative", "negative",
+        "increasing"])
 def test_svd_factors_refuse_what_they_do_not_document(left, singular_values, right, match):
-    # a NaN singular value used to be held and left out of .rank(), and
-    # factors with another number of columns reconstructed nothing
+    # a NaN singular value used to be held and left out of .rank(), factors
+    # with another number of columns reconstructed nothing, and a negative
+    # or increasing singular value was held, miscounted by .rank() and
+    # reconstructed as given
     with pytest.raises(ValueError, match=f"^{match}"):
         SvdFactors(left=left, singular_values=singular_values, right=right)
 

@@ -7,8 +7,8 @@ import pytest
 
 from lowrank_iht import quantum
 from lowrank_iht.iht import run_iht
+from lowrank_iht._rng import make_rng
 from lowrank_iht.quantum import (
-    PauliSetting,
     TomographyDataset,
     _subset_scales,
     gen_density_matrix,
@@ -41,7 +41,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 def _projector_oracle(setting, outcome):
     # direct Kronecker build from the textbook 2x2 projectors
     factors = []
-    for s, o in zip(setting.qubits, outcome):
+    for s, o in zip(setting, outcome):
         if s == 0:
             factors.append(np.eye(2, dtype=complex))
         else:
@@ -86,19 +86,19 @@ def test_eigenprojector_examples():
 
 def test_setting_projector_examples():
     # ZZ with outcome (+1, -1) selects the basis state |01>
-    p = setting_projector(PauliSetting((3, 3)), (1, -1))
+    p = setting_projector((3, 3), (1, -1))
     assert np.allclose(p, np.diag([0.0, 1.0, 0.0, 0.0]), atol=1e-15)
     # identity on qubit 1 contributes a full identity factor
-    p = setting_projector(PauliSetting((0, 3)), (1, 1))
+    p = setting_projector((0, 3), (1, 1))
     assert np.allclose(p, np.diag([1.0, 0.0, 1.0, 0.0]), atol=1e-15)
     with pytest.raises(ValueError):
-        setting_projector(PauliSetting((3, 3)), (1,))
+        setting_projector((3, 3), (1,))
 
 
 def test_projectors_resolve_identity():
     rng = np.random.default_rng(5)
     for m in (1, 2, 3):
-        setting = PauliSetting(tuple(int(q) for q in rng.integers(1, 4, m)))
+        setting = tuple(int(q) for q in rng.integers(1, 4, m))
         total = sum(setting_projector(setting, row)
                     for row in outcome_table(m))
         assert np.allclose(total, np.eye(2 ** m), atol=1e-12)
@@ -118,23 +118,12 @@ def test_outcome_table_order():
         outcome_table(0)
 
 
-def test_setting_labels():
-    s = PauliSetting.from_label("XZY")
-    assert s.qubits == (1, 3, 2)
-    assert s.label == "XZY"
-    assert PauliSetting.from_label("ixz").qubits == (0, 1, 3)
-    with pytest.raises(ValueError):
-        PauliSetting.from_label("XQ")
-    with pytest.raises(ValueError):
-        PauliSetting((1, 5))
-
-
 def test_outcome_distribution_matches_projector_oracle():
     rng = np.random.default_rng(11)
     for m in (1, 2, 3):
         d = 2 ** m
         theta = gen_density_matrix(d, min(2, d), rng.integers(1 << 31))
-        setting = PauliSetting(tuple(int(q) for q in rng.integers(1, 4, m)))
+        setting = tuple(int(q) for q in rng.integers(1, 4, m))
         p = outcome_distribution(setting, theta)
         table = outcome_table(m)
         for j, row in enumerate(table):
@@ -146,7 +135,7 @@ def test_outcome_distribution_matches_projector_oracle():
 def test_outcome_distribution_identity_qubits_force_plus_one():
     rng = np.random.default_rng(13)
     theta = gen_density_matrix(4, 2, 14)
-    setting = PauliSetting((0, 2))
+    setting = (0, 2)
     p = outcome_distribution(setting, theta)
     # qubit 1 fixed at +1: rows with qubit-1 outcome -1 carry no mass
     assert p[2] == 0.0 and p[3] == 0.0
@@ -162,18 +151,18 @@ def test_outcome_distribution_special_states():
     for m in (1, 2):
         d = 2 ** m
         theta = np.eye(d) / d
-        setting = PauliSetting((1,) * m)
+        setting = (1,) * m
         assert np.allclose(outcome_distribution(setting, theta),
                            np.full(d, 1.0 / d), atol=1e-12)
     # pure |00> measured in ZZ: all mass on the first table row
     theta = np.zeros((4, 4), dtype=complex)
     theta[0, 0] = 1.0
-    p = outcome_distribution(PauliSetting((3, 3)), theta)
+    p = outcome_distribution((3, 3), theta)
     assert np.allclose(p, [1.0, 0.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_density_check_diagnostics():
-    setting = PauliSetting((3,))
+    setting = (3,)
     with pytest.raises(ValueError, match="Hermitian"):
         outcome_distribution(setting, np.array([[1.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError, match="trace"):
@@ -186,7 +175,7 @@ def test_density_check_diagnostics():
 
 def test_sampling_determinism_and_frequencies():
     theta = gen_density_matrix(4, 1, 21)
-    setting = PauliSetting((1, 2))
+    setting = (1, 2)
     a = sample_outcomes(setting, theta, 50, 99)
     b = sample_outcomes(setting, theta, 50, 99)
     assert np.array_equal(a.outcomes, b.outcomes)
@@ -208,11 +197,11 @@ def test_parity_identity_against_pauli_word():
     for m in (1, 2, 3):
         d = 2 ** m
         theta = gen_density_matrix(d, d, rng.integers(1 << 31))
-        setting = PauliSetting(tuple(int(q) for q in rng.integers(1, 4, m)))
+        setting = tuple(int(q) for q in rng.integers(1, 4, m))
         p = outcome_distribution(setting, theta)
         table = outcome_table(m)
         mean_parity = float(np.dot(p, parity(table)))
-        word = reduce(np.kron, [pauli_matrix(q) for q in setting.qubits])
+        word = reduce(np.kron, [pauli_matrix(q) for q in setting])
         assert mean_parity == pytest.approx(np.trace(word @ theta).real, abs=1e-10)
 
 
@@ -224,14 +213,14 @@ def test_parity_shapes():
 
 
 def test_marginalize_endpoints():
-    setting = PauliSetting((1, 2, 3))
+    setting = (1, 2, 3)
     outcome = (-1, 1, -1)
     s0, o0 = marginalize(setting, outcome, 0)
     assert s0 == setting and o0 == outcome
     sf, of = marginalize(setting, outcome, 7)
-    assert sf.qubits == (0, 0, 0) and of == (1, 1, 1)
+    assert sf == (0, 0, 0) and of == (1, 1, 1)
     s1, o1 = marginalize(setting, outcome, (2,))
-    assert s1.qubits == (1, 0, 3) and o1 == (-1, 1, -1)
+    assert s1 == (1, 0, 3) and o1 == (-1, 1, -1)
 
 
 def test_marginal_distributions_agree():
@@ -239,8 +228,7 @@ def test_marginal_distributions_agree():
     rng = np.random.default_rng(29)
     theta = gen_density_matrix(4, 2, 31)
     table = outcome_table(2)
-    for qubits in ((1, 1), (1, 2), (2, 3), (3, 3)):
-        setting = PauliSetting(qubits)
+    for setting in ((1, 1), (1, 2), (2, 3), (3, 3)):
         joint = outcome_distribution(setting, theta)
         for mask in (1, 2):
             reduced, _ = marginalize(setting, table[0], mask)
@@ -256,13 +244,22 @@ def test_marginal_distributions_agree():
 
 def test_random_settings_uniform_and_deterministic():
     settings = gen_random_settings(9000, 1, 37)
-    counts = {1: 0, 2: 0, 3: 0}
-    for s in settings:
-        counts[s.qubits[0]] += 1
+    counts = np.bincount(settings[:, 0], minlength=4)
+    assert counts[0] == 0
     for axis in (1, 2, 3):
         assert abs(counts[axis] / 9000 - 1 / 3) < 0.05
     again = gen_random_settings(9000, 1, 37)
-    assert [s.qubits for s in again] == [s.qubits for s in settings]
+    assert again.tobytes() == settings.tobytes()
+
+
+def test_random_settings_are_the_read_only_draw():
+    # one integers(1, 4) call gives the (count, m) table, held as drawn
+    for count, m, seed in ((1, 1, 0), (7, 3, 5), (40, 5, np.random.SeedSequence(9))):
+        settings = gen_random_settings(count, m, seed)
+        draw = make_rng(seed).integers(1, 4, (count, m))
+        assert settings.dtype == draw.dtype and settings.shape == (count, m)
+        assert settings.tobytes() == draw.tobytes()
+        assert not settings.flags.writeable and settings.base is None
 
 
 def test_density_matrix_properties():
@@ -281,7 +278,7 @@ def test_rescaled_rows_single_qubit_oracle():
     # m=1: subset scales are sqrt(2) * 3^(-|E|/2) * sqrt(3)/2, so the kept-qubit
     # row has c = sqrt(3/2) and the all-identity row has c = sqrt(2)/2
     theta = gen_density_matrix(2, 1, 43)
-    setting = PauliSetting((1,))
+    setting = (1,)
     batch = sample_outcomes(setting, theta, 11, 44)
     ds = build_rescaled_dataset([setting], [batch])
     assert ds.n == 2
@@ -297,7 +294,7 @@ def test_rescaled_rows_single_qubit_oracle():
 
 def test_rescaled_rows_two_qubit_ybar_oracle():
     theta = gen_density_matrix(4, 2, 47)
-    setting = PauliSetting((2, 3))
+    setting = (2, 3)
     batch = sample_outcomes(setting, theta, 25, 48)
     ds = build_rescaled_dataset([setting], [batch])
     assert ds.n == 4
@@ -322,19 +319,19 @@ def test_rescaled_rows_two_qubit_ybar_oracle():
 def _reference_rows(settings):
     # the per-setting, per-mask loop the vectorised build replaced, kept as
     # the bitwise reference for the design rows before the 2^(m/2) boost
-    m = settings[0].m
+    m = len(settings[0])
     scales = _subset_scales(m)
     rows = []
     for setting in settings:
         for mask in range(2 ** m):
-            word = [0 if (mask >> i) & 1 else s for i, s in enumerate(setting.qubits)]
+            word = [0 if (mask >> i) & 1 else s for i, s in enumerate(setting)]
             rows.append(scales[mask] * reduce(np.kron, [pauli_matrix(q) for q in word]))
     return np.array(rows)
 
 
 def _per_mask_reference(settings, batches):
     # the same loop for y, returned with the rows
-    m = settings[0].m
+    m = len(settings[0])
     scales = _subset_scales(m)
     ys = []
     for batch in batches:
@@ -351,7 +348,7 @@ def test_rows_equal_the_per_mask_loop_bit_for_bit():
     for m in (1, 2, 3, 4, 5):
         theta = gen_density_matrix(2 ** m, 1, 72 + m)
         settings = gen_random_settings(6, m, 80 + m)
-        settings = settings + settings[:2]
+        settings = np.concatenate([settings, settings[:2]])
         repetitions = int(rng.integers(1, 40))
         batches = [sample_outcomes(s, theta, repetitions, 90 + i)
                    for i, s in enumerate(settings)]
@@ -372,9 +369,8 @@ def test_rows_with_identity_qubits_equal_the_per_mask_loop_bit_for_bit():
     rng = np.random.default_rng(73)
     for m in (1, 2, 3, 4, 5):
         theta = gen_density_matrix(2 ** m, 1, 74 + m)
-        settings = [PauliSetting(tuple(int(q) for q in row))
-                    for row in rng.integers(0, 4, size=(8, m))]
-        settings += [PauliSetting((0,) * m), PauliSetting((0,) + (3,) * (m - 1))]
+        settings = [tuple(int(q) for q in row) for row in rng.integers(0, 4, size=(8, m))]
+        settings += [(0,) * m, (0,) + (3,) * (m - 1)]
         repetitions = int(rng.integers(1, 30))
         batches = [OutcomeBatch(s, rng.choice([-1, 1], size=(repetitions, m)))
                    if i % 2 else sample_outcomes(s, theta, repetitions, 100 + i)
@@ -400,11 +396,19 @@ def test_mixed_repetition_counts_are_rejected():
 
 def test_dataset_built_from_a_view_is_not_written_through():
     y = np.zeros(4)
-    ds = TomographyDataset(m=2, settings=(PauliSetting((1, 3)),), repetitions=1, y=y[:])
+    settings = np.array([[1, 3], [2, 2]])
+    ds = TomographyDataset(settings=settings[:1], repetitions=1, y=y[:])
     y[0] = np.nan
+    settings[0, 0] = 0
     assert ds.y.tolist() == [0.0] * 4
+    assert ds.settings.tolist() == [[1, 3]] and ds.m == 2
     with pytest.raises(ValueError, match="read-only"):
         ds.y[0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ds.settings[0, 0] = 2
+    # a settings array that owns its data is held as it is, made read-only
+    ds = TomographyDataset(settings=settings, repetitions=1, y=np.zeros(8))
+    assert ds.settings is settings and not settings.flags.writeable
 
 
 def test_dataset_and_its_regression_hold_one_design():
@@ -422,7 +426,7 @@ def test_exhaustive_settings_form_a_tight_frame():
     # with every X/Y/Z pair measured once, the rescaled-and-boosted design
     # reproduces Frobenius energy exactly, not just approximately
     theta = gen_density_matrix(4, 2, 53)
-    settings = [PauliSetting((a, b)) for a in (1, 2, 3) for b in (1, 2, 3)]
+    settings = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
     batches = [sample_outcomes(s, theta, 5, 1000 + i)
                for i, s in enumerate(settings)]
     ds = build_rescaled_dataset(settings, batches)
@@ -475,7 +479,7 @@ def test_simulate_dataset_determinism():
     rows = _reference_rows(a.settings) * 2.0 ** (a.m / 2.0)
     assert a.to_trace_regression()[0].matrices.tobytes() == rows.tobytes()
     assert b.to_trace_regression()[0].matrices.tobytes() == rows.tobytes()
-    assert [s.label for s in a.settings] == [s.label for s in b.settings]
+    assert a.settings.tobytes() == b.settings.tobytes()
     c = simulate_dataset(theta, 4, 6, 63)
     assert not np.array_equal(a.y, c.y)
     with pytest.raises(ValueError):
@@ -518,18 +522,18 @@ def test_n_settings_must_be_a_positive_int(monkeypatch):
 def test_repetitions_must_be_a_positive_int(monkeypatch):
     # no y value is a mean of T = 0 parities; simulate_dataset refuses a bad
     # T before it samples any setting
-    setting = PauliSetting((1,))
+    setting = (1,)
     theta = gen_density_matrix(2, 1, 65)
     monkeypatch.setattr(quantum, "gen_random_settings",
                         lambda *args: pytest.fail("settings were sampled"))
     for bad in (0, -3, 2.5, True, "4"):
         with pytest.raises(ValueError, match="repetitions must be"):
-            TomographyDataset(m=1, settings=(setting,), repetitions=bad, y=[1.0, 0.5])
+            TomographyDataset(settings=[setting], repetitions=bad, y=[1.0, 0.5])
         with pytest.raises(ValueError, match="repetitions must be"):
             simulate_dataset(theta, 2, bad, 66)
         with pytest.raises(ValueError, match="repetitions must be"):
             sample_outcomes(setting, theta, bad, 67)
-    ds = TomographyDataset(m=1, settings=(setting,), repetitions=np.int64(3), y=[1.0, 0.5])
+    ds = TomographyDataset(settings=[setting], repetitions=np.int64(3), y=[1.0, 0.5])
     assert type(ds.repetitions) is int and ds.repetitions == 3
 
 
@@ -538,13 +542,12 @@ def test_batched_rotations_equal_the_kron_chain(m):
     # every setting's joint eigenbasis, identity qubits included, against
     # the one-setting Kronecker fold
     rng = np.random.default_rng(70 + m)
-    settings = [PauliSetting(tuple(int(q) for q in row))
-                for row in rng.integers(0, 4, size=(40, m))]
-    settings.append(PauliSetting((0,) * m))
+    settings = np.concatenate([rng.integers(0, 4, size=(40, m)),
+                               np.zeros((1, m), dtype=np.int64)])
     rotations = quantum._rotations(settings)
     assert rotations.shape == (len(settings), 2 ** m, 2 ** m)
     for setting, u in zip(settings, rotations):
-        chain = reduce(np.kron, [quantum._EIGVECS[s] for s in setting.qubits])
+        chain = reduce(np.kron, [quantum._EIGVECS[s] for s in setting])
         assert u.tobytes() == chain.tobytes()
 
 
@@ -559,7 +562,7 @@ def test_simulate_dataset_equals_sampling_each_setting():
         batches = [sample_outcomes(s, theta, reps, child)
                    for s, child in zip(settings, sample_seeds)]
         assert ds.y.tobytes() == build_rescaled_dataset(settings, batches).y.tobytes()
-        assert ds.settings == tuple(settings)
+        assert ds.settings.tobytes() == settings.tobytes()
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -572,7 +575,8 @@ def test_simulate_dataset_has_the_bits_of_the_per_setting_oracle(monkeypatch, m)
     count, repetitions, seed = (70 if m == 5 else 3 ** m + 4), 5 + 13 * m, 130 + m
     settings, y = simulate_dataset_per_setting(theta, count, repetitions, seed)
     ds = simulate_dataset(theta, count, repetitions, seed)
-    assert ds.settings == tuple(settings)
+    assert ds.settings.dtype == settings.dtype
+    assert ds.settings.tobytes() == settings.tobytes()
     assert ds.y.tobytes() == y.tobytes()
     monkeypatch.setattr(quantum, "_BLOCK_BYTES", 3 * 16 * 4 ** m)
     assert simulate_dataset(theta, count, repetitions, seed).y.tobytes() == y.tobytes()
@@ -596,8 +600,7 @@ def test_simulate_dataset_allocates_less_than_a_stack_of_rotations():
 def test_mixed_qubit_counts_are_rejected():
     ds = simulate_dataset(gen_density_matrix(4, 1, 73), 2, 5, 74)
     with pytest.raises(ValueError):
-        TomographyDataset(m=2, settings=(ds.settings[0], PauliSetting((1,))),
-                          repetitions=5, y=ds.y)
+        TomographyDataset(settings=[ds.settings[0], (1,)], repetitions=5, y=ds.y)
 
 
 def test_simulate_dataset_holds_the_y_it_computes(monkeypatch):
@@ -616,7 +619,7 @@ def test_simulate_dataset_holds_the_y_it_computes(monkeypatch):
 
 
 def test_outcome_batch_validation():
-    setting = PauliSetting((1, 3))
+    setting = (1, 3)
     with pytest.raises(ValueError):
         OutcomeBatch(setting=setting, outcomes=np.ones((4, 3)))
     with pytest.raises(ValueError):
